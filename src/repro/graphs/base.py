@@ -34,6 +34,11 @@ Vertex = Hashable
 #: Canonical (sorted) endpoint pair.
 Edge = tuple
 
+#: Instance attribute holding the graph's compiled edge index
+#: (:func:`repro.kernels.topology.edge_index_for`) — process-local
+#: state, left out of pickles by :meth:`Graph.__getstate__`.
+EDGE_INDEX_ATTR = "_edge_index"
+
 
 class Graph(ABC):
     """A finite undirected graph with computed adjacency.
@@ -160,6 +165,15 @@ class Graph(ABC):
     def _require_vertex(self, v: Any) -> None:
         if not self.has_vertex(v):
             raise ValueError(f"{v!r} is not a vertex of {self.name}")
+
+    def __getstate__(self) -> dict | None:
+        # Pickle exactly what a graph without a compiled index pickles
+        # (no state at all for an empty __dict__), so workload ids and
+        # serve cache keys never depend on what this process has run.
+        state = {
+            k: v for k, v in self.__dict__.items() if k != EDGE_INDEX_ATTR
+        }
+        return state or None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

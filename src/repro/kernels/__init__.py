@@ -18,7 +18,9 @@ Layout
 :mod:`~repro.kernels.topology`
     :class:`EdgeIndex` — a graph as flat edge/incidence arrays, edges
     in exact ``graph.edges()`` order (the mask-parity contract), built
-    arithmetically for Hypercube/Mesh/Torus/DeBruijn.
+    arithmetically for Hypercube/Mesh/Torus/DeBruijn;
+    :func:`edge_index_for` keeps one per graph per process, shared
+    with the per-trial draws.
 :mod:`~repro.kernels.percolation`
     Batched seeded mask draws + mask-backed ``PercolationModel``\\ s
     that answer exactly like the per-trial models they replace.
@@ -57,7 +59,11 @@ from repro.kernels.routing import (
     router_kernel_for,
     routing_incidence,
 )
-from repro.kernels.topology import EdgeIndex, build_edge_index
+from repro.kernels.topology import (
+    EdgeIndex,
+    build_edge_index,
+    edge_index_for,
+)
 from repro.kernels.traffic import compile_traffic_chunk
 
 __all__ = [
@@ -70,6 +76,7 @@ __all__ = [
     "build_edge_index",
     "compile_run_trial_chunk",
     "compile_traffic_chunk",
+    "edge_index_for",
     "node_model_kernel",
     "pair_router_kernel_for",
     "register_model_kernel",

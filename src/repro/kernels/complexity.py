@@ -7,9 +7,9 @@ inspects that context once and — when every ingredient has a vectorized
 counterpart — returns a chunk runner that executes *all* tails in one
 pass, stage by stage:
 
-1. **topology** compiles to an :class:`~repro.kernels.topology.
-   EdgeIndex` (implicit graphs arithmetically, other enumerable graphs
-   via one ``edges()`` walk, amortised over the workload's lifetime);
+1. **topology** reads the graph's :class:`~repro.kernels.topology.
+   EdgeIndex` (:func:`~repro.kernels.topology.edge_index_for`: compiled
+   once per graph per process and shared with the per-trial draws);
 2. **draw** — the percolation factory's *model kernel* draws every
    trial's mask as one matrix (or a lazily-demanded one), bit-identical
    per row to the per-trial model;
@@ -54,7 +54,7 @@ from repro.kernels.percolation import (
     table_edge_masks,
 )
 from repro.kernels.routing import router_kernel_for
-from repro.kernels.topology import EdgeIndex, build_edge_index
+from repro.kernels.topology import EdgeIndex, edge_index_for
 from repro.percolation.models import TablePercolation
 from repro.runtime.trial import TrialExecutionError
 from repro.runtime.workload import Workload
@@ -196,6 +196,7 @@ class _RunTrialChunk:
 
     def __init__(
         self,
+        graph: Graph,
         index: EdgeIndex,
         model_kernel,
         router,
@@ -207,6 +208,9 @@ class _RunTrialChunk:
         budget: int | None,
         conditioning: str,
     ) -> None:
+        # Keeps the graph alive for as long as the runner is cached:
+        # its shared index refers back to it only weakly.
+        self._graph = graph
         self._index = index
         self._model_kernel = model_kernel
         self._router = router
@@ -366,7 +370,7 @@ def compile_run_trial_chunk(workload: Workload):
         compiler = None
     if compiler is None:
         return None
-    index = build_edge_index(graph)
+    index = edge_index_for(graph)
     if index is None:
         return None
     source_code = index.code.get(source)
@@ -384,6 +388,7 @@ def compile_run_trial_chunk(workload: Workload):
         router, index, source_code, target_code, route_budget
     )
     return _RunTrialChunk(
+        graph,
         index,
         model_kernel,
         router,

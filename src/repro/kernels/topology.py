@@ -1,11 +1,20 @@
 """Implicit topologies as index arrays.
 
 The vectorized kernels never walk object graphs: a topology is compiled
-once per workload into an :class:`EdgeIndex` — flat integer arrays in
-which vertex ``i`` is the ``i``-th element of ``graph.vertices()`` and
-edge ``e`` is the ``e``-th element of ``graph.edges()``.  Everything
-downstream (mask drawing, frontier expansion, the mask-backed
-percolation models) is array indexing on those codes.
+into an :class:`EdgeIndex` — flat integer arrays in which vertex ``i``
+is the ``i``-th element of ``graph.vertices()`` and edge ``e`` is the
+``e``-th element of ``graph.edges()``.  Everything downstream (mask
+drawing, frontier expansion, the mask-backed percolation models) is
+array indexing on those codes.
+
+**One index per graph per process.**  :func:`edge_index_for` compiles a
+graph on first use and keeps the index on the graph object, so the
+chunk kernels and the per-trial path — every ``TablePercolation`` draw,
+every coupled-threshold sweep — share it instead of re-enumerating the
+graph per trial.  The index is process-local state: ``Graph``'s pickle
+state leaves it out (workload ids and serve cache keys never see it),
+each worker process compiles its own copy, and it is freed with its
+graph (the index holds the graph only weakly).
 
 **Order parity is the contract.**  ``TablePercolation`` draws one
 uniform per edge *in enumeration order*, so the batched mask kernel
@@ -17,9 +26,7 @@ mesh.Torus`, :class:`~repro.graphs.debruijn.DeBruijn`) derive that
 order arithmetically — no per-edge Python — and
 ``tests/kernels/test_topology.py`` pins each one against the real
 enumeration.  Every other enumerable graph gets the generic builder,
-which simply walks ``graph.edges()`` once (same cost as a single
-``TablePercolation`` construction, paid once per workload instead of
-once per trial).
+which walks ``graph.edges()`` once.
 
 >>> from repro.graphs.hypercube import Hypercube
 >>> index = build_edge_index(Hypercube(3))
@@ -31,14 +38,16 @@ once per trial).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from repro.graphs.base import Graph
+from repro.graphs.base import EDGE_INDEX_ATTR, Graph
 from repro.graphs.debruijn import DeBruijn
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
 
-__all__ = ["EdgeIndex", "build_edge_index"]
+__all__ = ["EdgeIndex", "build_edge_index", "edge_index_for"]
 
 #: Refuse to materialise indexes beyond this many vertices — the same
 #: bound ``repro.core.complexity._default_factory`` uses to switch from
@@ -51,24 +60,48 @@ class EdgeIndex:
 
     ``edge_u``/``edge_v`` hold the canonical endpoints (``u < v``) of
     edge ``e`` as vertex codes — positions in ``graph.vertices()``
-    order.  Vertex objects, the code map, the edge-id map and the
-    padded incidence arrays are derived lazily, so workloads that never
-    route (e.g. every trial disconnected) never pay for the lookup
-    dicts.
+    order.  Vertex objects, the code map, the edge keys, the edge-id
+    map and the padded incidence arrays are derived lazily, so
+    workloads that never route (e.g. every trial disconnected) never
+    pay for the lookup dicts.
     """
 
     def __init__(
         self, graph: Graph, edge_u: np.ndarray, edge_v: np.ndarray
     ) -> None:
-        self.graph = graph
+        self._graph = graph
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.num_vertices = int(graph.num_vertices())
         self.num_edges = int(len(edge_u))
         self._verts: list | None = None
         self._code: dict | None = None
+        self._edge_keys: list | None = None
+        self._level_keys: list | None = None
         self._eid: dict | None = None
         self._incidence: tuple | None = None
+
+    @classmethod
+    def walk(cls, graph: Graph) -> EdgeIndex:
+        """Compile any enumerable graph by one walk of ``edges()``."""
+        verts = list(graph.vertices())
+        code = {v: i for i, v in enumerate(verts)}
+        pairs = [(code[a], code[b]) for a, b in graph.edges()]
+        if pairs:
+            arr = np.asarray(pairs, dtype=np.int64)
+            edge_u, edge_v = arr[:, 0].copy(), arr[:, 1].copy()
+        else:
+            edge_u = edge_v = np.zeros(0, dtype=np.int64)
+        index = cls(graph, edge_u, edge_v)
+        index._verts = verts
+        index._code = code
+        return index
+
+    @property
+    def graph(self) -> Graph:
+        """The compiled graph; held weakly once the graph owns the index."""
+        graph = self._graph
+        return graph() if isinstance(graph, weakref.ref) else graph
 
     @property
     def verts(self) -> list:
@@ -83,6 +116,36 @@ class EdgeIndex:
         if self._code is None:
             self._code = {v: i for i, v in enumerate(self.verts)}
         return self._code
+
+    @property
+    def edge_keys(self) -> list:
+        """Canonical edge keys, position = edge id: ``list(graph.edges())``.
+
+        Built from the vertex objects in :attr:`verts` (never numpy
+        scalars, whose ``repr`` differs), so each key equals — and
+        ``repr``\\ s like — the one ``edges()`` yields.
+        """
+        if self._edge_keys is None:
+            verts = self.verts
+            self._edge_keys = [
+                (verts[u], verts[v])
+                for u, v in zip(self.edge_u.tolist(), self.edge_v.tolist())
+            ]
+        return self._edge_keys
+
+    @property
+    def level_keys(self) -> list[bytes]:
+        """Per edge, the bytes ``uniform_for(seed, "edge", key)`` hashes.
+
+        ``repr(("edge", key)).encode("utf-8")`` — serialised once per
+        graph, so a coupled sweep hashes every edge without re-``repr``
+        ing its key (:func:`~repro.util.rng.uniforms_for`).
+        """
+        if self._level_keys is None:
+            self._level_keys = [
+                repr(("edge", key)).encode("utf-8") for key in self.edge_keys
+            ]
+        return self._level_keys
 
     @property
     def eid(self) -> dict:
@@ -224,22 +287,6 @@ def _debruijn_edges(graph: DeBruijn) -> tuple[np.ndarray, np.ndarray]:
     return u, cand.ravel()[keep]
 
 
-def _generic_edges(
-    graph: Graph,
-) -> tuple[np.ndarray, np.ndarray, list, dict]:
-    # One Python walk of edges() — the cost of a single
-    # TablePercolation construction, paid once per workload.
-    verts = list(graph.vertices())
-    code = {v: i for i, v in enumerate(verts)}
-    pairs = [(code[a], code[b]) for a, b in graph.edges()]
-    if pairs:
-        arr = np.asarray(pairs, dtype=np.int64)
-        edge_u, edge_v = arr[:, 0].copy(), arr[:, 1].copy()
-    else:
-        edge_u = edge_v = np.zeros(0, dtype=np.int64)
-    return edge_u, edge_v, verts, code
-
-
 def build_edge_index(graph: Graph) -> EdgeIndex | None:
     """Compile ``graph`` to an :class:`EdgeIndex`, or ``None``.
 
@@ -263,11 +310,27 @@ def build_edge_index(graph: Graph) -> EdgeIndex | None:
         DeBruijn: _debruijn_edges,
     }
     builder = builders.get(type(graph))
-    if builder is not None:
-        edge_u, edge_v = builder(graph)
-        return EdgeIndex(graph, edge_u, edge_v)
-    edge_u, edge_v, verts, code = _generic_edges(graph)
-    index = EdgeIndex(graph, edge_u, edge_v)
-    index._verts = verts
-    index._code = code
-    return index
+    if builder is None:
+        return EdgeIndex.walk(graph)
+    return EdgeIndex(graph, *builder(graph))
+
+
+def edge_index_for(graph: Graph) -> EdgeIndex | None:
+    """Return ``graph``'s :class:`EdgeIndex`, compiling it on first use.
+
+    The one index this process keeps for ``graph`` (``None`` when the
+    graph is too large to index), shared by the chunk kernels and the
+    per-trial draws.  It lives on the graph object — which
+    ``Graph.__getstate__`` leaves out of pickles — so it is built once
+    per graph per process.  The index refers back to the graph only
+    weakly, so no reference cycle delays freeing it: it goes the
+    moment the graph does, and whoever keeps the index must keep the
+    graph (the compiled chunk runners do).
+    """
+    state = graph.__dict__
+    if EDGE_INDEX_ATTR not in state:
+        index = build_edge_index(graph)
+        if index is not None:
+            index._graph = weakref.ref(graph)
+        state[EDGE_INDEX_ATTR] = index
+    return state[EDGE_INDEX_ATTR]

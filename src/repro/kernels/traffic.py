@@ -48,7 +48,7 @@ from repro.kernels.routing import (
     _block_rows,
     pair_router_kernel_for,
 )
-from repro.kernels.topology import EdgeIndex, build_edge_index
+from repro.kernels.topology import EdgeIndex, edge_index_for
 from repro.runtime.trial import TrialExecutionError
 from repro.runtime.workload import Workload
 
@@ -246,7 +246,7 @@ def compile_traffic_chunk(workload: Workload):
         compiler = None
     if compiler is None:
         return None
-    index = build_edge_index(graph)
+    index = edge_index_for(graph)
     if index is None:
         return None
     model_kernel = compiler(graph, index, p)

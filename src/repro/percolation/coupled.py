@@ -19,10 +19,11 @@ they turn threshold experiments from O(grid × trials) into O(trials).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graphs.base import Graph, Vertex
 from repro.percolation.models import HashPercolation
-from repro.util.rng import uniform_for
-from repro.util.unionfind import DisjointSets
+from repro.util.rng import uniform_for, uniforms_for
 
 __all__ = [
     "edge_level",
@@ -41,12 +42,50 @@ def edge_level(graph: Graph, seed: int, u: Vertex, v: Vertex) -> float:
     return uniform_for(seed, "edge", graph.edge_key(u, v))
 
 
-def _sorted_levels(graph: Graph, seed: int) -> list[tuple[float, tuple]]:
-    levels = [
-        (uniform_for(seed, "edge", e), e) for e in graph.edges()
-    ]
-    levels.sort()
-    return levels
+def _index(graph: Graph):
+    """The graph's shared :class:`~repro.kernels.topology.EdgeIndex`."""
+    # Imported here: repro.kernels imports repro.percolation.
+    from repro.kernels.topology import EdgeIndex, edge_index_for
+
+    # Too large to keep an index: walk the graph for this sweep alone.
+    return edge_index_for(graph) or EdgeIndex.walk(graph)
+
+
+def _merges(index, seed: int):
+    """Kruskal's sweep over one coupling: union edges by level.
+
+    Yields ``(level, root, absorbed, size)`` for every union that joins
+    two clusters: the joining edge's level, the surviving root, the
+    root it absorbed (both vertex codes of ``index``) and the merged
+    cluster's size.  Levels are hashed in one batch from the index's
+    cached key bytes (:func:`~repro.util.rng.uniforms_for` equals
+    :func:`edge_level` edge for edge); the union–find is plain lists,
+    union by size with path halving.  Ties between levels cannot
+    change a threshold: the answer is the level of the edge that
+    completes the event, and every edge of a tie shares it.
+    """
+    levels = uniforms_for(seed, index.level_keys)
+    order = np.argsort(levels, kind="stable")
+    parent = list(range(index.num_vertices))
+    size = [1] * index.num_vertices
+    for level, a, b in zip(
+        levels[order].tolist(),
+        index.edge_u[order].tolist(),
+        index.edge_v[order].tolist(),
+    ):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        yield level, a, b, size[a]
 
 
 def pair_threshold(graph: Graph, seed: int, u: Vertex, v: Vertex) -> float:
@@ -61,10 +100,16 @@ def pair_threshold(graph: Graph, seed: int, u: Vertex, v: Vertex) -> float:
     graph._require_vertex(v)
     if u == v:
         return 0.0
-    ds = DisjointSets()
-    for level, (a, b) in _sorted_levels(graph, seed):
-        ds.union(a, b)
-        if ds.connected(u, v):
+    index = _index(graph)
+    # The current cluster roots of u and v: a root changes only when
+    # its cluster is absorbed, so tracking them needs no finds.
+    ru, rv = index.code[u], index.code[v]
+    for level, root, absorbed, _ in _merges(index, seed):
+        if ru == absorbed:
+            ru = root
+        if rv == absorbed:
+            rv = root
+        if ru == rv:
             return level
     return float("inf")
 
@@ -82,10 +127,8 @@ def giant_threshold(graph: Graph, seed: int, fraction: float) -> float:
     target = fraction * n
     if target <= 1:
         return 0.0  # singletons already qualify
-    ds = DisjointSets()
-    for level, (a, b) in _sorted_levels(graph, seed):
-        ds.union(a, b)
-        if ds.set_size(a) >= target:
+    for level, _, _, size in _merges(_index(graph), seed):
+        if size >= target:
             return level
     return float("inf")
 

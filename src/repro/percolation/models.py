@@ -25,6 +25,7 @@ orientations agree.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import compress
 
 import numpy as np
 
@@ -101,12 +102,19 @@ class TablePercolation(PercolationModel):
     """
 
     def __init__(self, graph: Graph, p: float, seed: int) -> None:
+        # Imported here: repro.kernels imports this module.
+        from repro.kernels.topology import edge_index_for
+
         super().__init__(graph, p)
         self.seed = seed
-        edges = list(graph.edges())
+        # The graph's shared index lists its edges in edges() order, so
+        # the draw neither re-enumerates the graph per trial nor moves
+        # a coin; graphs too large to index are walked as before.
+        index = edge_index_for(graph)
+        edges = index.edge_keys if index is not None else list(graph.edges())
         rng = np.random.default_rng(derive_seed(seed, "table-percolation"))
         mask = rng.random(len(edges)) < p
-        self._open: set = {e for e, keep in zip(edges, mask) if keep}
+        self._open: set = set(compress(edges, mask.tolist()))
         self._adjacency: dict[Vertex, list[Vertex]] = {}
         for u, v in self._open:
             self._adjacency.setdefault(u, []).append(v)

@@ -24,13 +24,17 @@ The hash is BLAKE2b keyed with the seed; keys are serialised with
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from typing import Any
+
+import numpy as np
 
 __all__ = [
     "MAX_SEED",
     "derive_seed",
     "edge_coin",
     "uniform_for",
+    "uniforms_for",
 ]
 
 #: Seeds are 64-bit unsigned integers.
@@ -68,6 +72,34 @@ def uniform_for(seed: int, *key: Any) -> float:
     True
     """
     return int.from_bytes(_digest(seed, key), "little") / _SCALE
+
+
+def uniforms_for(seed: int, encoded_keys: Iterable[bytes]) -> np.ndarray:
+    """Return :func:`uniform_for` over many keys under one seed, as floats.
+
+    Each item of ``encoded_keys`` is a key already serialised the way
+    :func:`uniform_for` serialises it — ``repr(key).encode("utf-8")``
+    for the key tuple ``(tag, *parts)`` — so entry ``i`` equals
+    ``uniform_for(seed, *key_i)`` exactly.  Callers hashing the same
+    keys under many seeds (one coupled sweep per trial) serialise them
+    once and pay only the hashing here.
+
+    >>> key = ("edge", (0, 1))
+    >>> levels = uniforms_for(7, [repr(key).encode("utf-8")])
+    >>> float(levels[0]) == uniform_for(7, *key)
+    True
+    """
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+    # Keying BLAKE2b costs a compression; copying the keyed state does
+    # not, and is byte-identical to hashing each key from scratch.
+    base = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+    digests = []
+    for data in encoded_keys:
+        hasher = base.copy()
+        hasher.update(data)
+        digests.append(hasher.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8") / _SCALE
 
 
 def edge_coin(seed: int, edge: Any, p: float) -> bool:

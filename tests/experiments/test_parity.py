@@ -1,11 +1,14 @@
-"""Serial-vs-parallel parity for EVERY registered experiment.
+"""Serial-vs-parallel and kernel on/off parity for EVERY registered
+experiment.
 
 This is the determinism contract of :mod:`repro.runtime` extended to
 the whole suite: for any experiment and master seed, a
 ``ProcessPoolRunner`` must produce byte-identical ``ResultTable``\\ s to
 the ``SerialRunner`` — rendered text (the persisted record), the
 ``repr`` of the raw rows (NaN-tolerant, unlike ``==``) and the notes.
-``chunksize=1`` maximises interleaving, the adversarial schedule.
+``chunksize=1`` maximises interleaving, the adversarial schedule.  The
+same tables must come out with the vectorized chunk kernels switched
+off (``$REPRO_KERNEL=off``), where every trial runs the per-trial path.
 
 It is also the gate for the per-trial migration: every definition now
 emits :class:`TrialSpec` work units (there is no legacy ``run(scale,
@@ -68,6 +71,21 @@ def test_parallel_matches_serial(experiment_id):
     assert serial.render() == parallel.render()
     assert repr(serial.rows) == repr(parallel.rows)
     assert serial.notes == parallel.notes
+
+
+@pytest.mark.parametrize("experiment_id", ALL_IDS)
+def test_kernel_off_matches_kernel_on(experiment_id, monkeypatch):
+    # With the kernel seam off every trial draws through the per-trial
+    # models (TablePercolation reading the graph's shared EdgeIndex),
+    # so this gates the per-trial path against the chunk kernels in
+    # every registered def, byte for byte.
+    spec = get_experiment(experiment_id)
+    kernel_on = spec(scale="tiny", seed=11, runner=SerialRunner())
+    monkeypatch.setenv("REPRO_KERNEL", "off")
+    kernel_off = spec(scale="tiny", seed=11, runner=SerialRunner())
+    assert kernel_on.render() == kernel_off.render()
+    assert repr(kernel_on.rows) == repr(kernel_off.rows)
+    assert kernel_on.notes == kernel_off.notes
 
 
 @pytest.mark.parametrize("experiment_id", ["E1", "E6", "E12"])

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.graphs.clos import FatTree
+from repro.graphs.double_tree import DoubleBinaryTree
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
 from repro.kernels import (
@@ -31,8 +33,10 @@ SEEDS = [derive_seed(7, "kernel-mask", t) for t in range(6)]
         (Hypercube(5), 0.35),
         (Mesh(2, 6), 0.55),
         (Torus(2, 4), 0.5),
+        (DoubleBinaryTree(4), 0.75),
+        (FatTree(4), 0.6),
     ],
-    ids=["hypercube", "mesh", "torus"],
+    ids=["hypercube", "mesh", "torus", "double-tree", "fat-tree"],
 )
 def test_table_edge_masks_match_table_percolation(graph, p):
     edges = list(graph.edges())
