@@ -14,9 +14,9 @@
   trial kernel → deterministic reassembly) so sweeps parallelise.
 * :mod:`repro.core.traffic` — the per-trial unit generalised to a
   demand matrix: seeded permutation / hotspot / all-to-all generators,
-  per-commodity routing through ``Router.route_demands``, and
-  congestion metrics (routability, max/mean link load, probes per
-  delivered commodity) — the single pair is the one-commodity case.
+  one independent ``Router.route`` per commodity, and congestion
+  metrics (routability, max/mean link load, probes per delivered
+  commodity) — the single pair is the one-commodity case.
 * :mod:`repro.core.lower_bounds` — Lemma 5 as an empirical certificate:
   estimate ``η``, ``Pr[(u~v) ∈ S]`` and ``Pr[u ~ v]`` for a concrete cut
   and obtain a CDF bound every local router must respect.

@@ -272,7 +272,6 @@ def complexity_specs(
     model_factory: ModelFactory | None = None,
     conditioning: str = "exact",
     key: tuple = ("complexity",),
-    demands=None,
 ) -> list[TrialSpec]:
     """Emit one :class:`TrialSpec` per trial of a measurement.
 
@@ -288,40 +287,9 @@ def complexity_specs(
     group, so a spec pickles to its per-trial ``(t, seed)`` tail plus a
     16-byte content id however large the graph is.  The returned specs
     keep the workload alive; see the ownership contract in
-    :mod:`repro.runtime.workload`.
-
-    ``demands=`` switches the trial unit from one probe pair to a
-    demand matrix: specs then call :func:`~repro.core.traffic.
-    run_traffic_trial` with the given demand factory (see
-    :func:`~repro.core.traffic.traffic_specs`, which this delegates
-    to).  ``pair`` and ``conditioning`` do not apply to demand trials —
-    every commodity is attempted — so non-default values are rejected
-    rather than silently ignored.
+    :mod:`repro.runtime.workload`.  Demand-matrix trials emit through
+    :func:`~repro.core.traffic.traffic_specs` instead.
     """
-    if demands is not None:
-        from repro.core.traffic import traffic_specs
-
-        if pair is not None:
-            raise ValueError(
-                "demands= replaces the probe pair; pass sources/targets "
-                "through the demand factory instead"
-            )
-        if conditioning != "exact":
-            raise ValueError(
-                "demand trials attempt every commodity; conditioning "
-                "does not apply"
-            )
-        return traffic_specs(
-            graph,
-            p,
-            router,
-            demands,
-            trials=trials,
-            seed=seed,
-            budget=budget,
-            model_factory=model_factory,
-            key=key,
-        )
     _validate(trials, router, budget, conditioning)
     source, target = pair if pair is not None else graph.canonical_pair()
     factory = model_factory or _default_factory(graph)

@@ -109,34 +109,6 @@ class Router(ABC):
             router=self.name,
         )
 
-    def route_demands(
-        self,
-        model: PercolationModel,
-        demands,
-        budget: int | None = None,
-    ) -> list[RoutingResult]:
-        """Route every commodity of a demand matrix; one result per pair.
-
-        The multi-commodity seam: the default routes each
-        ``(source, target)`` of ``demands.pairs`` **independently**
-        through :meth:`route` — fresh oracle, independent probe
-        accounting, no state shared between commodities — so every
-        existing router works unchanged and the batched kernel
-        (:mod:`repro.kernels.traffic`) has a well-defined sequential
-        path to replay.  Results line up with ``demands.pairs`` index
-        for index; link-load accounting over the delivered paths is
-        centralised in :func:`repro.core.traffic.summarize_traffic`.
-
-        Subclasses may override to share probe knowledge across
-        commodities, but must preserve the per-commodity result
-        contract (each result field-identical to what some valid
-        single-pair strategy would return).
-        """
-        return [
-            self.route(model, source, target, budget=budget)
-            for source, target in demands.pairs
-        ]
-
     def make_oracle(
         self,
         model: PercolationModel,

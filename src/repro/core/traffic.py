@@ -20,8 +20,8 @@ single-pair machinery as the degenerate one-commodity case:
   (max / mean link load over the delivered paths);
 * :func:`run_traffic_trial` — the pure per-trial kernel (one
   percolation draw, one demand draw, one
-  :meth:`~repro.core.router.Router.route_demands` pass), executed by
-  any runner in any process;
+  :meth:`~repro.core.router.Router.route` call per commodity), executed
+  by any runner in any process;
 * :func:`traffic_specs` / :func:`assemble_traffic` — the spec-emission
   and reassembly halves, mirroring
   :func:`~repro.core.complexity.complexity_specs` exactly (slim
@@ -30,8 +30,9 @@ single-pair machinery as the degenerate one-commodity case:
   unchanged.
 
 Congestion accounting is centralised in :func:`summarize_traffic`: both
-the sequential-commodity path and the batched kernel path
-(:mod:`repro.kernels.traffic`) feed their per-commodity
+the per-trial path and the chunk kernel
+(:mod:`repro.kernels.complexity`, which routes a probe pair and a
+demand matrix through the same engines) feed their per-commodity
 :class:`~repro.core.result.RoutingResult` lists through this one
 function, so the derived floats are bit-identical by construction.
 """
@@ -279,11 +280,11 @@ def summarize_traffic(
 ) -> TrafficResult:
     """Fold per-commodity routing results into one :class:`TrafficResult`.
 
-    The **single** congestion accountant: both the sequential-commodity
-    path and the batched kernel path call this on their (identical)
-    result lists, so every derived number — including the one float
-    division behind ``mean_link_load`` — is computed exactly once, the
-    same way, on both paths.
+    The **single** congestion accountant: both the per-trial path and
+    the chunk kernel call this on their (identical) result lists, so
+    every derived number — including the one float division behind
+    ``mean_link_load`` — is computed exactly once, the same way, on
+    both paths.
     """
     loads: dict = {}
     for res in results:
@@ -325,7 +326,11 @@ def run_traffic_trial(
     factory = model_factory or _default_factory(graph)
     model = factory(graph, p, trial_seed)
     demands = demand_factory(graph, trial_seed)
-    results = router.route_demands(model, demands, budget=budget)
+    # Commodities are independent: a fresh oracle and probe count each.
+    results = [
+        router.route(model, source, target, budget=budget)
+        for source, target in demands.pairs
+    ]
     traffic = summarize_traffic(graph, results)
     return TrialRecord(
         trial=trial,
@@ -349,13 +354,13 @@ def traffic_specs(
 ) -> list[TrialSpec]:
     """Emit one :class:`TrialSpec` per demand-matrix trial.
 
-    The traffic twin of :func:`~repro.core.complexity.complexity_specs`
-    (which delegates here when given ``demands=``): the shared context
-    — graph, router, demand factory, budget, percolation factory — is
-    frozen into one :class:`~repro.runtime.Workload`, and each spec
-    carries only its ``(t, derive_seed(seed, "traffic", t))`` tail, so
-    demand trials ride the same chunk-kernel seam, record wire and
-    result cache as single-pair trials.
+    The traffic twin of :func:`~repro.core.complexity.complexity_specs`:
+    the shared context — graph, router, demand factory, budget,
+    percolation factory — is frozen into one
+    :class:`~repro.runtime.Workload`, and each spec carries only its
+    ``(t, derive_seed(seed, "traffic", t))`` tail, so demand trials
+    ride the same chunk-kernel seam, record wire and result cache as
+    single-pair trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -25,9 +25,10 @@ Spec emission: each ``(graph, p)`` point emits **per-trial,
 workload-referenced** :class:`TrialSpec` units via
 :func:`~repro.core.traffic.traffic_specs` — one frozen Workload per
 point carrying (graph, p, router, demand factory), slim ``(trial,
-seed)`` tails.  Both arms ride the demand-matrix chunk kernel
-(:mod:`repro.kernels.traffic`): the draw vectorizes per chunk and the
-commodity loop is batched through the waypoint pair kernel.
+seed)`` tails.  Both arms ride the chunk kernel
+(:mod:`repro.kernels.complexity`): the draw vectorizes per chunk and
+every commodity of the chunk routes through the waypoint engine in
+one lockstep batch.
 """
 
 from __future__ import annotations

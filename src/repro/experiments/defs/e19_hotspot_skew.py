@@ -22,8 +22,8 @@ the demand-matrix refactor exists to show.
 Spec emission: each ``skew`` point emits **per-trial,
 workload-referenced** :class:`TrialSpec` units via
 :func:`~repro.core.traffic.traffic_specs` — one frozen Workload per
-point, slim ``(trial, seed)`` tails — and rides the demand-matrix
-chunk kernel (:mod:`repro.kernels.traffic`) end to end.
+point, slim ``(trial, seed)`` tails — and rides the chunk kernel
+(:mod:`repro.kernels.complexity`) end to end.
 """
 
 from __future__ import annotations

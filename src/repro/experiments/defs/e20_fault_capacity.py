@@ -23,7 +23,7 @@ Spec emission: each ``(p, fault model)`` point emits **per-trial,
 workload-referenced** :class:`TrialSpec` units via
 :func:`~repro.core.traffic.traffic_specs` — one frozen Workload per
 point, slim ``(trial, seed)`` tails.  The ``iid`` and ``node`` arms
-ride the demand-matrix chunk kernel (E15's
+ride the chunk kernel (E15's
 :func:`~repro.kernels.complexity.node_model_kernel` registration
 covers the draw here too); ``correlated`` and ``adversarial`` carry
 unregistered factories and take the per-trial fallback.

@@ -8,9 +8,11 @@ conditioning BFS as chunk-wide frontier expansion over implicit
 topologies compiled to index arithmetic — while preserving the
 per-trial seed derivation, so every record is **bit-identical** to what
 ``spec.execute()`` produces.  Registration happens on import: pulling
-this package in wires the ``run_trial`` compiler into
-:mod:`repro.runtime.chunkexec` (which imports it lazily on the first
-chunk it sees).
+this package in wires the one chunk compiler into
+:mod:`repro.runtime.chunkexec` for both ``run_trial`` and
+``run_traffic_trial`` (chunkexec imports it lazily on the first chunk
+it sees).  A probe pair is the one-commodity demand: both workloads
+route ``(trial, source, target)`` rows through the same engines.
 
 Layout
 ------
@@ -28,17 +30,19 @@ Layout
     Chunk-wide reachability (the conditioning step) by batched
     frontier expansion.
 :mod:`~repro.kernels.routing`
-    Lockstep frontier-array routing kernels replaying the complete
-    -information routers probe for probe, plus the router-kernel
-    registry router types opt into.
+    Lockstep frontier-array routing engines replaying the complete
+    -information routers probe for probe through one entry point,
+    ``route_pairs``, plus the router-kernel registry router types opt
+    into.
 :mod:`~repro.kernels.complexity`
-    The ``run_trial`` chunk compiler tying the above together, plus
-    the model-kernel registry percolation factories opt into.
+    The chunk compiler tying the above together for pair and demand
+    trials alike, plus the model-kernel registry percolation factories
+    opt into.
 """
 
 from repro.kernels.bfs import batched_connected
 from repro.kernels.complexity import (
-    compile_run_trial_chunk,
+    compile_trial_chunk,
     node_model_kernel,
     register_model_kernel,
     site_model_kernel,
@@ -53,9 +57,7 @@ from repro.kernels.percolation import (
 )
 from repro.kernels.routing import (
     PairRoutingUnsupported,
-    pair_router_kernel_for,
     register_router_kernel,
-    register_router_pair_kernel,
     router_kernel_for,
     routing_incidence,
 )
@@ -64,7 +66,6 @@ from repro.kernels.topology import (
     build_edge_index,
     edge_index_for,
 )
-from repro.kernels.traffic import compile_traffic_chunk
 
 __all__ = [
     "EdgeIndex",
@@ -74,14 +75,11 @@ __all__ = [
     "PairRoutingUnsupported",
     "batched_connected",
     "build_edge_index",
-    "compile_run_trial_chunk",
-    "compile_traffic_chunk",
+    "compile_trial_chunk",
     "edge_index_for",
     "node_model_kernel",
-    "pair_router_kernel_for",
     "register_model_kernel",
     "register_router_kernel",
-    "register_router_pair_kernel",
     "router_kernel_for",
     "routing_incidence",
     "site_model_kernel",
@@ -97,8 +95,8 @@ def _register_builtin_kernels() -> None:
     from repro.core.traffic import run_traffic_trial
     from repro.runtime.chunkexec import register_chunk_kernel
 
-    register_chunk_kernel(run_trial, compile_run_trial_chunk)
-    register_chunk_kernel(run_traffic_trial, compile_traffic_chunk)
+    register_chunk_kernel(run_trial, compile_trial_chunk)
+    register_chunk_kernel(run_traffic_trial, compile_trial_chunk)
 
 
 _register_builtin_kernels()

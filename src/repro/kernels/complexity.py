@@ -1,8 +1,9 @@
-"""The vectorized chunk kernel for :func:`repro.core.complexity.run_trial`.
+"""The vectorized chunk kernel for pair and demand-matrix trials.
 
-``complexity_specs`` freezes a sweep point's context (graph, p, router,
-pair, factory, conditioning) into one workload whose specs differ only
-in their ``(trial, seed)`` tail.  :func:`compile_run_trial_chunk`
+``complexity_specs`` and ``traffic_specs`` freeze a sweep point's
+context (graph, p, router, factory, and either the probe pair with its
+conditioning or a demand factory) into one workload whose specs differ
+only in their ``(trial, seed)`` tail.  :func:`compile_trial_chunk`
 inspects that context once and — when every ingredient has a vectorized
 counterpart — returns a chunk runner that executes *all* tails in one
 pass, stage by stage:
@@ -13,14 +14,22 @@ pass, stage by stage:
 2. **draw** — the percolation factory's *model kernel* draws every
    trial's mask as one matrix (or a lazily-demanded one), bit-identical
    per row to the per-trial model;
-3. **conditioning** runs as chunk-wide batched BFS
-   (:func:`~repro.kernels.bfs.batched_connected`, or the draw's own
-   lazy variant — same verdicts, no per-trial Python BFS);
-4. **routing** runs through the router's registered *routing kernel*
-   (:mod:`repro.kernels.routing`): a lockstep frontier-array replay of
-   the exact per-trial probe sequence, same counts, same paths.
-   Unregistered routers keep the per-trial loop against cheap
-   mask-backed models — behaviour, not speed, is the invariant.
+3. **conditioning** (probe pairs under ``"exact"`` only) runs as
+   chunk-wide batched BFS (:func:`~repro.kernels.bfs.batched_connected`,
+   or the draw's own lazy variant — same verdicts, no per-trial Python
+   BFS);
+4. **routing** flattens the chunk into ``(trial, source, target)``
+   rows — the workload's pair for every trial conditioning keeps, or
+   every commodity the demand factory draws (*the very same call* the
+   per-trial path makes) — and routes them through the router's
+   registered *engine* (:mod:`repro.kernels.routing`): a lockstep
+   frontier-array replay of the exact per-trial probe sequence, same
+   counts, same paths.  Unregistered routers, and batches an engine
+   cannot replay, keep the per-trial ``Router.route`` loop against
+   cheap mask-backed models — behaviour, not speed, is the invariant;
+5. **records** — a pair trial's one result, or a demand trial's
+   commodity results folded by the one shared
+   :func:`~repro.core.traffic.summarize_traffic`.
 
 The result is the same list of :class:`~repro.core.complexity.
 TrialRecord` objects ``spec.execute()`` would produce, field for field.
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 import traceback
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,14 +63,18 @@ from repro.kernels.percolation import (
     MaskEdgePercolation,
     table_edge_masks,
 )
-from repro.kernels.routing import router_kernel_for
+from repro.kernels.routing import (
+    PairRoutingUnsupported,
+    _block_rows,
+    router_kernel_for,
+)
 from repro.kernels.topology import EdgeIndex, edge_index_for
 from repro.percolation.models import TablePercolation
 from repro.runtime.trial import TrialExecutionError
 from repro.runtime.workload import Workload
 
 __all__ = [
-    "compile_run_trial_chunk",
+    "compile_trial_chunk",
     "node_model_kernel",
     "register_model_kernel",
     "site_model_kernel",
@@ -191,8 +205,28 @@ def node_model_kernel(
 register_model_kernel(TablePercolation, table_model_kernel)
 
 
-class _RunTrialChunk:
-    """A compiled chunk runner for one ``run_trial`` workload."""
+@contextmanager
+def _blame(key: tuple):
+    """Re-raise any error inside the block as ``key``'s trial error."""
+    try:
+        yield
+    except TrialExecutionError:
+        raise
+    except Exception as exc:
+        raise TrialExecutionError(
+            key, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+        ) from exc
+
+
+class _TrialChunk:
+    """A compiled chunk runner for one pair or demand-matrix workload.
+
+    ``run_trial`` and ``run_traffic_trial`` workloads both route
+    ``(trial, source, target)`` rows over one chunk draw: a probe-pair
+    workload routes its pair once per trial that conditioning keeps, a
+    demand workload (``pair is None``) every commodity of every trial.
+    Conditioning and record assembly are the only pair-specific steps.
+    """
 
     def __init__(
         self,
@@ -201,12 +235,10 @@ class _RunTrialChunk:
         model_kernel,
         router,
         router_kernel,
-        source: Vertex,
-        target: Vertex,
-        source_code: int,
-        target_code: int,
         budget: int | None,
         conditioning: str,
+        pair: tuple[Vertex, Vertex] | None,
+        demand_factory,
     ) -> None:
         # Keeps the graph alive for as long as the runner is cached:
         # its shared index refers back to it only weakly.
@@ -215,18 +247,17 @@ class _RunTrialChunk:
         self._model_kernel = model_kernel
         self._router = router
         self._router_kernel = router_kernel
-        self._source = source
-        self._target = target
-        self._source_code = source_code
-        self._target_code = target_code
         self._budget = budget
         self._conditioning = conditioning
+        self._pair = pair
+        self._demand_factory = demand_factory
 
     def stages(self) -> dict[str, str]:
         """Per-stage execution verdicts for the kernel audit.
 
         ``conditioning`` under ``"router"``/``"none"`` *is* the routing
-        attempt, so it reports whatever the routing stage does.
+        attempt, so it reports whatever the routing stage does; demand
+        trials attempt every commodity, so they compile as ``"none"``.
         """
         routing = (
             "kernel" if self._router_kernel is not None else "per-trial"
@@ -244,79 +275,68 @@ class _RunTrialChunk:
         self, keys: Sequence[tuple], tails: Sequence[tuple]
     ) -> list:
         from repro.core.complexity import TrialRecord
+        from repro.core.traffic import summarize_traffic
 
         seeds = [seed for _, seed in tails]
-        try:
+        with _blame(keys[0] if keys else ("<chunk-kernel>",)):
             draw = self._model_kernel.draw(seeds)
             conn = None
             if self._conditioning == "exact":
+                source_code = self._index.code[self._pair[0]]
+                target_code = self._index.code[self._pair[1]]
                 lazy = getattr(draw, "connected", None)
                 if lazy is not None:
-                    conn = lazy(self._source_code, self._target_code)
+                    conn = lazy(source_code, target_code)
                 else:
                     conn = batched_connected(
-                        self._index,
-                        draw.edge_masks(),
-                        self._source_code,
-                        self._target_code,
+                        self._index, draw.edge_masks(), source_code,
+                        target_code,
                     )
-        except TrialExecutionError:
-            raise
-        except Exception as exc:
-            raise TrialExecutionError(
-                keys[0] if keys else ("<chunk-kernel>",),
-                f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-            ) from exc
+        # Each trial's pairs to route: every commodity its demand
+        # matrix draws, or the workload's pair — under "exact"
+        # conditioning for connected trials only; the other modes route
+        # everything and read `connected` off the attempt.
+        if self._pair is None:
+            pairs = []
+            for i, seed in enumerate(seeds):
+                with _blame(keys[i]):
+                    matrix = self._demand_factory(self._graph, seed)
+                pairs.append(matrix.pairs)
+        else:
+            pairs = [
+                (self._pair,) if conn is None or conn[i] else ()
+                for i in range(len(tails))
+            ]
+        rows = [
+            (i, source, target)
+            for i, trial_pairs in enumerate(pairs)
+            for source, target in trial_pairs
+        ]
+        results = None
+        if self._router_kernel is not None and rows:
+            results = self._route_kernel(keys, draw, rows)
+        if results is None:
+            results = self._route_per_trial(keys, draw, rows)
 
-        # Under "exact" conditioning only connected trials route; the
-        # other modes route everything and read `connected` off the
-        # attempt ("router" mode routes without a budget).
-        if conn is not None:
-            route_rows = [i for i in range(len(tails)) if conn[i]]
-        else:
-            route_rows = list(range(len(tails)))
-        budget = None if self._conditioning == "router" else self._budget
-        results: list = [None] * len(tails)
-        if self._router_kernel is not None:
-            if route_rows:
-                try:
-                    masks = self._row_masks(draw, route_rows)
-                    routed = self._router_kernel.route_rows(masks)
-                except TrialExecutionError:
-                    raise
-                except Exception as exc:
-                    raise TrialExecutionError(
-                        keys[route_rows[0]],
-                        f"{type(exc).__name__}: {exc}\n"
-                        f"{traceback.format_exc()}",
-                    ) from exc
-                for i, result in zip(route_rows, routed):
-                    results[i] = result
-        else:
-            route = self._router.route
-            for i in route_rows:
-                try:
-                    results[i] = route(
-                        draw.model(i),
-                        self._source,
-                        self._target,
-                        budget=budget,
-                    )
-                except TrialExecutionError:
-                    raise
-                except Exception as exc:
-                    raise TrialExecutionError(
-                        keys[i],
-                        f"{type(exc).__name__}: {exc}\n"
-                        f"{traceback.format_exc()}",
-                    ) from exc
         records = []
+        cursor = 0
         for i, (trial, seed) in enumerate(tails):
-            result = results[i]
-            if conn is not None:
-                is_conn = bool(conn[i])
-            else:
-                is_conn = result.success
+            mine = results[cursor : cursor + len(pairs[i])]
+            cursor += len(mine)
+            if self._pair is None:
+                traffic = summarize_traffic(self._graph, mine)
+                records.append(
+                    TrialRecord(
+                        trial=trial,
+                        seed=seed,
+                        connected=traffic.delivered == traffic.commodities,
+                        result=None,
+                        traffic=traffic,
+                    )
+                )
+                continue
+            result = mine[0] if mine else None
+            is_conn = bool(conn[i]) if conn is not None else result.success
             records.append(
                 TrialRecord(
                     trial=trial, seed=seed, connected=is_conn, result=result
@@ -324,16 +344,65 @@ class _RunTrialChunk:
             )
         return records
 
-    @staticmethod
-    def _row_masks(draw, rows: list[int]) -> np.ndarray:
-        rows_fn = getattr(draw, "edge_masks_for", None)
-        if rows_fn is not None:
-            return rows_fn(rows)
-        return draw.edge_masks()[rows]
+    def _route_kernel(self, keys, draw, rows):
+        """Route every row in lockstep engine blocks, or ``None``.
+
+        ``None`` means the batch cannot be replayed (a pair without a
+        kernel-side representation) and the per-trial loop should run
+        instead — behaviour, not speed, is the invariant.
+        """
+        code = self._index.code
+        try:
+            src = np.asarray([code[s] for _, s, _ in rows], dtype=np.int64)
+            tgt = np.asarray([code[t] for _, _, t in rows], dtype=np.int64)
+        except KeyError:
+            return None
+        trial_of_row = np.asarray([i for i, _, _ in rows], dtype=np.int64)
+        with _blame(keys[rows[0][0]]):
+            try:
+                rows_fn = getattr(draw, "edge_masks_for", None)
+                if rows_fn is None:
+                    masks = draw.edge_masks()
+                else:
+                    routed, trial_of_row = np.unique(
+                        trial_of_row, return_inverse=True
+                    )
+                    masks = rows_fn(routed.tolist())
+                # Expand trial masks to rows one engine-sized block at
+                # a time, so peak memory matches the engines' own
+                # blocking however many commodities a trial carries.
+                block = _block_rows(
+                    self._index.num_vertices, self._index.num_edges
+                )
+                out = []
+                for lo in range(0, len(rows), block):
+                    hi = lo + block
+                    out.extend(
+                        self._router_kernel.route_pairs(
+                            masks[trial_of_row[lo:hi]], src[lo:hi],
+                            tgt[lo:hi],
+                        )
+                    )
+                return out
+            except PairRoutingUnsupported:
+                return None
+
+    def _route_per_trial(self, keys, draw, rows):
+        """The exact per-trial ``Router.route`` loop over mask models."""
+        route = self._router.route
+        out = []
+        model_of = None
+        for i, source, target in rows:
+            with _blame(keys[i]):
+                if model_of != i:
+                    model, model_of = draw.model(i), i
+                out.append(route(model, source, target, budget=self._budget))
+        return out
 
 
-def compile_run_trial_chunk(workload: Workload):
-    """Compile a ``run_trial`` workload to a chunk runner, or ``None``.
+def compile_trial_chunk(workload: Workload):
+    """Compile a ``run_trial`` or ``run_traffic_trial`` workload to a
+    chunk runner, or ``None``.
 
     ``None`` — the per-trial fallback — whenever any ingredient lacks a
     vectorized counterpart; anything the fallback would *reject* (bad
@@ -344,24 +413,33 @@ def compile_run_trial_chunk(workload: Workload):
     runner's ``stages()`` reports the split).
     """
     from repro.core.complexity import _default_factory, run_trial
+    from repro.core.traffic import run_traffic_trial
 
-    if workload.fn is not run_trial:
+    kwargs = workload.kwargs
+    if workload.fn is run_trial and len(workload.args) == 5:
+        graph, p, router, source, target = workload.args
+        pair = (source, target)
+        demand_factory = None
+        conditioning = kwargs.get("conditioning", "exact")
+        allowed = {"budget", "model_factory", "conditioning"}
+    elif workload.fn is run_traffic_trial and len(workload.args) == 4:
+        graph, p, router, demand_factory = workload.args
+        if not callable(demand_factory):
+            return None
+        pair = None
+        conditioning = "none"  # every commodity is attempted
+        allowed = {"budget", "model_factory"}
+    else:
         return None
-    if len(workload.args) != 5:
+    if not set(kwargs) <= allowed:
         return None
-    allowed = {"budget", "model_factory", "conditioning"}
-    if not set(workload.kwargs) <= allowed:
+    if conditioning not in ("exact", "router", "none"):
         return None
-    graph, p, router, source, target = workload.args
     if not isinstance(graph, Graph):
         return None
     if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
         return None
-    budget = workload.kwargs.get("budget")
-    conditioning = workload.kwargs.get("conditioning", "exact")
-    if conditioning not in ("exact", "router", "none"):
-        return None
-    factory = workload.kwargs.get("model_factory") or _default_factory(graph)
+    factory = kwargs.get("model_factory") or _default_factory(graph)
     try:
         compiler = _MODEL_KERNELS.get(factory)
     except TypeError:
@@ -373,30 +451,23 @@ def compile_run_trial_chunk(workload: Workload):
     index = edge_index_for(graph)
     if index is None:
         return None
-    source_code = index.code.get(source)
-    target_code = index.code.get(target)
-    if source_code is None or target_code is None:
+    if pair is not None and not all(v in index.code for v in pair):
         return None
     model_kernel = compiler(graph, index, p)
     if model_kernel is None:
         return None
     # "router" conditioning routes with no budget (run_trial's rule);
-    # the effective budget is fixed per workload, so the routing kernel
+    # the effective budget is fixed per workload, so the routing engine
     # compiles once against it.
-    route_budget = None if conditioning == "router" else budget
-    router_kernel = router_kernel_for(
-        router, index, source_code, target_code, route_budget
-    )
-    return _RunTrialChunk(
+    budget = None if conditioning == "router" else kwargs.get("budget")
+    return _TrialChunk(
         graph,
         index,
         model_kernel,
         router,
-        router_kernel,
-        source,
-        target,
-        source_code,
-        target_code,
+        router_kernel_for(router, index, budget),
         budget,
         conditioning,
+        pair,
+        demand_factory,
     )

@@ -34,12 +34,11 @@ Extension seam: :func:`register_router_kernel` mirrors
 compiler per *exact* router type; unregistered routers (and declined
 compiles) keep the per-trial routing loop inside the chunk kernel.
 
-The engines are compiled per workload but **not** per pair: every
-``_route_block`` takes per-row ``sources`` / ``targets`` arrays, so one
-engine routes many commodities of a demand matrix in the same lockstep
-sweep (:meth:`route_pairs` — what :mod:`repro.kernels.traffic` batches
-the commodity loop through), while :meth:`route_rows` keeps the classic
-fixed-pair entry point by broadcasting the workload's pair.
+An engine is compiled per workload, never per pair: its one entry
+point :meth:`~_EngineBase.route_pairs` routes row ``i`` from
+``sources[i]`` to ``targets[i]``, so a probe-pair chunk (the workload's
+pair on every routed row) and a demand-matrix chunk (every commodity
+of every trial) advance through the same lockstep sweep.
 """
 
 from __future__ import annotations
@@ -54,25 +53,20 @@ from repro.kernels.topology import EdgeIndex
 
 __all__ = [
     "PairRoutingUnsupported",
-    "pair_router_kernel_for",
     "register_router_kernel",
-    "register_router_pair_kernel",
     "router_kernel_for",
     "routing_incidence",
 ]
 
-#: Exact router type -> kernel compiler (fixed-pair workloads).
+#: Exact router type -> engine compiler.
 _ROUTER_KERNELS: dict[type, Callable] = {}
-
-#: Exact router type -> pair-kernel compiler (demand-matrix workloads).
-_PAIR_KERNELS: dict[type, Callable] = {}
 
 #: Row status codes shared by the engines.
 _ACTIVE, _SUCCESS, _BUDGET, _FAIL = 0, 1, 2, 3
 
 
 class PairRoutingUnsupported(Exception):
-    """A pair kernel cannot route one of the requested pairs.
+    """An engine cannot route one of the requested pairs.
 
     Raised by :meth:`route_pairs` implementations *before* any probe
     accounting happens (e.g. the waypoint engine finds no geodesic for
@@ -88,23 +82,23 @@ def register_router_kernel(router_type: type, compiler: Callable) -> None:
     ``router_type`` is matched by *exact* type (a subclass that
     overrides ``_route`` must register its own kernel or it falls back
     to the per-trial loop — never to a kernel with the wrong probe
-    sequence).  ``compiler(router, index, source_code, target_code,
-    budget)`` must return an object with ``route_rows(masks) ->
-    list[RoutingResult]`` — ``masks`` is the ``(rows, edges)``
-    open-edge matrix of the trials to route, and every returned result
-    must be field-identical to ``router.route(model_i, source, target,
-    budget=budget)`` — or ``None`` to decline.  Registration is per
-    process, at import time of the module defining the router, so
-    worker processes re-register through the same import.
+    sequence).  ``compiler(router, index, budget)`` must return an
+    engine with ``route_pairs(masks, sources, targets) ->
+    list[RoutingResult]`` — row ``i`` routed from ``sources[i]`` to
+    ``targets[i]`` (vertex codes) over the open-edge row ``masks[i]``,
+    field-identical to ``router.route(model_i, verts[sources[i]],
+    verts[targets[i]], budget=budget)`` — or ``None`` to decline.
+    ``route_pairs`` may raise :class:`PairRoutingUnsupported` for a
+    pair it cannot replay; the caller then routes the whole batch per
+    trial.  Registration is per process, at import time of the module
+    defining the router, so worker processes re-register through the
+    same import.
     """
     _ROUTER_KERNELS[router_type] = compiler
 
 
-def router_kernel_for(
-    router, index: EdgeIndex, source_code: int, target_code: int,
-    budget: int | None,
-):
-    """Compile the routing kernel for one workload, or ``None``.
+def router_kernel_for(router, index: EdgeIndex, budget: int | None):
+    """Compile the routing engine for one workload, or ``None``.
 
     Declines (-> per-trial fallback) for unregistered router types and
     for budgets the per-trial :class:`~repro.core.probe.ProbeOracle`
@@ -112,38 +106,6 @@ def router_kernel_for(
     through the unchanged per-trial path.
     """
     compiler = _ROUTER_KERNELS.get(type(router))
-    if compiler is None:
-        return None
-    if budget is not None and budget < 1:
-        return None
-    return compiler(router, index, source_code, target_code, budget)
-
-
-def register_router_pair_kernel(
-    router_type: type, compiler: Callable
-) -> None:
-    """Register the per-row-pair counterpart of a router type.
-
-    ``compiler(router, index, budget)`` must return an object with
-    ``route_pairs(masks, sources, targets) -> list[RoutingResult]`` —
-    row ``i`` routed from ``sources[i]`` to ``targets[i]`` (vertex
-    codes) over ``masks[i]``, field-identical to ``router.route(
-    model_i, verts[sources[i]], verts[targets[i]], budget=budget)`` —
-    or ``None`` to decline.  ``route_pairs`` may raise
-    :class:`PairRoutingUnsupported` for a pair it cannot replay; the
-    caller then falls back to the per-trial loop for the whole batch.
-    """
-    _PAIR_KERNELS[router_type] = compiler
-
-
-def pair_router_kernel_for(router, index: EdgeIndex, budget: int | None):
-    """Compile the per-row-pair routing kernel for one workload, or None.
-
-    The demand-matrix analogue of :func:`router_kernel_for`: matched by
-    exact router type, declining for unregistered routers and for
-    budgets the per-trial oracle would reject.
-    """
-    compiler = _PAIR_KERNELS.get(type(router))
     if compiler is None:
         return None
     if budget is not None and budget < 1:
@@ -219,39 +181,12 @@ def _block_rows(num_vertices: int, num_edges: int) -> int:
 
 
 class _EngineBase:
-    """Shared plumbing: blocking, result assembly, trivial pairs.
+    """Shared plumbing: blocking, result assembly, trivial pairs."""
 
-    Engines carry an optional *fixed* pair (``source_code`` /
-    ``target_code`` — the workload's probe pair, ``None`` for
-    demand-matrix engines) but every ``_route_block`` routes per-row
-    ``src`` / ``tgt`` arrays; :meth:`route_rows` broadcasts the fixed
-    pair, :meth:`route_pairs` passes the commodities straight through.
-    """
-
-    def __init__(
-        self, router, index: EdgeIndex, source_code: int | None,
-        target_code: int | None, budget: int | None,
-    ) -> None:
+    def __init__(self, router, index: EdgeIndex, budget: int | None) -> None:
         self._router = router
         self._index = index
-        self._source_code = source_code
-        self._target_code = target_code
         self._budget = budget
-
-    def route_rows(self, masks: np.ndarray) -> list[RoutingResult]:
-        rows = masks.shape[0]
-        src_code, tgt_code = self._source_code, self._target_code
-        if src_code is None or tgt_code is None:
-            raise ValueError(
-                "engine compiled without a fixed pair; use route_pairs"
-            )
-        if src_code == tgt_code:
-            # Every router short-circuits `source == target` to the
-            # single-vertex path before probing anything.
-            return [self._success(0, [src_code], src_code, tgt_code)] * rows
-        src = np.full(rows, src_code, dtype=np.int64)
-        tgt = np.full(rows, tgt_code, dtype=np.int64)
-        return self._route_blocked(masks, src, tgt)
 
     def route_pairs(
         self,
@@ -261,7 +196,6 @@ class _EngineBase:
     ) -> list[RoutingResult]:
         """Route row ``i`` from ``sources[i]`` to ``targets[i]``.
 
-        The demand-matrix entry point: many lockstep pairs per sweep.
         Trivial ``source == target`` rows short-circuit exactly like
         the per-trial routers (single-vertex path, zero probes).
         """
@@ -539,21 +473,16 @@ class _WaypointEngine(_EngineBase):
     order.  Segment backtracking and path stitching stay per-trial
     Python on the (short) discovered segments.
 
-    Waypoint positions are per *pair*: the fixed-pair compile precomputes
-    one vector; the pair-mode engine builds vectors lazily per distinct
-    pair (cached for the engine's lifetime) and stacks them into a
-    per-row matrix — a zero-copy broadcast when a block shares one pair.
+    Waypoint positions are per *pair*: the engine builds each distinct
+    pair's vector on first use (cached for the engine's lifetime, so a
+    probe-pair workload builds its one vector once) and stacks them
+    into a per-row matrix — a zero-copy broadcast when a block shares
+    one pair.
     """
 
-    def __init__(
-        self, router, index, source_code, target_code, budget,
-        wp_pos: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(router, index, source_code, target_code, budget)
-        self._wp_pos = wp_pos
+    def __init__(self, router, index: EdgeIndex, budget: int | None) -> None:
+        super().__init__(router, index, budget)
         self._wp_cache: dict[tuple[int, int], np.ndarray] = {}
-        if wp_pos is not None:
-            self._wp_cache[(source_code, target_code)] = wp_pos
 
     def _wp_vector(self, src: int, tgt: int) -> np.ndarray:
         """The waypoint-position vector of one pair, built on demand.
@@ -590,8 +519,8 @@ class _WaypointEngine(_EngineBase):
         rows = src.shape[0]
         vec0 = self._wp_vector(int(src[0]), int(tgt[0]))
         if bool((src == src[0]).all()) and bool((tgt == tgt[0]).all()):
-            # One shared pair (the classic fixed-pair workload): a
-            # broadcast view, no per-row copy.
+            # One shared pair (a probe-pair workload): a broadcast
+            # view, no per-row copy.
             return np.broadcast_to(vec0, (rows, vec0.shape[0]))
         return np.stack(
             [
@@ -720,53 +649,6 @@ def _chain(parent_row: np.ndarray, code: int) -> list[int]:
     return out
 
 
-def _local_bfs_kernel(router, index, source_code, target_code, budget):
-    return _LocalBFSEngine(router, index, source_code, target_code, budget)
-
-
-def _bidirectional_kernel(router, index, source_code, target_code, budget):
-    return _BidirectionalEngine(
-        router, index, source_code, target_code, budget
-    )
-
-
-def _waypoint_kernel(router, index, source_code, target_code, budget):
-    verts = index.verts
-    try:
-        waypoints = index.graph.shortest_path(
-            verts[source_code], verts[target_code]
-        )
-    except Exception:
-        # No geodesic (disconnected base graph): the per-trial router
-        # raises the same error every trial — fall back so it surfaces
-        # with per-spec attribution.
-        return None
-    wp_pos = np.full(index.num_vertices + 1, -1, dtype=np.int64)
-    for j, w in enumerate(waypoints):
-        code = index.code.get(w)
-        if code is None:  # pragma: no cover - defensive
-            return None
-        wp_pos[code] = j
-    return _WaypointEngine(
-        router, index, source_code, target_code, budget, wp_pos
-    )
-
-
-def _local_bfs_pair_kernel(router, index, budget):
-    return _LocalBFSEngine(router, index, None, None, budget)
-
-
-def _bidirectional_pair_kernel(router, index, budget):
-    return _BidirectionalEngine(router, index, None, None, budget)
-
-
-def _waypoint_pair_kernel(router, index, budget):
-    # Geodesics are per pair and unknown until the demands draw, so the
-    # engine builds waypoint vectors lazily (raising
-    # PairRoutingUnsupported when a pair has none).
-    return _WaypointEngine(router, index, None, None, budget, wp_pos=None)
-
-
 def _register_builtin_router_kernels() -> None:
     from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
     from repro.routers.waypoint import (
@@ -775,22 +657,13 @@ def _register_builtin_router_kernels() -> None:
         WaypointRouter,
     )
 
-    register_router_kernel(LocalBFSRouter, _local_bfs_kernel)
-    register_router_kernel(BidirectionalBFSRouter, _bidirectional_kernel)
+    register_router_kernel(LocalBFSRouter, _LocalBFSEngine)
+    register_router_kernel(BidirectionalBFSRouter, _BidirectionalEngine)
     # The subclasses only specialise construction, never the search —
     # same engine, registered per exact type.
-    register_router_kernel(WaypointRouter, _waypoint_kernel)
-    register_router_kernel(HypercubeWaypointRouter, _waypoint_kernel)
-    register_router_kernel(MeshWaypointRouter, _waypoint_kernel)
-    register_router_pair_kernel(LocalBFSRouter, _local_bfs_pair_kernel)
-    register_router_pair_kernel(
-        BidirectionalBFSRouter, _bidirectional_pair_kernel
-    )
-    register_router_pair_kernel(WaypointRouter, _waypoint_pair_kernel)
-    register_router_pair_kernel(
-        HypercubeWaypointRouter, _waypoint_pair_kernel
-    )
-    register_router_pair_kernel(MeshWaypointRouter, _waypoint_pair_kernel)
+    register_router_kernel(WaypointRouter, _WaypointEngine)
+    register_router_kernel(HypercubeWaypointRouter, _WaypointEngine)
+    register_router_kernel(MeshWaypointRouter, _WaypointEngine)
 
 
 _register_builtin_router_kernels()

@@ -20,10 +20,8 @@ lazily on the first chunk so the serial import path stays light.
 
 ``$REPRO_KERNEL=off`` disables the seam entirely (every spec executes
 per trial) — the escape hatch if a kernel is ever suspected of
-diverging; results must not change, only speed.
-``$REPRO_KERNEL_CACHE`` bounds the compiled-runner cache (default 64
-workloads, ``0`` = unbounded) for sweeps that touch more distinct
-workloads than the default keeps warm.
+diverging; results must not change, only speed.  The compiled-runner
+cache keeps the :data:`_COMPILED_CAP` most recently used workloads.
 
 A chunk runner may expose a ``stages()`` method describing which
 pipeline stages (draw / conditioning / routing) execute vectorized and
@@ -50,7 +48,6 @@ __all__ = [
     "kernel_enabled",
     "kernel_split",
     "register_chunk_kernel",
-    "resolve_cache_cap",
     "run_chunk",
     "stage_split",
     "supports_run_chunk",
@@ -59,14 +56,13 @@ __all__ = [
 #: Environment switch for the whole seam; default on.
 KERNEL_ENV = "REPRO_KERNEL"
 
-#: Compile-cache bound; default :data:`_COMPILED_CAP`, ``0`` unbounded.
-CACHE_ENV = "REPRO_KERNEL_CACHE"
-
 #: Workload ``fn`` -> compiler(workload) -> chunk runner | None.
 _COMPILERS: dict[Callable, Callable] = {}
 
 #: Compiled chunk runners (or None verdicts), by workload content id.
 _COMPILED: OrderedDict[str, Callable | None] = OrderedDict()
+
+#: Compiled-runner cache bound, in workloads (least recently used go).
 _COMPILED_CAP = 64
 
 _kernels_loaded = False
@@ -82,29 +78,6 @@ def kernel_enabled() -> bool:
     raise ValueError(
         f"${KERNEL_ENV} must be on/off (or 1/0, true/false), got {raw!r}"
     )
-
-
-def resolve_cache_cap() -> int:
-    """Compiled-runner cache bound — ``$REPRO_KERNEL_CACHE``.
-
-    Unset falls back to the module default (:data:`_COMPILED_CAP`,
-    64 workloads).  ``0`` means unbounded; anything that is not a
-    non-negative integer raises :class:`ValueError` — same
-    garbage-rejection contract as :func:`kernel_enabled`.
-    """
-    raw = os.environ.get(CACHE_ENV, "").strip()
-    if raw == "":
-        return _COMPILED_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(
-            f"${CACHE_ENV} must be a non-negative integer "
-            f"(0 = unbounded), got {raw!r}"
-        )
-    return cap
 
 
 def register_chunk_kernel(fn: Callable, compiler: Callable) -> None:
@@ -147,8 +120,7 @@ def chunk_runner(workload: Workload) -> Callable | None:
     compiler = _COMPILERS.get(workload.fn)
     runner = None if compiler is None else compiler(workload)
     _COMPILED[workload_id] = runner
-    cap = resolve_cache_cap()
-    while cap and len(_COMPILED) > cap:
+    while len(_COMPILED) > _COMPILED_CAP:
         _COMPILED.popitem(last=False)
     return runner
 

@@ -96,16 +96,15 @@ by one of ``("done", {"chunk", "packed"})`` (record arrays — chunks of
 ``run_trial`` records flatten column-wise on the node and reassemble
 to identical ``TrialResult`` lists coordinator-side; see
 :mod:`repro.runtime.recordwire`) or ``("done", {"chunk", "results"})``
-(the pickled list — the fallback for chunks the packer declines, and
-everything under ``$REPRO_RECORD_WIRE=pickle``), ``("miss", {"chunk",
-"workload_ids"})``, ``("failed", {"chunk", "key", "detail"})`` or
-``("lost", {"chunk", "reason"})`` (the node abandoned the chunk —
-requeue it elsewhere; a graceful drain refusal carries ``"draining":
-True``, which requeues the chunk without charging a retry and retires
-the connection).  ``("ping", {...})`` → ``("pong", {...})`` may
-interleave at any point; ``("shutdown", {})`` → ``("bye", {})`` asks
-the node to stop: it refuses new chunks (answering ``lost``), finishes
-the chunks in hand, then exits.
+(the pickled list — the fallback for chunks the packer declines),
+``("miss", {"chunk", "workload_ids"})``, ``("failed", {"chunk",
+"key", "detail"})`` or ``("lost", {"chunk", "reason"})`` (the node
+abandoned the chunk — requeue it elsewhere; a graceful drain refusal
+carries ``"draining": True``, which requeues the chunk without
+charging a retry and retires the connection).  ``("ping", {...})`` →
+``("pong", {...})`` may interleave at any point; ``("shutdown", {})``
+→ ``("bye", {})`` asks the node to stop: it refuses new chunks
+(answering ``lost``), finishes the chunks in hand, then exits.
 
 **Security note:** frames carry pickles, which execute arbitrary code
 on unpickling.  A worker node must only listen where its coordinator
@@ -161,7 +160,6 @@ __all__ = [
     "PIPELINE_ENV",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RECORD_WIRE_ENV",
     "WorkloadCache",
     "encode_frame",
     "node_process_pid",
@@ -170,7 +168,6 @@ __all__ = [
     "resolve_heartbeat",
     "resolve_node_workers",
     "resolve_pipeline_depth",
-    "resolve_record_wire",
     "serve",
     "spawn_local_nodes",
 ]
@@ -234,28 +231,6 @@ MISS_ROUND_CAP = 32
 #: v2: ping/pong heartbeats, the "lost" chunk reply, node-side pools.
 #: v3: packed record arrays in the "done" reply (the "packed" body).
 PROTOCOL_VERSION = 3
-
-#: Record wire selector: "packed" (default) or "pickle".
-RECORD_WIRE_ENV = "REPRO_RECORD_WIRE"
-
-
-def resolve_record_wire() -> str:
-    """How a node ships chunk records — ``$REPRO_RECORD_WIRE``.
-
-    ``packed`` (the default) flattens eligible chunks into record
-    arrays (:mod:`repro.runtime.recordwire`); ``pickle`` forces the
-    legacy pickled ``TrialResult`` list.  Anything else raises
-    :class:`ValueError` — same garbage-rejection contract as the other
-    ``$REPRO_*`` switches.
-    """
-    raw = os.environ.get(RECORD_WIRE_ENV, "").strip().lower()
-    if raw in ("", "packed"):
-        return "packed"
-    if raw == "pickle":
-        return "pickle"
-    raise ValueError(
-        f"${RECORD_WIRE_ENV} must be packed or pickle, got {raw!r}"
-    )
 
 #: Stdout line a worker prints once its socket is bound (the spawner
 #: parses it to learn an ephemeral port).
@@ -875,48 +850,31 @@ def _job_done(job: _ChunkJob, future) -> None:
             ),
         )
         return
-    try:
-        message = _done_message(job, results)
-    except ValueError as exc:
-        # Garbage $REPRO_RECORD_WIRE on the node: a config error, not
-        # a wire violation — report it as the failure it is.
-        _finish_job(
-            job,
-            (
-                "failed",
-                {
-                    "chunk": chunk_id,
-                    "key": ("<node>",),
-                    "detail": str(exc),
-                },
-            ),
-        )
-        return
-    _finish_job(job, message)
+    _finish_job(job, _done_message(job, results))
 
 
 def _done_message(job: _ChunkJob, results) -> tuple:
     """Build the ``done`` reply — packed record arrays when possible.
 
-    Chunks of ``run_trial`` records flatten to a handful of flat
-    arrays (:func:`repro.runtime.recordwire.pack_records`); anything
-    the packer declines — foreign workloads, records it cannot
-    represent, ``$REPRO_RECORD_WIRE=pickle`` — ships as the legacy
-    pickled list.  Both bodies reassemble to identical results.
+    Chunks of ``run_trial`` and ``run_traffic_trial`` records flatten
+    to a handful of flat arrays
+    (:func:`repro.runtime.recordwire.pack_records`); anything the
+    packer declines — foreign workloads, records it cannot represent —
+    ships as the legacy pickled list.  Both bodies reassemble to
+    identical results.
     """
+    from repro.runtime.recordwire import pack_records
+
+    def _resolve(workload_id):
+        found, _missing = job.server.cache.lookup([workload_id])
+        return found.get(workload_id)
+
     body = {"chunk": job.chunk_id}
-    if resolve_record_wire() == "packed":
-        from repro.runtime.recordwire import pack_records
-
-        def _resolve(workload_id):
-            found, _missing = job.server.cache.lookup([workload_id])
-            return found.get(workload_id)
-
-        packed = pack_records(job.specs, results, resolve=_resolve)
-        if packed is not None:
-            body["packed"] = packed
-            return ("done", body)
-    body["results"] = results
+    packed = pack_records(job.specs, results, resolve=_resolve)
+    if packed is not None:
+        body["packed"] = packed
+    else:
+        body["results"] = results
     return ("done", body)
 
 

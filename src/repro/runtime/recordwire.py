@@ -19,8 +19,7 @@ travels on the wire).  Chunks that do not fit the packed shape — a
 workload that is neither ``run_trial`` nor ``run_traffic_trial``, a
 record carrying ``extra`` data, a workload either side cannot resolve
 — make :func:`pack_records` return ``None`` and the node falls back to
-the pickle wire for that chunk; ``$REPRO_RECORD_WIRE=pickle`` forces
-the fallback globally.
+the pickle wire for that chunk.
 
 ``records/2`` extends ``records/1`` with demand-matrix trials: a
 traffic record packs its per-commodity query counts and delivery mask

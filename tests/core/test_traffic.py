@@ -8,20 +8,19 @@ Contracts under test:
   link loads count delivered paths per undirected edge, mean load
   averages over *all* edges;
 * a one-commodity :class:`FixedTraffic` trial routes exactly the pair
-  a single-pair ``run_trial`` would (the degenerate case the refactor
-  must preserve), and ``TrialRecord.__repr__`` without traffic is
-  byte-identical to the pre-traffic dataclass repr — the golden-table
-  gate for all existing experiments;
-* :func:`complexity_specs` delegates to :func:`traffic_specs` when
-  given ``demands=`` and rejects the argument combinations that have
-  no demand-matrix meaning.
+  a single-pair ``run_trial`` routes under ``conditioning="none"``,
+  per trial and through the chunk kernel, for registered and
+  unregistered routers alike;
+* ``TrialRecord.__repr__`` without traffic is byte-identical to the
+  pre-traffic dataclass repr — the golden-table gate for all existing
+  experiments.
 """
 
 import math
 
 import pytest
 
-from repro.core.complexity import TrialRecord, complexity_specs
+from repro.core.complexity import TrialRecord, complexity_specs, run_trial
 from repro.core.result import RoutingResult
 from repro.core.traffic import (
     AllToAllTraffic,
@@ -36,7 +35,11 @@ from repro.core.traffic import (
     traffic_specs,
 )
 from repro.graphs.hypercube import Hypercube
-from repro.routers.bfs import LocalBFSRouter
+from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
+from repro.routers.dfs import DirectedDFSRouter
+from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
+from repro.runtime import TrialSpec
+from repro.runtime.chunkexec import execute_specs
 from repro.util.rng import derive_seed
 
 
@@ -168,19 +171,60 @@ class TestSummarize:
             )
 
 
+_ONE_COMMODITY_ROUTERS = [
+    LocalBFSRouter(),
+    BidirectionalBFSRouter(),
+    WaypointRouter(),
+    HypercubeWaypointRouter(),
+    DirectedDFSRouter(),  # no routing engine: the per-trial loop
+]
+
+
+def _assert_routes_like_run_trial(graph, router, budget):
+    source, target = graph.canonical_pair()
+    demands = FixedTraffic(((source, target),))
+    p = 0.6
+    case = (router.name, budget)
+    for t in range(8):
+        trial_seed = derive_seed(31, "one-commodity", t)
+        record = run_traffic_trial(
+            graph, p, router, demands, 0, trial_seed, budget=budget
+        )
+        pair = run_trial(
+            graph, p, router, source, target, 0, trial_seed,
+            budget=budget, conditioning="none",
+        )
+        expected = summarize_traffic(graph, [pair.result])
+        assert record.traffic == expected, case
+        assert record.connected == pair.connected, case
+        assert record.result is None, case
+
+    # The same check with both sides executed as chunks: the pair
+    # specs' (trial, seed) tails re-pointed at the traffic workload.
+    pair_specs = complexity_specs(
+        graph, p, router, trials=12, seed=5, budget=budget,
+        conditioning="none",
+    )
+    traffic_workload = traffic_specs(
+        graph, p, router, demands, trials=1, budget=budget
+    )[0].workload
+    demand_specs = [
+        TrialSpec(key=spec.key, args=spec.args, workload=traffic_workload)
+        for spec in pair_specs
+    ]
+    pairs = [r.value for r in execute_specs(pair_specs)]
+    traffics = [r.value for r in execute_specs(demand_specs)]
+    for record, pair in zip(traffics, pairs):
+        expected = summarize_traffic(graph, [pair.result])
+        assert record.traffic == expected, case
+        assert record.connected == pair.connected, case
+
+
 class TestDegenerateSinglePair:
     def test_one_commodity_routes_like_run_trial(self, graph):
-        source, target = graph.canonical_pair()
-        router = LocalBFSRouter()
-        record = run_traffic_trial(
-            graph, 0.8, router, FixedTraffic(((source, target),)),
-            trial=0, trial_seed=424242,
-        )
-        assert record.traffic is not None
-        assert record.traffic.commodities == 1
-        # The one commodity's delivery decides connectivity.
-        assert record.connected == record.traffic.delivered_mask[0]
-        assert record.result is None
+        for router in _ONE_COMMODITY_ROUTERS:
+            for budget in (None, 7, 40):
+                _assert_routes_like_run_trial(graph, router, budget)
 
     def test_repr_without_traffic_is_pre_refactor_dataclass_repr(self):
         record = TrialRecord(trial=3, seed=17, connected=True, result=None)
@@ -210,38 +254,6 @@ class TestSpecs:
         # One shared workload for the whole sweep point.
         ids = {spec.workload.workload_id for spec in specs}
         assert len(ids) == 1
-
-    def test_complexity_specs_delegates_on_demands(self, graph):
-        router = LocalBFSRouter()
-        via_complexity = complexity_specs(
-            graph, 0.7, router, trials=3, seed=9, key=("tt",),
-            demands=PermutationTraffic(3),
-        )
-        direct = traffic_specs(
-            graph, 0.7, router, PermutationTraffic(3),
-            trials=3, seed=9, key=("tt",),
-        )
-        assert [s.key for s in via_complexity] == [s.key for s in direct]
-        assert [s.args for s in via_complexity] == [s.args for s in direct]
-        assert (
-            via_complexity[0].workload.workload_id
-            == direct[0].workload.workload_id
-        )
-
-    def test_complexity_specs_rejects_pair_with_demands(self, graph):
-        with pytest.raises(ValueError, match="pair"):
-            complexity_specs(
-                graph, 0.7, LocalBFSRouter(), trials=3,
-                pair=graph.canonical_pair(),
-                demands=PermutationTraffic(3),
-            )
-
-    def test_complexity_specs_rejects_conditioning_with_demands(self, graph):
-        with pytest.raises(ValueError, match="conditioning"):
-            complexity_specs(
-                graph, 0.7, LocalBFSRouter(), trials=3,
-                conditioning="none", demands=PermutationTraffic(3),
-            )
 
     def test_specs_execute_deterministically(self, graph):
         specs = traffic_specs(

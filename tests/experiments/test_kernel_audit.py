@@ -7,7 +7,7 @@ kernel seam — the audit must report them as "per-trial fallback", not
 crash and not mislabel them as vectorized.  The nastiest case is a
 factory object that is not even hashable (e.g. an ``eq=True``,
 non-frozen dataclass instance): the registry lookup itself would raise
-``TypeError`` without the guard in ``compile_run_trial_chunk``.
+``TypeError`` without the guard in ``compile_trial_chunk``.
 """
 
 from dataclasses import dataclass

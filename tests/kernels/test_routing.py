@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import repro.runtime.chunkexec as chunkexec
 from repro.core.complexity import complexity_specs
+from repro.core.traffic import FixedTraffic, traffic_specs
 from repro.graphs.explicit import ExplicitGraph
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh
@@ -164,23 +165,17 @@ def test_kernel_declines_budget_below_one():
     # kernel declines so that error keeps surfacing through the
     # unchanged per-trial path.
     index = build_edge_index(Hypercube(3))
-    assert (
-        router_kernel_for(LocalBFSRouter(), index, 0, 1, 0) is None
-    )
-    assert (
-        router_kernel_for(LocalBFSRouter(), index, 0, 1, 1) is not None
-    )
+    assert router_kernel_for(LocalBFSRouter(), index, 0) is None
+    assert router_kernel_for(LocalBFSRouter(), index, 1) is not None
 
 
 def test_waypoint_declines_on_disconnected_base_graph():
     # WaypointRouter needs a shortest path in the *base* graph; on a
-    # disconnected pair that lookup fails.  The kernel declines at
-    # compile time and the per-trial error surfaces unchanged.
+    # disconnected pair that lookup fails.  The engine declines the
+    # batch and the per-trial error surfaces unchanged.
     graph = ExplicitGraph(
         [(0, 1), (2, 3)], vertices=range(4), name="two-components"
     )
-    index = build_edge_index(graph)
-    assert router_kernel_for(WaypointRouter(), index, 0, 3, None) is None
     specs = complexity_specs(
         graph,
         p=1.0,
@@ -223,19 +218,80 @@ def test_register_router_kernel_is_exact_type():
         name = "custom-child"
 
     sentinel = object()
-    register_router_kernel(
-        _Custom, lambda router, index, s, t, budget: sentinel
-    )
+    register_router_kernel(_Custom, lambda router, index, budget: sentinel)
     try:
         index = build_edge_index(Hypercube(3))
-        assert router_kernel_for(_Custom(), index, 0, 1, None) is sentinel
-        assert (
-            router_kernel_for(_CustomChild(), index, 0, 1, None) is None
-        )
+        assert router_kernel_for(_Custom(), index, None) is sentinel
+        assert router_kernel_for(_CustomChild(), index, None) is None
     finally:
         from repro.kernels.routing import _ROUTER_KERNELS
 
         _ROUTER_KERNELS.pop(_Custom, None)
+
+
+class _CountedLocalBFS(LocalBFSRouter):
+    """LocalBFS under its own type, registered with a logging engine."""
+
+
+def test_one_engine_routes_pair_and_demand_chunks():
+    # One registration serves both workload kinds: a probe-pair chunk
+    # routes its connected trials, a demand chunk every commodity of
+    # every trial, each as one route_pairs call on the same engine.
+    calls = []
+
+    class _LoggingEngine:
+        def __init__(self, router, index, budget):
+            self._engine = router_kernel_for(LocalBFSRouter(), index, budget)
+
+        def route_pairs(self, masks, sources, targets):
+            calls.append((len(sources), sorted(set(zip(sources, targets)))))
+            return self._engine.route_pairs(masks, sources, targets)
+
+    register_router_kernel(_CountedLocalBFS, _LoggingEngine)
+    try:
+        graph = Hypercube(4)
+        pair_specs = complexity_specs(
+            graph, p=0.5, router=_CountedLocalBFS(), trials=10, seed=8,
+            budget=60, key=("pair",),
+        )
+        demands = FixedTraffic(((0, 15), (6, 9), (3, 12)))
+        demand_specs = traffic_specs(
+            graph, 0.5, _CountedLocalBFS(), demands, trials=10, seed=8,
+            budget=60, key=("demand",),
+        )
+        got = _assert_parity(pair_specs)
+        connected = sum(r.value.connected for r in got)
+        assert calls == [(connected, [(0, 15)])]
+        calls.clear()
+        _assert_parity(demand_specs)
+        assert calls == [(30, [(0, 15), (3, 12), (6, 9)])]
+    finally:
+        from repro.kernels.routing import _ROUTER_KERNELS
+
+        _ROUTER_KERNELS.pop(_CountedLocalBFS, None)
+
+
+def test_waypoint_engine_builds_a_pairs_vector_once(monkeypatch):
+    # The engine caches each pair's waypoint vector for its lifetime,
+    # so a probe-pair workload runs one geodesic lookup however many
+    # chunks it routes.
+    lookups = []
+    base = Hypercube.shortest_path
+
+    def counted(self, u, v):
+        lookups.append((u, v))
+        return base(self, u, v)
+
+    monkeypatch.setattr(Hypercube, "shortest_path", counted)
+    graph = Hypercube(5)
+    specs = complexity_specs(
+        graph, p=0.9, router=WaypointRouter(), trials=24, seed=3,
+        conditioning="none", key=("one-vector",),
+    )
+    assert chunk_runner(specs[0].workload).stages()["routing"] == "kernel"
+    got = execute_specs(specs[:12]) + execute_specs(specs[12:])
+    assert lookups == [graph.canonical_pair()]
+    assert repr(got) == repr([spec.execute() for spec in specs])
 
 
 def test_routing_incidence_is_neighbor_ordered():

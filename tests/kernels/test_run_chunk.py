@@ -15,12 +15,19 @@ import pytest
 import repro.runtime.chunkexec as chunkexec
 from repro.core.complexity import complexity_specs
 from repro.core.router import Router
+from repro.core.traffic import FixedTraffic, traffic_specs
 from repro.experiments.defs.e14_site_faults import _site_factory
 from repro.experiments.defs.e15_clos_faults import _node_factory
 from repro.graphs.clos import FatTree
 from repro.graphs.debruijn import DeBruijn
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
+from repro.kernels.complexity import (
+    _MODEL_KERNELS,
+    register_model_kernel,
+    table_model_kernel,
+)
+from repro.kernels.routing import _ROUTER_KERNELS, register_router_kernel
 from repro.percolation.models import HashPercolation, TablePercolation
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.dfs import DirectedDFSRouter
@@ -30,7 +37,7 @@ from repro.runtime import (
     run_chunk,
     supports_run_chunk,
 )
-from repro.runtime.chunkexec import execute_specs
+from repro.runtime.chunkexec import chunk_runner, execute_specs
 
 
 @pytest.fixture(autouse=True)
@@ -209,3 +216,171 @@ def test_kernel_wraps_per_trial_errors_with_spec_key():
     assert kernel_err.value.key == ("boom-point", 0)
     assert kernel_err.value.key == fallback_err.value.key
     assert "RuntimeError: boom" in kernel_err.value.detail
+
+
+# -- error attribution -------------------------------------------------
+#
+# A failing chunk names the spec key the per-trial loop would name: a
+# draw or conditioning error the chunk's first key, an engine error the
+# first routed trial's key, a per-trial routing error that trial's key.
+# Each case runs for a probe-pair chunk and a demand-matrix chunk, which
+# share one compiler.
+
+
+def _fragile_factory(graph, p, seed):
+    """``TablePercolation`` behind a factory with faulty model kernels."""
+    return TablePercolation(graph, p, seed=seed)
+
+
+class _FaultyDraw:
+    """A table draw whose conditioning matrix cannot be built."""
+
+    def __init__(self, draw):
+        self._draw = draw
+
+    def edge_masks(self):
+        raise RuntimeError("conditioning failed")
+
+    def model(self, i):
+        return self._draw.model(i)
+
+
+class _FaultyModelKernel:
+    def __init__(self, kernel, stage):
+        self._kernel = kernel
+        self._stage = stage
+
+    def draw(self, seeds):
+        if self._stage == "draw":
+            raise RuntimeError("draw failed")
+        return _FaultyDraw(self._kernel.draw(seeds))
+
+
+@pytest.fixture
+def faulty_model_kernel():
+    def install(stage):
+        register_model_kernel(
+            _fragile_factory,
+            lambda graph, index, p: _FaultyModelKernel(
+                table_model_kernel(graph, index, p), stage
+            ),
+        )
+
+    yield install
+    _MODEL_KERNELS.pop(_fragile_factory, None)
+
+
+class _EngineFailsBFS(LocalBFSRouter):
+    """LocalBFS under its own type, registered with a failing engine."""
+
+
+class _FailingEngine:
+    def __init__(self, router, index, budget):
+        pass
+
+    def route_pairs(self, masks, sources, targets):
+        raise RuntimeError("engine failed")
+
+
+@pytest.fixture
+def failing_engine_router():
+    register_router_kernel(_EngineFailsBFS, _FailingEngine)
+    yield _EngineFailsBFS()
+    _ROUTER_KERNELS.pop(_EngineFailsBFS, None)
+
+
+class _OpenFirstEdgeRouter(Router):
+    """Raises on trials where the source's first edge is open."""
+
+    name = "open-first-edge"
+
+    def _route(self, oracle, source, target):
+        first = next(iter(oracle.graph.neighbors(source)))
+        if oracle.probe(source, first):
+            raise RuntimeError("first edge open")
+        return None
+
+
+_BLAME_SEED = 7
+
+
+def _blame_specs(kind, router, *, p=0.5, conditioning="none", **kw):
+    """Eight trials on Hypercube(4): the canonical pair under
+    ``conditioning``, or two commodities of a fixed demand matrix."""
+    if kind == "pair":
+        return complexity_specs(
+            Hypercube(4), p=p, router=router, trials=8, seed=_BLAME_SEED,
+            conditioning=conditioning, key=("blame",), **kw,
+        )
+    return traffic_specs(
+        Hypercube(4), p, router, FixedTraffic(((0, 15), (3, 12))),
+        trials=8, seed=_BLAME_SEED, key=("blame",), **kw,
+    )
+
+
+def _kernel_error(specs):
+    assert supports_run_chunk(specs[0].workload)
+    with pytest.raises(TrialExecutionError) as err:
+        execute_specs(specs)
+    return err.value
+
+
+@pytest.mark.parametrize("kind", ["pair", "demand"])
+def test_draw_error_blames_the_chunks_first_key(kind, faulty_model_kernel):
+    faulty_model_kernel("draw")
+    specs = _blame_specs(
+        kind, LocalBFSRouter(), model_factory=_fragile_factory
+    )
+    err = _kernel_error(specs[2:])
+    assert err.key == specs[2].key
+    assert "RuntimeError: draw failed" in err.detail
+
+
+def test_conditioning_error_blames_the_chunks_first_key(faulty_model_kernel):
+    faulty_model_kernel("conditioning")
+    specs = _blame_specs(
+        "pair", LocalBFSRouter(), conditioning="exact",
+        model_factory=_fragile_factory,
+    )
+    err = _kernel_error(specs[2:])
+    assert err.key == specs[2].key
+    assert "RuntimeError: conditioning failed" in err.detail
+
+
+@pytest.mark.parametrize("kind", ["pair", "demand"])
+def test_engine_error_blames_the_first_routed_trial(
+    kind, failing_engine_router
+):
+    chunk = _blame_specs(
+        kind, failing_engine_router, p=0.35, conditioning="exact"
+    )[1:]
+    if kind == "pair":
+        # "exact" conditioning routes the connected trials only, and
+        # the chunk's first trial is not one of them.
+        routed = [s.key for s in chunk if s.execute().value.connected]
+        assert routed[0] != chunk[0].key
+        expected = routed[0]
+    else:
+        expected = chunk[0].key  # every demand trial routes
+    err = _kernel_error(chunk)
+    assert err.key == expected
+    assert "RuntimeError: engine failed" in err.detail
+
+
+@pytest.mark.parametrize("kind", ["pair", "demand"])
+def test_per_trial_routing_error_blames_its_trial(kind):
+    specs = _blame_specs(kind, _OpenFirstEdgeRouter())
+    assert chunk_runner(specs[0].workload).stages()["routing"] == (
+        "per-trial"
+    )
+    expected = None
+    for spec in specs:
+        try:
+            spec.execute()
+        except TrialExecutionError as exc:
+            expected = exc.key
+            break
+    assert expected not in (None, specs[0].key)
+    err = _kernel_error(specs)
+    assert err.key == expected
+    assert "RuntimeError: first edge open" in err.detail

@@ -1,4 +1,4 @@
-"""Parity gate for the demand-matrix chunk kernel (repro.kernels.traffic).
+"""Parity gate for demand-matrix chunks (repro.kernels.complexity).
 
 The invariant is the same one every kernel in this package carries:
 ``execute_specs`` over a traffic workload must produce records
@@ -10,6 +10,8 @@ unregistered routers; full decline for unindexable workloads).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.graphs.hypercube import Hypercube
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.dfs import DirectedDFSRouter
 from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
+from repro.runtime import TrialExecutionError
 from repro.runtime.chunkexec import chunk_runner, execute_specs
 
 
@@ -40,6 +43,18 @@ def _exotic_factory(graph, p, seed):
     from repro.percolation.models import TablePercolation
 
     return TablePercolation(graph, p, seed=seed)
+
+
+@dataclass(frozen=True)
+class _FailingDemands:
+    """Permutation demands that raise for one trial seed."""
+
+    bad_seed: int
+
+    def __call__(self, graph, trial_seed):
+        if trial_seed == self.bad_seed:
+            raise RuntimeError("no demands for this trial")
+        return PermutationTraffic(3)(graph, trial_seed)
 
 
 def _parity(specs):
@@ -61,6 +76,9 @@ class TestGoldenParity:
             PermutationTraffic(1),
             HotspotTraffic(5, 0.7),
             AllToAllTraffic(3),
+            # A self-pair between routed pairs: one engine call splits
+            # the trivial row out and must put every result back.
+            FixedTraffic(((0, 15), (5, 5), (3, 12))),
         ],
         ids=lambda d: type(d).__name__,
     )
@@ -117,6 +135,23 @@ class TestFallbacks:
             "routing": "per-trial",
         }
         _parity(specs)
+
+    def test_demand_factory_error_blames_its_trial(self):
+        graph = Hypercube(4)
+        bad_seed = traffic_specs(
+            graph, 0.7, LocalBFSRouter(), PermutationTraffic(3),
+            trials=6, seed=4,
+        )[3].args[1]
+        specs = traffic_specs(
+            graph, 0.7, LocalBFSRouter(), _FailingDemands(bad_seed),
+            trials=6, seed=4, key=("demands",),
+        )
+        with pytest.raises(TrialExecutionError) as kernel_err:
+            execute_specs(specs)
+        with pytest.raises(TrialExecutionError) as per_trial_err:
+            specs[3].execute()
+        assert kernel_err.value.key == per_trial_err.value.key
+        assert kernel_err.value.key == ("demands", 3)
 
     def test_unregistered_model_factory_declines(self):
         graph = Hypercube(4)

@@ -28,7 +28,7 @@ from repro.graphs.double_tree import DoubleBinaryTree
 from repro.graphs.explicit import ExplicitGraph
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
-from repro.kernels import compile_run_trial_chunk, topology
+from repro.kernels import compile_trial_chunk, topology
 from repro.kernels.topology import edge_index_for
 from repro.percolation.coupled import giant_threshold, pair_threshold
 from repro.percolation.models import TablePercolation
@@ -229,7 +229,7 @@ def test_compiled_runner_keeps_its_graph():
         graph, p=0.6, router=DirectedDFSRouter(), trials=3, seed=9,
         key=("idx",),
     )
-    runner = compile_run_trial_chunk(specs[0].workload)
+    runner = compile_trial_chunk(specs[0].workload)
     keys = [spec.key for spec in specs]
     tails = [tuple(spec.args) for spec in specs]
     expected = repr(runner(keys, tails))
@@ -252,5 +252,5 @@ def test_index_is_built_once_per_graph(monkeypatch):
     for t in range(50):
         TablePercolation(graph, 0.5, seed=t)
     pair_threshold(graph, 3, *graph.canonical_pair())
-    assert compile_run_trial_chunk(_specs(graph)[0].workload) is not None
+    assert compile_trial_chunk(_specs(graph)[0].workload) is not None
     assert calls == [graph]

@@ -17,7 +17,6 @@ from repro.runtime.chunkexec import (
     kernel_enabled,
     kernel_split,
     register_chunk_kernel,
-    resolve_cache_cap,
     stage_split,
     supports_run_chunk,
 )
@@ -158,48 +157,20 @@ def test_compile_cache_evicts_lru(monkeypatch):
     assert recorder.compiles == 4
 
 
-def test_cache_cap_env_overrides_default(monkeypatch):
+def test_cache_cap_defaults_to_module_attribute():
+    # Unpatched, the cache holds exactly _COMPILED_CAP workloads.
+    assert chunkexec._COMPILED_CAP == 64
     recorder = _Recorder()
     register_chunk_kernel(_work, recorder)
-    monkeypatch.setenv("REPRO_KERNEL_CACHE", "2")
-    assert resolve_cache_cap() == 2
-    w1 = Workload(fn=_work, args=("a",))
-    w2 = Workload(fn=_work, args=("b",))
-    w3 = Workload(fn=_work, args=("c",))
-    for w in (w1, w2, w3):
-        execute_specs(_specs(w, 1))
-    assert recorder.compiles == 3
-    assert len(chunkexec._COMPILED) == 2
-    execute_specs(_specs(w1, 1))  # evicted under the env cap
-    assert recorder.compiles == 4
-
-
-def test_cache_cap_zero_is_unbounded(monkeypatch):
-    recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
-    monkeypatch.setenv("REPRO_KERNEL_CACHE", "0")
-    monkeypatch.setattr(chunkexec, "_COMPILED_CAP", 1)  # would evict
-    workloads = [Workload(fn=_work, args=(tag,)) for tag in "abcd"]
+    cap = chunkexec._COMPILED_CAP
+    workloads = [Workload(fn=_work, args=(i,)) for i in range(cap + 1)]
     for w in workloads:
         execute_specs(_specs(w, 1))
-    assert len(chunkexec._COMPILED) == len(workloads)
-    for w in workloads:
-        execute_specs(_specs(w, 1))
-    assert recorder.compiles == len(workloads)  # nothing recompiled
-
-
-def test_cache_cap_defaults_to_module_attribute(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL_CACHE", raising=False)
-    assert resolve_cache_cap() == chunkexec._COMPILED_CAP
-    monkeypatch.setattr(chunkexec, "_COMPILED_CAP", 7)
-    assert resolve_cache_cap() == 7
-
-
-@pytest.mark.parametrize("raw", ["-1", "many", "2.5", "0x10"])
-def test_cache_cap_rejects_garbage(monkeypatch, raw):
-    monkeypatch.setenv("REPRO_KERNEL_CACHE", raw)
-    with pytest.raises(ValueError, match="REPRO_KERNEL_CACHE"):
-        resolve_cache_cap()
+    assert len(chunkexec._COMPILED) == cap
+    execute_specs(_specs(workloads[1], 1))  # oldest kept -> cached
+    assert recorder.compiles == cap + 1
+    execute_specs(_specs(workloads[0], 1))  # evicted -> recompiles
+    assert recorder.compiles == cap + 2
 
 
 class _StagedRecorder(_Recorder):

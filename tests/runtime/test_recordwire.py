@@ -7,12 +7,15 @@ represent — foreign workloads, records carrying extra data, results
 out of step with their specs — must make it decline (return ``None``),
 never raise and never ship a lossy body; a malformed packed body must
 make the unpacker raise, which the cluster coordinator treats as a
-protocol violation.
+protocol violation.  A worker node always tries the packed body for
+its ``done`` reply and ships the pickled list only when the packer
+declines.
 """
 
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +32,7 @@ from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.waypoint import WaypointRouter
 from repro.runtime import TrialResult, TrialSpec, Workload
 from repro.runtime.chunkexec import execute_specs
-from repro.runtime.cluster import resolve_record_wire
+from repro.runtime.cluster import WorkloadCache, _done_message
 from repro.runtime.recordwire import pack_records, unpack_records
 
 
@@ -145,18 +148,32 @@ def test_unpack_rejects_foreign_specs():
         unpack_records(packed, foreign_specs)
 
 
-def test_record_wire_env(monkeypatch):
-    for raw, expected in [
-        ("", "packed"), ("packed", "packed"), ("PACKED", "packed"),
-        ("pickle", "pickle"), (" Pickle ", "pickle"),
-    ]:
-        monkeypatch.setenv("REPRO_RECORD_WIRE", raw)
-        assert resolve_record_wire() == expected, raw
-    monkeypatch.delenv("REPRO_RECORD_WIRE")
-    assert resolve_record_wire() == "packed"
-    monkeypatch.setenv("REPRO_RECORD_WIRE", "json")
-    with pytest.raises(ValueError, match="REPRO_RECORD_WIRE"):
-        resolve_record_wire()
+def _node_job(specs):
+    """The parts of a node's chunk job its ``done`` reply reads."""
+    cache = WorkloadCache()
+    cache.install({spec.workload_id: spec.workload for spec in specs})
+    return SimpleNamespace(
+        chunk_id=5, specs=specs, server=SimpleNamespace(cache=cache)
+    )
+
+
+@pytest.mark.parametrize("kind", ["pair", "traffic"])
+def test_node_done_reply_ships_packed_records(kind):
+    if kind == "pair":
+        specs, results = _chunk(LocalBFSRouter())
+    else:
+        specs, results = _traffic_chunk(PermutationTraffic(4))
+    tag, body = _done_message(_node_job(specs), results)
+    assert tag == "done"
+    assert set(body) == {"chunk", "packed"}
+    assert body["chunk"] == 5
+    assert repr(unpack_records(body["packed"], specs)) == repr(results)
+
+
+def test_node_done_reply_pickles_a_declined_chunk():
+    specs, results = _foreign_chunk()
+    tag, body = _done_message(_node_job(specs), results)
+    assert (tag, body) == ("done", {"chunk": 5, "results": results})
 
 
 def _traffic_chunk(demands, *, p=0.7, trials=6, seed=11, budget=None):
