@@ -77,25 +77,41 @@ class Router(ABC):
         try:
             path = self._route(oracle, source, target)
         except ProbeBudgetExceeded:
-            return RoutingResult(
-                source=source,
-                target=target,
-                success=False,
-                queries=oracle.queries,
-                failure=FailureReason.BUDGET,
-                router=self.name,
+            return self._outcome(
+                model, source, target, None, oracle.queries, censored=True
             )
+        return self._outcome(model, source, target, path, oracle.queries)
+
+    def _outcome(
+        self,
+        model: PercolationModel,
+        source: Vertex,
+        target: Vertex,
+        path: list[Vertex] | None,
+        queries: int,
+        censored: bool = False,
+    ) -> RoutingResult:
+        """Classify one finished attempt; loop-erase and validate a path.
+
+        ``path`` is ``None`` for a failed attempt; ``censored`` marks one
+        stopped by the probe budget.  Routers that replay their probe
+        sequence without an oracle (:mod:`repro.routers.gnp`) finish
+        through here too, so both paths share one failure taxonomy and
+        one path check.
+        """
         if path is None:
+            if censored:
+                failure = FailureReason.BUDGET
+            elif self.is_complete:
+                failure = FailureReason.EXHAUSTED
+            else:
+                failure = FailureReason.GAVE_UP
             return RoutingResult(
                 source=source,
                 target=target,
                 success=False,
-                queries=oracle.queries,
-                failure=(
-                    FailureReason.EXHAUSTED
-                    if self.is_complete
-                    else FailureReason.GAVE_UP
-                ),
+                queries=queries,
+                failure=failure,
                 router=self.name,
             )
         path = erase_loops(path)
@@ -104,7 +120,7 @@ class Router(ABC):
             source=source,
             target=target,
             success=True,
-            queries=oracle.queries,
+            queries=queries,
             path=path,
             router=self.name,
         )

@@ -6,25 +6,26 @@ routing beats the best local routing by exactly ``√n``.  Theorem 11's
 *universal* lower bound ``Pr[comp < a·n^{3/2}] ≤ (3c/2)a^{2/3} + 2/n``
 is tabulated at the observed ``a``.
 
-Each ``n`` of the sweep is one :class:`TrialSpec` (the comparison size
-also runs the local router inside the same unit), so the scaling-fit
-points arrive in deterministic order whatever the schedule.  Its arguments are plain scalars, so the unit stays self-contained:
-the heavy objects are built inside the worker, and there is no
-shared payload to ship.
+Every trial of every size is its own :class:`TrialSpec`, and so is
+every trial of the local-router comparison at one size, so the largest
+``n`` fans out across workers.  Each spec is
+**workload-referenced**: the point's shared context (graph, router,
+pair) rides in one :class:`~repro.runtime.Workload`, shipped to a
+worker once; the specs carry only their ``(trial, seed)`` tails.
 """
 
 from __future__ import annotations
 
 from repro.analysis.phase_transition import scaling_exponent
 from repro.analysis.theory import gnp_oracle_lower_bound
-from repro.core.complexity import measure_complexity
+from repro.core.complexity import assemble_measurement, complexity_specs
 from repro.experiments.registry import register
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.complete import CompleteGraph
 from repro.percolation.models import GnpPercolation
 from repro.routers.gnp import GnpBidirectionalRouter, GnpLocalRouter
-from repro.runtime import SerialRunner, TrialSpec
+from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -41,47 +42,6 @@ COLUMNS = [
 
 def _factory(graph, p, seed):
     return GnpPercolation(n=graph.num_vertices(), p=p, seed=seed)
-
-
-def _size_point(
-    n: int,
-    c: float,
-    trials: int,
-    seed: int,
-    compare_local: bool,
-    local_trials: int,
-    local_seed: int,
-):
-    """Measure one sweep size; ``None`` when no trial connected."""
-    graph = CompleteGraph(n)
-    m = measure_complexity(
-        graph,
-        p=c / n,
-        router=GnpBidirectionalRouter(),
-        trials=trials,
-        seed=seed,
-        model_factory=_factory,
-    )
-    if not m.connected_trials:
-        return None
-    mean_q = m.query_summary().mean
-    speedup = float("nan")
-    if compare_local:
-        local = measure_complexity(
-            graph,
-            p=c / n,
-            router=GnpLocalRouter(),
-            trials=local_trials,
-            seed=local_seed,
-            model_factory=_factory,
-        )
-        if local.connected_trials:
-            speedup = local.query_summary().mean / mean_q
-    return {
-        "connected_trials": m.connected_trials,
-        "mean_queries": mean_q,
-        "speedup_vs_local": speedup,
-    }
 
 
 def run(scale: str, seed: int, runner=None) -> ResultTable:
@@ -101,40 +61,63 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         "G(n, c/n) bidirectional oracle routing vs n (expect Theta(n^1.5))",
         columns=COLUMNS,
     )
-    specs = [
-        TrialSpec(
-            key=("e10", n),
-            fn=_size_point,
-            args=(
-                n,
-                c,
-                trials,
-                derive_seed(seed, "e10", n),
-                n == compare_local_at,
-                max(4, trials // 2),
-                derive_seed(seed, "e10-local", n),
+    bidirectional, local = GnpBidirectionalRouter(), GnpLocalRouter()
+    groups = [
+        (
+            ("bidirectional", n),
+            complexity_specs(
+                CompleteGraph(n),
+                p=c / n,
+                router=bidirectional,
+                trials=trials,
+                seed=derive_seed(seed, "e10", n),
+                model_factory=_factory,
+                key=("e10", n),
             ),
         )
         for n in ns
     ]
-
-    measured = {result.key: result.value for result in runner.run(specs)}
+    groups.append(
+        (
+            ("local", compare_local_at),
+            complexity_specs(
+                CompleteGraph(compare_local_at),
+                p=c / compare_local_at,
+                router=local,
+                trials=max(4, trials // 2),
+                seed=derive_seed(seed, "e10-local", compare_local_at),
+                model_factory=_factory,
+                key=("e10-local", compare_local_at),
+            ),
+        )
+    )
+    records = runner.run_grouped(groups)
     points = []
     for n in ns:
-        cells = measured[("e10", n)]
-        if cells is None:
+        graph = CompleteGraph(n)
+        m = assemble_measurement(
+            graph, c / n, bidirectional, records[("bidirectional", n)]
+        )
+        if not m.connected_trials:
             continue
-        mean_q = cells["mean_queries"]
+        mean_q = m.query_summary().mean
+        speedup = float("nan")
+        if n == compare_local_at:
+            base = assemble_measurement(
+                graph, c / n, local, records[("local", n)]
+            )
+            if base.connected_trials:
+                speedup = base.query_summary().mean / mean_q
         a = mean_q / n**1.5
         table.add_row(
             c=c,
             n=n,
-            connected_trials=cells["connected_trials"],
+            connected_trials=m.connected_trials,
             mean_queries=mean_q,
             queries_over_n15=a,
             observed_a=a,
             theory_bound_at_a=gnp_oracle_lower_bound(n, c, a),
-            speedup_vs_local=cells["speedup_vs_local"],
+            speedup_vs_local=speedup,
         )
         points.append((n, mean_q))
     if len(points) >= 3:

@@ -160,12 +160,13 @@ class GnpPercolation(PercolationModel):
         # without-replacement sampling and costs O(count) when p is small.
         while len(chosen) < count:
             batch = rng.integers(0, total_pairs, size=count - len(chosen))
-            chosen.update(int(x) for x in batch)
-        self._open: set[tuple[int, int]] = set()
+            chosen.update(batch.tolist())
+        indices = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+        indices.sort()
+        low, high = (half.tolist() for half in _pairs_from_indices(indices))
+        self._open: set[tuple[int, int]] = set(zip(low, high))
         self._adjacency: dict[int, list[int]] = {}
-        for index in sorted(chosen):
-            i, j = _pair_from_index(index)
-            self._open.add((i, j))
+        for i, j in zip(low, high):
             self._adjacency.setdefault(i, []).append(j)
             self._adjacency.setdefault(j, []).append(i)
 
@@ -182,8 +183,15 @@ class GnpPercolation(PercolationModel):
         return len(self._open)
 
 
-def _pair_from_index(index: int) -> tuple[int, int]:
-    # Local import indirection kept minimal: reuse the tested bitops code.
-    from repro.util.bitops import pair_from_index
+def _pairs_from_indices(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`repro.util.bitops.pair_from_index`.
 
-    return pair_from_index(index)
+    Maps triangular indices ``j(j-1)/2 + i`` back to ``(i, j)``,
+    ``i < j``, as two int64 arrays.
+    """
+    # j is the largest integer with j*(j-1)/2 <= index; the float root
+    # can be off by one near perfect squares, so correct it.
+    high = ((np.sqrt(8 * indices + 1) + 1) * 0.5).astype(np.int64)
+    high -= (high * (high - 1)) >> 1 > indices
+    high += ((high + 1) * high) >> 1 <= indices
+    return indices - ((high * (high - 1)) >> 1), high

@@ -1676,6 +1676,7 @@ class ClusterRunner(TrialRunner):
         (they are shared infrastructure); self-managed nodes get a
         graceful ``shutdown`` and then the subprocess is reaped.
         """
+        said_bye: list[LocalNode] = []
         if self._nodes is not None and self._local:
             for node in self._nodes:
                 if node.alive and node.stream is not None:
@@ -1689,10 +1690,23 @@ class ClusterRunner(TrialRunner):
                         drain_until = time.monotonic() + BYE_WAIT_TIMEOUT
                         while time.monotonic() < drain_until:
                             message = node.stream.recv(timeout=2.0)
-                            if message is None or message[0] == "bye":
+                            if message is None:
+                                break
+                            if message[0] == "bye":
+                                said_bye.append(node.local)
                                 break
                     except (ConnectionError, ProtocolError, OSError):
                         pass
+        # A node that said ``bye`` exits on its own once its drain ends.
+        # serve() restores the default SIGTERM action on its way out, so
+        # a TERM sent in that window would kill the node (-15) instead
+        # of letting it finish: wait for the exit first, bounded.
+        exit_by = time.monotonic() + BYE_WAIT_TIMEOUT
+        for local in said_bye:
+            try:
+                local.proc.wait(timeout=max(0.0, exit_by - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                pass
         # Graceful: the shutdown just sent asks the node to drain; a
         # force kill here would cut that drain short.
         self._discard_nodes(force=False)

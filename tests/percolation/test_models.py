@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,10 @@ from repro.percolation.models import (
     GnpPercolation,
     HashPercolation,
     TablePercolation,
+    _pairs_from_indices,
 )
+from repro.util.bitops import pair_from_index
+from repro.util.rng import derive_seed
 
 
 class TestHashPercolation:
@@ -176,3 +180,57 @@ class TestGnpPercolation:
         m = GnpPercolation(n=n, p=c / n, seed=8)
         mean_degree = 2 * m.num_open_edges() / n
         assert 2.0 < mean_degree < 4.0
+
+
+def _per_pair_draw(n, p, seed):
+    """The draw as decoded before vectorization: one pair per index."""
+    total_pairs = n * (n - 1) // 2
+    rng = np.random.default_rng(derive_seed(seed, "gnp-percolation"))
+    count = int(rng.binomial(total_pairs, p))
+    chosen: set[int] = set()
+    while len(chosen) < count:
+        batch = rng.integers(0, total_pairs, size=count - len(chosen))
+        chosen.update(int(x) for x in batch)
+    opened: set[tuple[int, int]] = set()
+    adjacency: dict[int, list[int]] = {}
+    for index in sorted(chosen):
+        i, j = pair_from_index(index)
+        opened.add((i, j))
+        adjacency.setdefault(i, []).append(j)
+        adjacency.setdefault(j, []).append(i)
+    return opened, adjacency
+
+
+class TestGnpDecode:
+    """The vectorized pair decode draws exactly the per-pair draw."""
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, 7, 16, 45, 64, 97, 128, 256, 511, 1024, 2047, 2048]
+    )
+    def test_matches_per_pair_decode(self, n):
+        # p = 1 opens every pair, so it covers each index below C(n, 2);
+        # above 128 vertices the sparse c/n draws and p = 0 stand in.
+        ps = [0.0, min(1.0, 1.5 / n), min(1.0, 3.0 / n)]
+        if n <= 128:
+            ps.append(1.0)
+        for p in ps:
+            for seed in (0, 7):
+                model = GnpPercolation(n=n, p=p, seed=seed)
+                opened, adjacency = _per_pair_draw(n, p, seed)
+                assert model._open == opened
+                for v in range(n):
+                    assert model.open_neighbors(v) == adjacency.get(v, [])
+
+    def test_decodes_row_boundaries(self):
+        # The float root is off by one near perfect squares; check the
+        # first and last index of every row j up to well past n = 2048.
+        rows = np.arange(2, 200_001, dtype=np.int64)
+        first = rows * (rows - 1) // 2
+        indices = np.concatenate([first, first + rows - 1, first - 1])
+        low, high = _pairs_from_indices(indices)
+        for index, i, j in zip(
+            indices.tolist()[::97], low.tolist()[::97], high.tolist()[::97]
+        ):
+            assert (i, j) == pair_from_index(index)
+        assert (low >= 0).all() and (low < high).all()
+        assert (high * (high - 1) // 2 + low == indices).all()

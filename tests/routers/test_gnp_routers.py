@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.result import FailureReason
+from repro.core.router import Router
 from repro.percolation.cluster import connected
 from repro.percolation.models import GnpPercolation
 from repro.routers.gnp import (
@@ -50,8 +52,18 @@ class TestAllGnpRouters:
         assert not result.success
 
     def test_budget_respected(self, router):
-        model, result = _route(router, n=60, p=2.0 / 60, seed=1, budget=10)
-        assert result.queries <= 10
+        model = GnpPercolation(n=60, p=2.0 / 60, seed=1)
+        u, v = model.graph.canonical_pair()
+        assert router.route(model, u, v).queries > 10
+        # The replay and the oracle-driven reference stop at the same
+        # probe: the budget is spent exactly, and nothing is returned.
+        for result in (
+            router.route(model, u, v, budget=10),
+            Router.route(router, model, u, v, budget=10),
+        ):
+            assert result.failure is FailureReason.BUDGET
+            assert result.queries == 10
+            assert result.path is None
 
     def test_source_equals_target(self, router):
         model = GnpPercolation(n=10, p=0.5, seed=0)
