@@ -12,7 +12,7 @@ Commands::
     repro worker serve --port 7101     # one cluster worker node
     repro worker serve --port 7101 --node-workers 8   # 8-wide node pool
     repro serve --port 8080            # long-lived experiment service
-    repro info                         # resolved backend + cache status
+    repro info                         # every knob, backend, cache status
 
 Experiments are deterministic given ``--seed`` — including under
 ``--workers N`` (or ``$REPRO_WORKERS``), any ``--chunksize`` (or
@@ -26,6 +26,10 @@ count), the coordinator pipelines chunks per connection
 (``--pipeline-depth`` / ``$REPRO_PIPELINE_DEPTH``) and requeues the
 chunks of a node that goes silent past the heartbeat deadline
 (``--heartbeat`` / ``$REPRO_HEARTBEAT`` seconds; 0 disables).
+
+Every flag backed by a ``$REPRO_*`` knob parses with that knob's row of
+:mod:`repro.settings`, so a flag and its variable accept and reject
+the same text, and its ``default:`` help comes from the row too.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from collections.abc import Sequence
 from repro.experiments.registry import all_experiments, get_experiment
 from repro.experiments.spec import SCALES
 from repro.runtime import available_backends, make_runner
+from repro.settings import KNOBS, format_value, override, resolve, source
 
 __all__ = ["build_parser", "main"]
 
@@ -67,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help=(
-            "experiment id, e.g. E7; omit to print the resolved "
-            "backend, result-cache location and entry count instead"
+            "experiment id, e.g. E7; omit to print every setting with "
+            "its resolved value and source, the backend, and the "
+            "result-cache location and entry count instead"
         ),
     )
 
@@ -127,27 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
             "kernels live outside the installed package (repeatable)"
         ),
     )
-    serve.add_argument(
-        "--node-workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "local execution-pool size: trials run on this many worker "
-            "processes concurrently (default: $REPRO_NODE_WORKERS, "
-            "else os.cpu_count())"
-        ),
+    _add_knob(
+        serve, "--node-workers", "node_workers", "N",
+        "local execution-pool size: trials run on this many worker "
+        "processes concurrently",
     )
-    serve.add_argument(
-        "--cache-cap",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help=(
-            "LRU cap on the node's workload-payload cache, in entries; "
-            "0 = unbounded (default: $REPRO_NODE_CACHE, else 256); "
-            "evicted payloads are re-shipped transparently on demand"
-        ),
+    _add_knob(
+        serve, "--cache-cap", "node_cache", "N",
+        "LRU cap on the node's workload-payload cache, in entries; "
+        "0 = unbounded; evicted payloads are re-shipped transparently "
+        "on demand",
     )
 
     service = sub.add_parser(
@@ -168,59 +163,31 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="TCP port; 0 picks an ephemeral port, announced on stdout",
     )
-    service.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        metavar="B",
-        help=(
-            "runner backend for job execution: one of %(choices)s "
-            "(default: $REPRO_BACKEND, else auto)"
-        ),
+    _add_knob(
+        service, "--backend", "backend", "B",
+        "runner backend for job execution: one of "
+        f"{', '.join(available_backends())}",
     )
-    service.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="worker processes for the backend runner",
+    _add_knob(
+        service, "--workers", "workers", "N",
+        "worker processes for the backend runner",
     )
-    service.add_argument(
-        "--chunksize",
-        type=_positive_int,
-        default=None,
-        metavar="C",
-        help="specs per parallel work unit for the backend runner",
+    _add_knob(
+        service, "--chunksize", "chunksize", "C",
+        "specs per parallel work unit for the backend runner",
     )
-    service.add_argument(
-        "--cache-dir",
-        type=_cache_directory,
-        default=None,
-        metavar="DIR",
-        help=(
-            "result-cache directory (default: $REPRO_CACHE_DIR, else "
-            "the XDG cache home); created if missing"
-        ),
+    _add_knob(
+        service, "--cache-dir", "cache_dir", "DIR",
+        "result-cache directory; created if missing",
     )
-    service.add_argument(
-        "--cache-cap",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help=(
-            "LRU cap on cached sweep points, in entries; 0 = unbounded "
-            "(default: $REPRO_CACHE_CAP, else 0)"
-        ),
+    _add_knob(
+        service, "--cache-cap", "cache_cap", "N",
+        "LRU cap on cached sweep points, in entries; 0 = unbounded",
     )
-    service.add_argument(
-        "--cache-cap-bytes",
-        type=_nonnegative_int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "LRU cap on cached sweep points, in total bytes on disk; "
-            "0 = unbounded (default: $REPRO_CACHE_CAP_BYTES, else 0)"
-        ),
+    _add_knob(
+        service, "--cache-cap-bytes", "cache_cap_bytes", "BYTES",
+        "LRU cap on cached sweep points, in total bytes on disk; "
+        "0 = unbounded",
     )
     service.add_argument(
         "--job-ttl",
@@ -234,30 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 0, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def _positive_float(text: str) -> float:
@@ -276,33 +219,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_float(text: str) -> float:
-    import math
-
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a number of seconds, got {text!r}"
-        ) from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text}"
-        )
-    return value
-
-
-def _cache_directory(text: str) -> str:
-    from pathlib import Path
-
-    path = Path(text)
-    if path.exists() and not path.is_dir():
-        raise argparse.ArgumentTypeError(
-            f"cache dir exists and is not a directory: {text!r}"
-        )
-    return text
-
-
 def _port_int(text: str) -> int:
     try:
         value = int(text)
@@ -317,59 +233,58 @@ def _port_int(text: str) -> int:
     return value
 
 
+def _add_knob(
+    parser: argparse.ArgumentParser,
+    flag: str,
+    name: str,
+    metavar: str,
+    help: str,
+) -> None:
+    """A flag backed by the settings row ``name``.  Its text parses
+    with the row, so the flag and the variable reject the same text
+    with the same message; unset, the knob resolves from the variable,
+    else the default."""
+    knob = KNOBS[name]
+
+    def parse(text: str):
+        try:
+            return knob.parse(text, True)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser.add_argument(
+        flag,
+        type=parse,
+        default=None,
+        metavar=metavar,
+        help=f"{help} (default: ${knob.env}, else {knob.default_text})",
+    )
+
+
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for trial execution (default: "
-            "$REPRO_WORKERS, else 1); results are identical for any N"
-        ),
+    _add_knob(
+        parser, "--workers", "workers", "N",
+        "worker processes for trial execution; results are identical "
+        "for any N",
     )
-    parser.add_argument(
-        "--chunksize",
-        type=_positive_int,
-        default=None,
-        metavar="C",
-        help=(
-            "specs per parallel work unit (default: $REPRO_CHUNKSIZE, "
-            "else ~4 chunks per worker); results are identical for any C"
-        ),
+    _add_knob(
+        parser, "--chunksize", "chunksize", "C",
+        "specs per parallel work unit; results are identical for any C",
     )
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        metavar="B",
-        help=(
-            "runner backend: one of %(choices)s (default: "
-            "$REPRO_BACKEND, else auto); results are identical for any "
-            "backend"
-        ),
+    _add_knob(
+        parser, "--backend", "backend", "B",
+        f"runner backend: one of {', '.join(available_backends())}; "
+        "results are identical for any backend",
     )
-    parser.add_argument(
-        "--pipeline-depth",
-        type=_positive_int,
-        default=None,
-        metavar="D",
-        help=(
-            "cluster backend: chunks kept in flight per node "
-            "connection (sets $REPRO_PIPELINE_DEPTH; default 2); "
-            "results are identical for any D"
-        ),
+    _add_knob(
+        parser, "--pipeline-depth", "pipeline_depth", "D",
+        "cluster backend: chunks kept in flight per node connection; "
+        "results are identical for any D",
     )
-    parser.add_argument(
-        "--heartbeat",
-        type=_nonnegative_float,
-        default=None,
-        metavar="S",
-        help=(
-            "cluster backend: seconds of node silence before the node "
-            "is declared lost and its chunks requeue (sets "
-            "$REPRO_HEARTBEAT; default 10; 0 disables supervision)"
-        ),
+    _add_knob(
+        parser, "--heartbeat", "heartbeat", "S",
+        "cluster backend: seconds of node silence before the node is "
+        "declared lost and its chunks requeue; 0 disables supervision",
     )
 
 
@@ -518,17 +433,31 @@ def _cmd_info(experiment_id: str | None) -> int:
 def _cmd_info_environment() -> int:
     """``repro info`` with no experiment: the resolved environment —
     which backend a run would use, where the result cache lives and how
-    full it is, and the code version that keys new cache entries."""
-    from repro.runtime import resolve_backend
-    from repro.serve import ResultCache, code_version, resolve_cache_dir
+    full it is, the code version that keys new cache entries, then
+    every settings row with its resolved value and source.  An invalid
+    knob prints ``invalid: <message>`` and the command exits 1."""
+    from repro.serve import ResultCache, code_version
 
-    cache_dir = resolve_cache_dir()
-    print(f"backend: {resolve_backend()}")
-    print(f"cache dir: {cache_dir}")
-    print(f"cache entries: {ResultCache(cache_dir).entry_count()}")
-    print(f"code version: {code_version()}")
-    print(f"experiments: {len(all_experiments())}")
-    return 0
+    rows, invalid = [], False
+    for knob in KNOBS.values():
+        try:
+            shown = format_value(resolve(knob.name))
+        except ValueError as exc:
+            shown, invalid = f"invalid: {exc}", True
+        rows.append(
+            f"  {knob.name:<16}{knob.env:<22}{shown}  "
+            f"({source(knob.name)})"
+        )
+    if not invalid:
+        cache_dir = resolve("cache_dir")
+        print(f"backend: {resolve('backend')}")
+        print(f"cache dir: {cache_dir}")
+        print(f"cache entries: {ResultCache(cache_dir).entry_count()}")
+        print(f"code version: {code_version()}")
+        print(f"experiments: {len(all_experiments())}")
+    print("settings:")
+    print("\n".join(rows))
+    return 1 if invalid else 0
 
 
 def _cmd_serve(args) -> int:
@@ -625,17 +554,6 @@ def _cmd_worker_serve(
     return 0
 
 
-def _apply_cluster_env(args) -> None:
-    """Forward the cluster-only run/report flags through their env
-    vars (the one channel every construction path already honours)."""
-    import os
-
-    if getattr(args, "pipeline_depth", None) is not None:
-        os.environ["REPRO_PIPELINE_DEPTH"] = str(args.pipeline_depth)
-    if getattr(args, "heartbeat", None) is not None:
-        os.environ["REPRO_HEARTBEAT"] = repr(args.heartbeat)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
@@ -644,27 +562,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_thresholds()
     if args.command == "info":
         return _cmd_info(args.experiment)
-    if args.command == "run":
-        _apply_cluster_env(args)
-        return _cmd_run(
-            args.experiment,
-            args.scale,
-            args.seed,
-            args.csv,
-            args.workers,
-            args.chunksize,
-            args.backend,
-        )
-    if args.command == "report":
-        _apply_cluster_env(args)
-        return _cmd_report(
-            args.scale,
-            args.seed,
-            args.out,
-            args.workers,
-            args.chunksize,
-            args.backend,
-        )
+    if args.command in ("run", "report"):
+        # The cluster-only flags reach the runner through their
+        # variables, for this command only.
+        with override(
+            pipeline_depth=args.pipeline_depth, heartbeat=args.heartbeat
+        ):
+            if args.command == "run":
+                return _cmd_run(
+                    args.experiment,
+                    args.scale,
+                    args.seed,
+                    args.csv,
+                    args.workers,
+                    args.chunksize,
+                    args.backend,
+                )
+            return _cmd_report(
+                args.scale,
+                args.seed,
+                args.out,
+                args.workers,
+                args.chunksize,
+                args.backend,
+            )
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "worker":

@@ -156,18 +156,20 @@ Choosing a runner
 else the ``REPRO_WORKERS`` environment variable, else 1; the chunk size
 resolves the same way (argument, else ``REPRO_CHUNKSIZE``, else the
 automatic four-chunks-per-worker split), and the backend likewise
-(argument, else ``REPRO_BACKEND``, else ``auto``).  All three knobs are
-validated uniformly on every construction path — a zero or garbage
-environment value raises instead of being silently accepted.  The CLI
-exposes them as ``repro run ... --workers N --chunksize C
---backend B``.
+(argument, else ``REPRO_BACKEND``, else ``auto``).  All three are rows
+of the one settings table, :mod:`repro.settings`, with the cluster,
+kernel and cache knobs: every runtime call site reads them through
+:func:`repro.settings.resolve`, so they validate uniformly on every
+construction path — a zero or garbage environment value raises instead
+of being silently accepted.  The CLI exposes them as ``repro run ...
+--workers N --chunksize C --backend B``; ``repro info`` prints every
+knob with its resolved value and source.
 """
 
 from repro.runtime.backends import (
     available_backends,
     make_runner,
     register_backend,
-    resolve_backend,
 )
 from repro.runtime.chunkexec import (
     execute_specs,
@@ -175,13 +177,7 @@ from repro.runtime.chunkexec import (
     run_chunk,
     supports_run_chunk,
 )
-from repro.runtime.runner import (
-    ProcessPoolRunner,
-    SerialRunner,
-    TrialRunner,
-    resolve_chunksize,
-    resolve_workers,
-)
+from repro.runtime.runner import ProcessPoolRunner, SerialRunner, TrialRunner
 from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
 from repro.runtime.workload import Workload, WorkloadMissError, WorkloadRef
 
@@ -201,9 +197,6 @@ __all__ = [
     "make_runner",
     "register_backend",
     "register_chunk_kernel",
-    "resolve_backend",
-    "resolve_chunksize",
-    "resolve_workers",
     "run_chunk",
     "supports_run_chunk",
 ]

@@ -6,8 +6,9 @@ turns that decision into a **registry**.  A backend is a named factory
     factory(workers=None, chunksize=None) -> TrialRunner
 
 registered via :func:`register_backend` and selected by name — an
-explicit ``backend=`` argument, else the ``REPRO_BACKEND`` environment
-variable, else ``"auto"``.  Four backends ship in-tree:
+explicit ``backend=`` argument, else ``$REPRO_BACKEND``, else
+``"auto"`` (the ``backend`` row of :mod:`repro.settings`).  Four
+backends ship in-tree:
 
 ``auto``
     The historical behaviour: resolve the worker count (argument, else
@@ -40,38 +41,23 @@ error-propagation behaviour of the built-ins.  The contract is
 ``tests/runtime/test_backend_conformance.py`` parametrises one suite
 over every registered backend (it reads this registry), and any new
 backend must pass it before it lands.  Factories must also validate
-their knobs through :func:`~repro.runtime.runner.resolve_workers` /
-:func:`~repro.runtime.runner.resolve_chunksize` so argument and
+their knobs through :func:`repro.settings.resolve` so argument and
 environment values are rejected uniformly.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from collections.abc import Callable
 
-from repro.runtime.runner import (
-    ProcessPoolRunner,
-    SerialRunner,
-    TrialRunner,
-    resolve_chunksize,
-    resolve_workers,
-)
+from repro.runtime.runner import ProcessPoolRunner, SerialRunner, TrialRunner
+from repro.settings import resolve
 
 __all__ = [
-    "BACKEND_ENV",
     "available_backends",
     "make_runner",
     "register_backend",
-    "resolve_backend",
 ]
-
-#: Environment variable consulted when no backend name is given.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: The backend used when neither argument nor environment names one.
-DEFAULT_BACKEND = "auto"
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 
@@ -112,27 +98,6 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend name: argument, else ``$REPRO_BACKEND``, else
-    ``"auto"`` — validated against the registry.
-    """
-    if backend is None:
-        raw = os.environ.get(BACKEND_ENV, "").strip()
-        backend = raw or DEFAULT_BACKEND
-    if not isinstance(backend, str):
-        raise ValueError(
-            f"backend must be a name (str), got {backend!r}; registered "
-            f"backends: {', '.join(available_backends())}"
-        )
-    name = backend.strip().lower()
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown backend {backend!r}; registered backends: "
-            f"{', '.join(available_backends())}"
-        )
-    return name
-
-
 def make_runner(
     workers: int | None = None,
     chunksize: int | None = None,
@@ -146,15 +111,15 @@ def make_runner(
     else ``auto``).  The historical two-argument call is unchanged:
     ``make_runner(8)`` still means "an 8-worker process pool".
     """
-    factory = _REGISTRY[resolve_backend(backend)]
+    factory = _REGISTRY[resolve("backend", backend)]
     return factory(workers=workers, chunksize=chunksize)
 
 
 def _auto_factory(
     workers: int | None = None, chunksize: int | None = None
 ) -> TrialRunner:
-    count = resolve_workers(workers)
-    size = resolve_chunksize(chunksize)
+    count = resolve("workers", workers)
+    size = resolve("chunksize", chunksize)
     if count == 1:
         return SerialRunner()
     return ProcessPoolRunner(workers=count, chunksize=size)
@@ -165,8 +130,8 @@ def _serial_factory(
 ) -> TrialRunner:
     # The knobs are irrelevant serially but must still be *valid*:
     # backend choice never launders a bad REPRO_WORKERS/CHUNKSIZE.
-    resolve_workers(workers)
-    resolve_chunksize(chunksize)
+    resolve("workers", workers)
+    resolve("chunksize", chunksize)
     return SerialRunner()
 
 

@@ -18,10 +18,11 @@ the verdict is cached by content id (:func:`supports_run_chunk` exposes
 it).  The built-in compilers live in :mod:`repro.kernels`, imported
 lazily on the first chunk so the serial import path stays light.
 
-``$REPRO_KERNEL=off`` disables the seam entirely (every spec executes
-per trial) — the escape hatch if a kernel is ever suspected of
-diverging; results must not change, only speed.  The compiled-runner
-cache keeps the :data:`_COMPILED_CAP` most recently used workloads.
+``$REPRO_KERNEL=off`` (the ``kernel`` row of :mod:`repro.settings`)
+disables the seam entirely (every spec executes per trial) — the
+escape hatch if a kernel is ever suspected of diverging; results must
+not change, only speed.  The compiled-runner cache keeps the
+:data:`_COMPILED_CAP` most recently used workloads.
 
 A chunk runner may expose a ``stages()`` method describing which
 pipeline stages (draw / conditioning / routing) execute vectorized and
@@ -31,7 +32,6 @@ that per spec for ``repro info``.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 
@@ -42,19 +42,16 @@ from repro.runtime.workload import (
     WorkloadRef,
     resolve_workload,
 )
+from repro.settings import resolve
 
 __all__ = [
     "execute_specs",
-    "kernel_enabled",
     "kernel_split",
     "register_chunk_kernel",
     "run_chunk",
     "stage_split",
     "supports_run_chunk",
 ]
-
-#: Environment switch for the whole seam; default on.
-KERNEL_ENV = "REPRO_KERNEL"
 
 #: Workload ``fn`` -> compiler(workload) -> chunk runner | None.
 _COMPILERS: dict[Callable, Callable] = {}
@@ -66,18 +63,6 @@ _COMPILED: OrderedDict[str, Callable | None] = OrderedDict()
 _COMPILED_CAP = 64
 
 _kernels_loaded = False
-
-
-def kernel_enabled() -> bool:
-    """Whether the seam is on — ``$REPRO_KERNEL``, default on."""
-    raw = os.environ.get(KERNEL_ENV, "").strip().lower()
-    if raw in ("", "1", "on", "auto", "true", "yes"):
-        return True
-    if raw in ("0", "off", "false", "no"):
-        return False
-    raise ValueError(
-        f"${KERNEL_ENV} must be on/off (or 1/0, true/false), got {raw!r}"
-    )
 
 
 def register_chunk_kernel(fn: Callable, compiler: Callable) -> None:
@@ -110,7 +95,7 @@ def chunk_runner(workload: Workload) -> Callable | None:
     batches over the same workload — the shape of every sweep — reuse
     the compiled topology index across chunks and runs.
     """
-    if not kernel_enabled():
+    if not resolve("kernel"):
         return None
     _ensure_kernels()
     workload_id = workload.workload_id
@@ -189,7 +174,7 @@ def execute_specs(specs: Iterable[TrialSpec]) -> list[TrialResult]:
     """
     specs = list(specs)
     results: list[TrialResult | None] = [None] * len(specs)
-    enabled = kernel_enabled()
+    enabled = resolve("kernel")
     i = 0
     while i < len(specs):
         spec = specs[i]
@@ -228,7 +213,7 @@ def kernel_split(specs: Iterable[TrialSpec]) -> tuple[int, int]:
     executing anything — what ``repro info`` reports per experiment.
     """
     kernel = fallback = 0
-    enabled = kernel_enabled()
+    enabled = resolve("kernel")
     for spec in specs:
         runner = None
         if enabled and _eligible_tail(spec):
@@ -256,7 +241,7 @@ def stage_split(specs: Iterable[TrialSpec]) -> dict[str, dict[str, int]]:
     all-kernel, fallback specs as per-trial in every stage.
     """
     split = {stage: {"kernel": 0, "per-trial": 0} for stage in STAGES}
-    enabled = kernel_enabled()
+    enabled = resolve("kernel")
     for spec in specs:
         runner = None
         if enabled and _eligible_tail(spec):

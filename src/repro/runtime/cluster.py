@@ -136,69 +136,33 @@ from pathlib import Path
 from repro.runtime.runner import (
     TrialRunner,
     _execute_chunk,
-    _resolve_positive,
     batch_payloads,
     pick_chunksize,
-    resolve_chunksize,
     resolve_miss_payload,
-    resolve_workers,
     split_chunks,
 )
 from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
 from repro.runtime.workload import Workload, WorkloadMissError
+from repro.settings import KNOBS, resolve
 
 __all__ = [
     "ChunkBoard",
     "ClusterRunner",
     "FrameReader",
-    "HEARTBEAT_ENV",
     "LocalNode",
     "MessageStream",
-    "NODES_ENV",
-    "NODE_CACHE_ENV",
-    "NODE_WORKERS_ENV",
-    "PIPELINE_ENV",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "WorkloadCache",
     "encode_frame",
     "node_process_pid",
     "parse_nodes",
-    "resolve_cache_cap",
-    "resolve_heartbeat",
-    "resolve_node_workers",
-    "resolve_pipeline_depth",
     "serve",
     "spawn_local_nodes",
 ]
 
-#: Environment variable naming the worker nodes ("host:port,host:port").
-NODES_ENV = "REPRO_CLUSTER_NODES"
-
-#: Environment variable for the node-side execution pool size.
-NODE_WORKERS_ENV = "REPRO_NODE_WORKERS"
-
-#: Environment variable for chunks in flight per node connection.
-PIPELINE_ENV = "REPRO_PIPELINE_DEPTH"
-
-#: Environment variable for the heartbeat deadline (seconds; 0 = off).
-HEARTBEAT_ENV = "REPRO_HEARTBEAT"
-
-#: Environment variable for the node workload-cache cap (entries; 0 =
-#: unbounded).
-NODE_CACHE_ENV = "REPRO_NODE_CACHE"
-
 #: Nodes a self-managed runner spawns when nothing names a count.
 DEFAULT_LOCAL_NODES = 2
-
-#: Chunks kept in flight per node connection when nothing names a depth.
-DEFAULT_PIPELINE_DEPTH = 2
-
-#: Seconds of silence before a node is presumed wedged (0 disables).
-DEFAULT_HEARTBEAT = 10.0
-
-#: Workload payloads a node caches before evicting least-recently-used.
-DEFAULT_NODE_CACHE = 256
 
 #: Seconds a spawned node gets to announce its READY line.
 DEFAULT_SPAWN_TIMEOUT = 30.0
@@ -250,78 +214,6 @@ class ProtocolError(RuntimeError):
 
 class _NodeLost(ConnectionError):
     """Heartbeat supervision declared a node dead (socket still open)."""
-
-
-def resolve_node_workers(node_workers: int | None = None) -> int:
-    """Node-side pool size: argument, else ``$REPRO_NODE_WORKERS``,
-    else ``os.cpu_count()``."""
-    return _resolve_positive(
-        node_workers,
-        NODE_WORKERS_ENV,
-        "node worker count",
-        os.cpu_count() or 1,
-    )
-
-
-def resolve_pipeline_depth(depth: int | None = None) -> int:
-    """Chunks in flight per node connection: argument, else
-    ``$REPRO_PIPELINE_DEPTH``, else 2."""
-    return _resolve_positive(
-        depth, PIPELINE_ENV, "pipeline depth", DEFAULT_PIPELINE_DEPTH
-    )
-
-
-def resolve_heartbeat(heartbeat: float | None = None) -> float:
-    """Heartbeat deadline in seconds: argument, else
-    ``$REPRO_HEARTBEAT``, else 10.0.  ``0`` disables supervision."""
-    if heartbeat is None:
-        raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-        if not raw:
-            return DEFAULT_HEARTBEAT
-        try:
-            heartbeat = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"${HEARTBEAT_ENV} must be a number of seconds, got {raw!r}"
-            ) from None
-    if isinstance(heartbeat, bool) or not isinstance(
-        heartbeat, (int, float)
-    ):
-        raise ValueError(
-            f"heartbeat deadline must be a number of seconds, "
-            f"got {heartbeat!r}"
-        )
-    heartbeat = float(heartbeat)
-    if not math.isfinite(heartbeat) or heartbeat < 0:
-        raise ValueError(
-            f"heartbeat deadline must be >= 0 seconds (0 disables), "
-            f"got {heartbeat}"
-        )
-    return heartbeat
-
-
-def resolve_cache_cap(cache_cap: int | None = None) -> int:
-    """Node workload-cache cap in entries: argument, else
-    ``$REPRO_NODE_CACHE``, else 256.  ``0`` means unbounded."""
-    if cache_cap is None:
-        raw = os.environ.get(NODE_CACHE_ENV, "").strip()
-        if not raw:
-            return DEFAULT_NODE_CACHE
-        try:
-            cache_cap = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"${NODE_CACHE_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if isinstance(cache_cap, bool) or not isinstance(cache_cap, int):
-        raise ValueError(
-            f"cache cap must be an integer >= 0, got {cache_cap!r}"
-        )
-    if cache_cap < 0:
-        raise ValueError(
-            f"cache cap must be >= 0 (0 = unbounded), got {cache_cap}"
-        )
-    return cache_cap
 
 
 # --------------------------------------------------------------------------
@@ -592,7 +484,7 @@ class WorkloadCache:
     bounded memory on a months-long shared node.
     """
 
-    def __init__(self, cap: int = DEFAULT_NODE_CACHE) -> None:
+    def __init__(self, cap: int = KNOBS["node_cache"].default) -> None:
         if cap < 0:
             raise ValueError(f"cache cap must be >= 0, got {cap}")
         self.cap = cap
@@ -1013,7 +905,8 @@ def serve(
     if not 0 <= port <= 65535:
         raise ValueError(f"port must be in [0, 65535], got {port}")
     state = _NodeServer(
-        resolve_node_workers(node_workers), resolve_cache_cap(cache_cap)
+        resolve("node_workers", node_workers),
+        resolve("node_cache", cache_cap),
     )
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -1518,33 +1411,28 @@ class ClusterRunner(TrialRunner):
         heartbeat: float | None = None,
         node_workers: int | None = None,
     ) -> None:
-        if nodes is None:
-            raw = os.environ.get(NODES_ENV, "").strip()
-            nodes = raw or None
-        self._addresses = parse_nodes(nodes) if nodes is not None else None
+        self._addresses = resolve("cluster_nodes", nodes)
         if self._addresses is not None:
             # The named cluster's size wins, but the workers knob is
             # still *validated* — REPRO_WORKERS=0 must raise here as it
             # does on every other construction path.
-            resolve_workers(workers)
+            resolve("workers", workers)
             self.workers = len(self._addresses)
             self._spawn_count = 0
         else:
-            self._spawn_count = resolve_workers(
-                workers, default=DEFAULT_LOCAL_NODES
+            self._spawn_count = resolve(
+                "workers", workers, default=DEFAULT_LOCAL_NODES
             )
             self.workers = self._spawn_count
-        self.chunksize = resolve_chunksize(chunksize)
+        self.chunksize = resolve("chunksize", chunksize)
         if not isinstance(retries, int) or retries < 0:
             raise ValueError(f"retries must be an integer >= 0, got {retries}")
         self.retries = retries
         self.connect_timeout = float(connect_timeout)
-        self.pipeline_depth = resolve_pipeline_depth(pipeline_depth)
-        self.heartbeat = resolve_heartbeat(heartbeat)
+        self.pipeline_depth = resolve("pipeline_depth", pipeline_depth)
+        self.heartbeat = resolve("heartbeat", heartbeat)
         if node_workers is not None:
-            _resolve_positive(
-                node_workers, NODE_WORKERS_ENV, "node worker count", None
-            )
+            resolve("node_workers", node_workers)
         self.node_workers = node_workers
         self._nodes: list[_Node] | None = None
         # Self-managed node processes.  The list object is shared with

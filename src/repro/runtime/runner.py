@@ -55,6 +55,7 @@ from repro.runtime.workload import (
     install_workloads,
     resolve_workload,
 )
+from repro.settings import resolve
 
 __all__ = [
     "ProcessPoolRunner",
@@ -62,82 +63,12 @@ __all__ = [
     "TrialRunner",
     "batch_payloads",
     "pick_chunksize",
-    "resolve_chunksize",
     "resolve_miss_payload",
-    "resolve_workers",
     "split_chunks",
 ]
 
-#: Environment variable consulted when no worker count is given.
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable consulted when no chunk size is given.
-CHUNKSIZE_ENV = "REPRO_CHUNKSIZE"
-
 #: Target number of chunks handed to each worker (load-balance factor).
 _CHUNKS_PER_WORKER = 4
-
-
-def _resolve_positive(value, env_var: str, what: str, default):
-    """Shared argument/environment resolution with uniform validation.
-
-    Every knob that means "a positive count" resolves the same way:
-    explicit argument beats the environment variable beats ``default``
-    — and **both** the argument and the environment value are rejected
-    when they are not integers >= 1.  Centralising this closes the
-    paths where an env-supplied ``0`` used to slip through unvalidated
-    (e.g. a directly-constructed runner that never consulted the env).
-    """
-    if value is None:
-        raw = os.environ.get(env_var, "").strip()
-        if not raw:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"${env_var} must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise ValueError(
-                f"${env_var} must be >= 1, got {raw!r}"
-            )
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
-    return value
-
-
-def resolve_workers(workers: int | None = None, *, default: int = 1) -> int:
-    """Resolve a worker count: argument, else ``$REPRO_WORKERS``, else
-    ``default`` (1).
-
-    Arguments and environment values validate identically: anything
-    that is not an integer >= 1 raises :class:`ValueError` on every
-    construction path.
-
-    >>> resolve_workers(3)
-    3
-    """
-    return _resolve_positive(workers, WORKERS_ENV, "worker count", default)
-
-
-def resolve_chunksize(
-    chunksize: int | None = None, *, default: int | None = None
-) -> int | None:
-    """Resolve a chunk size: argument, else ``$REPRO_CHUNKSIZE``, else
-    ``default`` (None).
-
-    ``None`` means "let the runner balance the batch itself" (about
-    four chunks per worker).  Mirrors :func:`resolve_workers`, including
-    validation of the environment value.
-
-    >>> resolve_chunksize(16)
-    16
-    """
-    return _resolve_positive(chunksize, CHUNKSIZE_ENV, "chunksize", default)
 
 
 def pick_chunksize(
@@ -336,10 +267,9 @@ class ProcessPoolRunner(TrialRunner):
         A :mod:`multiprocessing` context, e.g. for forcing ``spawn``
         in tests; platform default when ``None``.
 
-    Both knobs resolve through the shared argument/env validators, so
-    an invalid environment value (``REPRO_CHUNKSIZE=0``, say) is
-    rejected here exactly as it is in ``make_runner`` — never silently
-    ignored.
+    Both knobs resolve through :func:`repro.settings.resolve`, so an
+    invalid environment value (``REPRO_CHUNKSIZE=0``, say) is rejected
+    here exactly as it is in ``make_runner`` — never silently ignored.
     """
 
     def __init__(
@@ -348,10 +278,10 @@ class ProcessPoolRunner(TrialRunner):
         chunksize: int | None = None,
         mp_context=None,
     ) -> None:
-        self.workers = resolve_workers(
-            workers, default=os.cpu_count() or 1
+        self.workers = resolve(
+            "workers", workers, default=os.cpu_count() or 1
         )
-        self.chunksize = resolve_chunksize(chunksize)
+        self.chunksize = resolve("chunksize", chunksize)
         self.mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         # The worker initializer's payload table.  The dict *instance*

@@ -32,19 +32,13 @@ queries in O(lookup) instead of recomputing them.  Three pieces:
 Everything runs on the standard library — no new runtime
 dependencies.  ``repro serve --port --backend --cache-dir`` is the CLI
 entry; :func:`repro.serve.testing.start_service` boots the same server
-in-process for tests and benchmarks.
+in-process for tests and benchmarks.  The cache directory, its caps and
+the code version are rows of :mod:`repro.settings` (``$REPRO_CACHE_DIR``,
+``$REPRO_CACHE_CAP``, ``$REPRO_CACHE_CAP_BYTES``,
+``$REPRO_CODE_VERSION``).
 """
 
-from repro.serve.cache import (
-    CACHE_CAP_BYTES_ENV,
-    CACHE_CAP_ENV,
-    CACHE_DIR_ENV,
-    ResultCache,
-    default_cache_dir,
-    resolve_cache_cap,
-    resolve_cache_cap_bytes,
-    resolve_cache_dir,
-)
+from repro.serve.cache import ResultCache
 from repro.serve.cached_runner import CachedRunner
 from repro.serve.digest import (
     code_version,
@@ -56,20 +50,13 @@ from repro.serve.http import ExperimentService
 from repro.serve.jobs import Job, JobManager
 
 __all__ = [
-    "CACHE_CAP_BYTES_ENV",
-    "CACHE_CAP_ENV",
-    "CACHE_DIR_ENV",
     "CachedRunner",
     "ExperimentService",
     "Job",
     "JobManager",
     "ResultCache",
     "code_version",
-    "default_cache_dir",
     "job_key",
     "point_digest",
-    "resolve_cache_cap",
-    "resolve_cache_cap_bytes",
-    "resolve_cache_dir",
     "sweep_digest",
 ]

@@ -18,8 +18,11 @@ The cap is an LRU over mtimes: reads touch their entry's mtime, and a
 store that pushes past either limit — ``cap`` entries, ``cap_bytes``
 total payload on disk — evicts the stalest entries until both hold.
 ``0`` means unbounded on either axis (mirroring the node-side workload
-cache).  All counters are thread-safe; the store itself is safe for
-concurrent readers with one writer (the service's job executor).
+cache).  The directory and both caps resolve through
+:mod:`repro.settings` (argument, else ``$REPRO_CACHE_DIR`` /
+``$REPRO_CACHE_CAP`` / ``$REPRO_CACHE_CAP_BYTES``, else the default).
+All counters are thread-safe; the store itself is safe for concurrent
+readers with one writer (the service's job executor).
 """
 
 from __future__ import annotations
@@ -31,103 +34,13 @@ import tempfile
 import threading
 from pathlib import Path
 
-__all__ = [
-    "CACHE_CAP_BYTES_ENV",
-    "CACHE_CAP_ENV",
-    "CACHE_DIR_ENV",
-    "ResultCache",
-    "default_cache_dir",
-    "resolve_cache_cap",
-    "resolve_cache_cap_bytes",
-    "resolve_cache_dir",
-]
+from repro.settings import resolve
 
-#: Cache directory when ``--cache-dir`` is not given.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Entry cap when ``--cache-cap`` is not given (0 = unbounded).
-CACHE_CAP_ENV = "REPRO_CACHE_CAP"
-
-#: Byte cap when ``--cache-cap-bytes`` is not given (0 = unbounded).
-CACHE_CAP_BYTES_ENV = "REPRO_CACHE_CAP_BYTES"
+__all__ = ["ResultCache"]
 
 _MAGIC = b"RPRC1"
 _CHECKSUM_SIZE = 16
 _SUFFIX = ".rpc"
-
-
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR``, else ``~/.cache/repro/results``."""
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if env:
-        return Path(env).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
-    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
-    return base / "repro" / "results"
-
-
-def resolve_cache_dir(directory=None) -> Path:
-    """Resolve and validate the cache directory (argument, else env,
-    else the per-user default).  An existing non-directory path is
-    rejected — silently shadowing a file would destroy it on the first
-    store."""
-    path = Path(directory).expanduser() if directory else default_cache_dir()
-    if path.exists() and not path.is_dir():
-        raise ValueError(
-            f"cache dir {str(path)!r} exists and is not a directory"
-        )
-    return path
-
-
-def resolve_cache_cap(cap=None, *, default: int = 0) -> int:
-    """Resolve the entry cap: argument, else ``$REPRO_CACHE_CAP``, else
-    ``default`` (0 = unbounded) — argument and environment validated
-    identically, like every runtime knob."""
-    if cap is None:
-        raw = os.environ.get(CACHE_CAP_ENV, "").strip()
-        if not raw:
-            return default
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"${CACHE_CAP_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if cap < 0:
-            raise ValueError(f"${CACHE_CAP_ENV} must be >= 0, got {raw!r}")
-        return cap
-    if isinstance(cap, bool) or not isinstance(cap, int):
-        raise ValueError(f"cache cap must be an integer, got {cap!r}")
-    if cap < 0:
-        raise ValueError(f"cache cap must be >= 0, got {cap}")
-    return cap
-
-
-def resolve_cache_cap_bytes(cap_bytes=None, *, default: int = 0) -> int:
-    """Resolve the byte cap: argument, else ``$REPRO_CACHE_CAP_BYTES``,
-    else ``default`` (0 = unbounded)."""
-    if cap_bytes is None:
-        raw = os.environ.get(CACHE_CAP_BYTES_ENV, "").strip()
-        if not raw:
-            return default
-        try:
-            cap_bytes = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"${CACHE_CAP_BYTES_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if cap_bytes < 0:
-            raise ValueError(
-                f"${CACHE_CAP_BYTES_ENV} must be >= 0, got {raw!r}"
-            )
-        return cap_bytes
-    if isinstance(cap_bytes, bool) or not isinstance(cap_bytes, int):
-        raise ValueError(
-            f"cache byte cap must be an integer, got {cap_bytes!r}"
-        )
-    if cap_bytes < 0:
-        raise ValueError(f"cache byte cap must be >= 0, got {cap_bytes}")
-    return cap_bytes
 
 
 class ResultCache:
@@ -139,9 +52,10 @@ class ResultCache:
         cap: int | None = None,
         cap_bytes: int | None = None,
     ) -> None:
-        self.directory = resolve_cache_dir(directory)
-        self.cap = resolve_cache_cap(cap)
-        self.cap_bytes = resolve_cache_cap_bytes(cap_bytes)
+        # An empty directory argument means "not given", as ever.
+        self.directory = resolve("cache_dir", directory or None)
+        self.cap = resolve("cache_cap", cap)
+        self.cap_bytes = resolve("cache_cap_bytes", cap_bytes)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._stats = {

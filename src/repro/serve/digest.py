@@ -27,24 +27,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from repro.runtime.trial import TrialSpec
+from repro.settings import resolve
 
 __all__ = [
-    "CODE_VERSION_ENV",
     "code_version",
     "job_key",
     "point_digest",
     "sweep_digest",
 ]
-
-#: Overrides the computed source-tree hash (e.g. a build system's
-#: artifact id); any non-empty string is accepted verbatim.
-CODE_VERSION_ENV = "REPRO_CODE_VERSION"
 
 _DIGEST_SIZE = 16  # bytes; 128-bit BLAKE2b, like workload ids
 
@@ -54,15 +49,17 @@ _code_version_cache: dict[str, str] = {}
 def code_version() -> str:
     """The version fragment of every cache key.
 
-    ``$REPRO_CODE_VERSION`` if set, else a BLAKE2b digest of all
+    ``$REPRO_CODE_VERSION`` if set (a build system's artifact id, say;
+    any non-empty string, stripped), else a BLAKE2b digest of all
     ``.py`` sources under the installed :mod:`repro` package (path +
     contents, sorted), computed once per process.  Editing any source
     file therefore invalidates every cached result — stale entries go
     unused, never wrong, exactly like workload content addressing.
     """
-    env = os.environ.get(CODE_VERSION_ENV, "").strip()
-    if env:
-        return env
+    return resolve("code_version", default=_source_version)
+
+
+def _source_version() -> str:
     cached = _code_version_cache.get("source")
     if cached is None:
         import repro

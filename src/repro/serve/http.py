@@ -40,10 +40,11 @@ import json
 import threading
 from urllib.parse import parse_qs, urlsplit
 
-from repro.runtime.backends import make_runner, resolve_backend
+from repro.runtime.backends import make_runner
 from repro.serve.cache import ResultCache
 from repro.serve.digest import code_version
 from repro.serve.jobs import FINISHED, JobManager, JobRequestError
+from repro.settings import resolve
 
 __all__ = ["ExperimentService"]
 
@@ -79,11 +80,11 @@ class _HttpError(Exception):
 class ExperimentService:
     """The long-lived service: cache + persistent runner + HTTP app.
 
-    Parameters mirror the ``repro serve`` CLI flags; ``backend`` /
-    ``workers`` / ``chunksize`` resolve exactly as ``repro run``'s do
-    (argument, else environment, validated), and the cache knobs
-    resolve through :func:`~repro.serve.cache.resolve_cache_dir` /
-    :func:`~repro.serve.cache.resolve_cache_cap`.
+    Parameters mirror the ``repro serve`` CLI flags; every knob —
+    ``backend``, ``workers``, ``chunksize`` and the cache's directory
+    and caps — resolves through :func:`repro.settings.resolve`
+    (argument, else environment, else default, validated), exactly as
+    ``repro run``'s do.
     """
 
     def __init__(
@@ -101,7 +102,7 @@ class ExperimentService:
     ) -> None:
         self.host = host
         self.port = port
-        self.backend = resolve_backend(backend)
+        self.backend = resolve("backend", backend)
         self.cache = ResultCache(cache_dir, cache_cap, cache_cap_bytes)
         self.runner = make_runner(workers, chunksize, backend=self.backend)
         self.manager = JobManager(self.runner, self.cache, job_ttl=job_ttl)

@@ -198,6 +198,77 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["worker", "serve", "--port", "nope"])
 
+    def test_cluster_flags_reach_the_runner_without_leaking(self, capsys):
+        # --pipeline-depth / --heartbeat travel through their variables
+        # for the command's duration only: a runner built inside sees
+        # them, and os.environ is exactly as before once main returns.
+        import os
+
+        from repro.experiments.cli import main
+        from repro.runtime import SerialRunner, register_backend
+        from repro.runtime.backends import unregister_backend
+        from repro.settings import resolve
+
+        seen = []
+
+        def factory(workers=None, chunksize=None):
+            seen.append((resolve("pipeline_depth"), resolve("heartbeat")))
+            return SerialRunner()
+
+        before = dict(os.environ)
+        register_backend("recording", factory)
+        try:
+            assert main(
+                [
+                    "run", "A1", "--scale", "tiny",
+                    "--backend", "recording",
+                    "--pipeline-depth", "3", "--heartbeat", "4",
+                ]
+            ) == 0
+        finally:
+            unregister_backend("recording")
+        assert seen == [(3, 4.0)]
+        assert dict(os.environ) == before
+        assert "[A1]" in capsys.readouterr().out
+
+    def test_info_reports_every_knob(self, capsys, tmp_path, monkeypatch):
+        from repro.experiments.cli import main
+        from repro.settings import KNOBS
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_CAP", "9")
+        assert main(["info"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for prefix in (
+            "backend: ", "cache dir: ", "cache entries: ",
+            "code version: ", "experiments: ",
+        ):
+            assert any(line.startswith(prefix) for line in lines), prefix
+        assert f"cache dir: {tmp_path}" in lines
+        rows = {
+            line.split()[0]: line.split()
+            for line in lines[lines.index("settings:") + 1:]
+        }
+        assert list(rows) == list(KNOBS)
+        for name, knob in KNOBS.items():
+            assert rows[name][1] == knob.env
+            assert rows[name][-1] in ("(environment)", "(default)")
+        assert rows["cache_cap"][2:] == ["9", "(environment)"]
+        assert rows["cache_dir"][2:] == [str(tmp_path), "(environment)"]
+
+    def test_info_rejects_an_invalid_knob(self, capsys, tmp_path, monkeypatch):
+        from repro.experiments.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        monkeypatch.setenv("REPRO_HEARTBEAT", "soon")
+        monkeypatch.setenv("REPRO_BACKEND", "warp")
+        assert main(["info"]) == 1
+        out = capsys.readouterr().out
+        for variable in ("REPRO_WORKERS", "REPRO_HEARTBEAT", "REPRO_BACKEND"):
+            assert f"invalid: ${variable}: " in out, variable
+        assert "pipeline_depth" in out  # valid rows still print
+
     def test_thresholds_command(self, capsys):
         from repro.experiments.cli import main
 

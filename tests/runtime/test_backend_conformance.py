@@ -27,10 +27,11 @@ from repro.runtime import (
     make_runner,
 )
 from repro.runtime import testing as kit
-from repro.runtime.cluster import NODES_ENV
 from repro.runtime.trial import TrialResult
 
 BACKENDS = sorted(set(available_backends()) - {"auto"})
+
+NODES_ENV = "REPRO_CLUSTER_NODES"
 
 
 def test_expected_backends_registered():

@@ -14,11 +14,9 @@ from repro.runtime import (
     available_backends,
     make_runner,
     register_backend,
-    resolve_backend,
-    resolve_chunksize,
-    resolve_workers,
 )
 from repro.runtime.backends import unregister_backend
+from repro.settings import resolve
 from repro.util.rng import uniform_for
 
 
@@ -228,62 +226,29 @@ class TestRunGrouped:
 
 
 class TestWorkerResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert resolve_workers(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers() == 5
-
+    # The resolver cases themselves (argument beats environment beats
+    # default, garbage rejected) live in tests/test_settings.py; these
+    # pin that every construction path goes through it.
     def test_default_is_serial(self, monkeypatch, pinned_backend):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers() == 1
         assert isinstance(make_runner(), SerialRunner)
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ValueError):
-            resolve_workers()
 
     def test_env_zero_rejected_everywhere(self, monkeypatch):
         # Regression for the uniform-validation contract: an
-        # env-supplied 0 must raise on EVERY construction path, not
-        # just through the resolvers — including a directly-built
-        # pool that previously never consulted the variable.
+        # env-supplied 0 must raise on EVERY construction path —
+        # including a directly-built pool that previously never
+        # consulted the variable.
         monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError):
-            resolve_workers()
         with pytest.raises(ValueError):
             make_runner()
         with pytest.raises(ValueError):
             ProcessPoolRunner()
 
-    def test_env_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "-2")
-        with pytest.raises(ValueError):
-            resolve_workers()
-
-    def test_env_float_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2.5")
-        with pytest.raises(ValueError):
-            resolve_workers()
-
     def test_argument_float_rejected(self):
         # The uniform contract covers arguments too: a float must
         # raise at the call site, not defer the crash to the pool.
         with pytest.raises(ValueError):
-            resolve_workers(2.5)
-        with pytest.raises(ValueError):
             ProcessPoolRunner(workers=2.5)
-        with pytest.raises(ValueError):
-            resolve_chunksize(3.0)
-        with pytest.raises(ValueError):
-            resolve_workers(True)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_workers(0)
 
     def test_make_runner_parallel(self, pinned_backend):
         runner = make_runner(3)
@@ -292,30 +257,6 @@ class TestWorkerResolution:
 
 
 class TestChunksizeResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "7")
-        assert resolve_chunksize(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "5")
-        assert resolve_chunksize() == 5
-
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNKSIZE", raising=False)
-        assert resolve_chunksize() is None
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "lots")
-        with pytest.raises(ValueError):
-            resolve_chunksize()
-
-    def test_nonpositive_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "0")
-        with pytest.raises(ValueError):
-            resolve_chunksize()
-        with pytest.raises(ValueError):
-            resolve_chunksize(-3)
-
     def test_env_zero_rejected_by_direct_construction(self, monkeypatch):
         # Regression: ProcessPoolRunner(chunksize=None) used to ignore
         # $REPRO_CHUNKSIZE entirely, silently accepting an invalid 0
@@ -376,17 +317,12 @@ class TestBackendRegistry:
 
     def test_unknown_backend_rejected_with_listing(self, pinned_backend):
         with pytest.raises(ValueError, match="serial"):
-            resolve_backend("warp-drive")
-        with pytest.raises(ValueError):
             make_runner(backend="warp-drive")
 
     def test_env_unknown_backend_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
         with pytest.raises(ValueError):
             make_runner()
-
-    def test_backend_name_normalised(self, pinned_backend):
-        assert resolve_backend(" Serial ") == "serial"
 
     def test_serial_backend_still_validates_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "0")
@@ -417,7 +353,7 @@ class TestBackendRegistry:
         finally:
             unregister_backend("custom-x")
         with pytest.raises(ValueError):
-            resolve_backend("custom-x")
+            resolve("backend", "custom-x")
 
     @pytest.mark.parametrize("name", ["", "Bad Name", "UPPER", "1two", None])
     def test_invalid_names_rejected(self, name):

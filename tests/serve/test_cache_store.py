@@ -1,25 +1,16 @@
 """Tests for the on-disk result store (repro.serve.cache).
 
 Round-trips, the corruption → recompute-and-repair contract, atomic
-writes, LRU eviction under a cap, and the resolve_* knob validators
-(argument and environment validated identically, like every runtime
-knob).
+writes and LRU eviction under a cap.  The cache's directory and caps
+are rows of the settings table; their resolver cases live in
+tests/test_settings.py.
 """
 
 import os
 
 import pytest
 
-from repro.serve.cache import (
-    CACHE_CAP_BYTES_ENV,
-    CACHE_CAP_ENV,
-    CACHE_DIR_ENV,
-    ResultCache,
-    default_cache_dir,
-    resolve_cache_cap,
-    resolve_cache_cap_bytes,
-    resolve_cache_dir,
-)
+from repro.serve.cache import ResultCache
 
 DIGEST = "ab" + "0" * 30
 OTHER = "cd" + "1" * 30
@@ -191,56 +182,23 @@ class TestByteCapEviction:
         assert stats["bytes"] == cache.total_bytes() > 0
 
 
-class TestResolvers:
-    def test_dir_argument_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
-        assert resolve_cache_dir(tmp_path / "arg") == tmp_path / "arg"
-
-    def test_dir_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
-        assert resolve_cache_dir() == tmp_path / "env"
-        assert default_cache_dir() == tmp_path / "env"
+class TestSettings:
+    def test_knobs_reach_the_store(self, tmp_path, monkeypatch):
+        # Resolver cases live in tests/test_settings.py; this pins that
+        # the store reads them, and that an empty directory argument
+        # still means "not given".
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        monkeypatch.setenv("REPRO_CACHE_CAP", "12")
+        monkeypatch.setenv("REPRO_CACHE_CAP_BYTES", "4096")
+        cache = ResultCache("")
+        assert cache.directory == tmp_path / "env"
+        assert (cache.cap, cache.cap_bytes) == (12, 4096)
+        cache = ResultCache(tmp_path / "arg", cap=7, cap_bytes=0)
+        assert cache.directory == tmp_path / "arg"
+        assert (cache.cap, cache.cap_bytes) == (7, 0)
 
     def test_existing_file_rejected(self, tmp_path):
         target = tmp_path / "occupied"
         target.write_text("not a directory")
         with pytest.raises(ValueError, match="not a directory"):
-            resolve_cache_dir(target)
-
-    def test_cap_argument_and_env(self, monkeypatch):
-        assert resolve_cache_cap(7) == 7
-        assert resolve_cache_cap(0) == 0
-        monkeypatch.setenv(CACHE_CAP_ENV, "12")
-        assert resolve_cache_cap() == 12
-        monkeypatch.delenv(CACHE_CAP_ENV)
-        assert resolve_cache_cap() == 0
-
-    @pytest.mark.parametrize("bad", [-1, 1.5, True, "3"])
-    def test_cap_argument_validation(self, bad):
-        with pytest.raises(ValueError):
-            resolve_cache_cap(bad)
-
-    @pytest.mark.parametrize("bad", ["x", "-2", "1.5"])
-    def test_cap_env_validation(self, monkeypatch, bad):
-        monkeypatch.setenv(CACHE_CAP_ENV, bad)
-        with pytest.raises(ValueError, match=CACHE_CAP_ENV):
-            resolve_cache_cap()
-
-    def test_cap_bytes_argument_and_env(self, monkeypatch):
-        assert resolve_cache_cap_bytes(1 << 20) == 1 << 20
-        assert resolve_cache_cap_bytes(0) == 0
-        monkeypatch.setenv(CACHE_CAP_BYTES_ENV, "4096")
-        assert resolve_cache_cap_bytes() == 4096
-        monkeypatch.delenv(CACHE_CAP_BYTES_ENV)
-        assert resolve_cache_cap_bytes() == 0
-
-    @pytest.mark.parametrize("bad", [-1, 1.5, True, "3"])
-    def test_cap_bytes_argument_validation(self, bad):
-        with pytest.raises(ValueError):
-            resolve_cache_cap_bytes(bad)
-
-    @pytest.mark.parametrize("bad", ["x", "-2", "1.5"])
-    def test_cap_bytes_env_validation(self, monkeypatch, bad):
-        monkeypatch.setenv(CACHE_CAP_BYTES_ENV, bad)
-        with pytest.raises(ValueError, match=CACHE_CAP_BYTES_ENV):
-            resolve_cache_cap_bytes()
+            ResultCache(target)
