@@ -30,7 +30,16 @@ from pathlib import Path
 
 from repro.core.complexity import complexity_specs
 from repro.experiments.defs.e14_site_faults import _site_factory
+from repro.experiments.defs.e16_correlated_faults import (
+    EPICENTER_RATE,
+    _OutageFactory,
+)
+from repro.experiments.defs.e17_adversarial_budget import (
+    P_BACKGROUND,
+    _AdversaryFactory,
+)
 from repro.experiments.spec import SCALES, pick
+from repro.graphs.clos import FatTree
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
@@ -48,6 +57,7 @@ def _scenarios(scale: str, seed: int):
     trials = pick(scale, tiny=20, small=40, medium=60)
     hypercube = Hypercube(n)
     mesh = Mesh(2, side)
+    fat_tree = FatTree(pick(scale, tiny=4, small=6, medium=8))
     supercritical = float(n) ** -0.3
     cases = [
         ("hypercube-subcritical", hypercube, float(n) ** -1.0,
@@ -68,6 +78,14 @@ def _scenarios(scale: str, seed: int):
         ("routing-bidirectional", hypercube, supercritical,
          BidirectionalBFSRouter(), None),
         ("routing-waypoint", mesh, 0.75, WaypointRouter(), None),
+        # Structured fault models on their own chunk draws: E16's
+        # clustered outages (vectorized coins, one multi-source BFS
+        # for every ball) and E17's adversary (one greedy cut per
+        # workload, ANDed into every row's edge coins).
+        ("correlated-outages", hypercube, 1.0, WaypointRouter(),
+         _OutageFactory(EPICENTER_RATE, 0.5)),
+        ("adversarial-cut", fat_tree, P_BACKGROUND, WaypointRouter(),
+         _AdversaryFactory(fat_tree.k // 2 - 1)),
     ]
     for label, graph, p, router, factory in cases:
         yield label, complexity_specs(
@@ -142,7 +160,8 @@ def record(scale: str = "small", seed: int = 0, out: Path | None = None):
             "clock. site-subcritical, once the seam's known loss "
             "(eager site draw vs the lazy per-trial model), now draws "
             "coins lazily per frontier block and stays at or above "
-            "parity"
+            "parity. correlated-outages and adversarial-cut run the "
+            "structured fault models on their own chunk draws"
         ),
         "results": entries,
     }

@@ -16,10 +16,10 @@ Spec emission: each ``(α, fault model)`` point emits **per-trial,
 workload-referenced** :class:`TrialSpec` units via ``complexity_specs``
 — one shared Workload per point (graph, router, factory), slim
 ``(trial, seed)`` tails — so single points fan out across workers and
-chunks execute through the vectorized kernel: the edge points ride the
-built-in ``TablePercolation`` mask kernel, and the site points opt in
-below by registering a site-mask kernel for ``_site_factory`` (pinned
-endpoints included), keeping tables byte-identical either way.
+chunks execute through the vectorized kernel: the edge points draw
+``TablePercolation`` masks, and the site points the lazy site draw
+``SitePercolation`` provides (pinned endpoints included), keeping
+tables byte-identical either way.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.experiments.registry import register
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.hypercube import Hypercube
-from repro.kernels import register_model_kernel, site_model_kernel
 from repro.percolation.site import SitePercolation
 from repro.routers.waypoint import WaypointRouter
 from repro.runtime import SerialRunner
@@ -49,19 +48,6 @@ def _site_factory(graph, p, seed):
     return SitePercolation(
         graph, p, seed=seed, pinned=graph.canonical_pair()
     )
-
-
-def _pinned_pair(graph):
-    """The vertices ``_site_factory`` exempts from failure."""
-    return graph.canonical_pair()
-
-
-# Opt the site points into the vectorized chunk kernel: the site-mask
-# kernel must pin exactly what the factory pins, or the kernel parity
-# gate (tests/kernels/) fails.  Registration runs wherever this module
-# imports — including workers that learn of the workload by unpickling
-# `_site_factory`, which triggers this import.
-register_model_kernel(_site_factory, site_model_kernel(_pinned_pair))
 
 
 def run(scale: str, seed: int, runner=None) -> ResultTable:

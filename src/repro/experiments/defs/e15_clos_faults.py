@@ -30,13 +30,12 @@ remote pods even when the pair stays connected.
 
 Spec emission: each ``(p, fault model)`` point emits **per-trial,
 workload-referenced** :class:`TrialSpec` units via ``complexity_specs``
-— one shared Workload per point, slim ``(trial, seed)`` tails.  The
-``iid`` arm rides the built-in ``TablePercolation`` chunk kernel and
-the ``node`` arm opts in below through :func:`node_model_kernel` (the
-kernel flips the same per-vertex ``"site"`` coins and kills incident
-edges, so records are identical); the ``correlated`` and
-``adversarial`` arms carry unregistered fault-model factories and take
-the per-trial fallback (``repro info E15`` reports the split).
+— one shared Workload per point, slim ``(trial, seed)`` tails.  Every
+arm runs on the chunk kernel through its model's own chunk draw: table
+masks for ``iid``, the lazy site coins viewed as edges for ``node``,
+vectorized outage balls for ``correlated`` and one greedy cut ANDed
+into every row's edge coins for ``adversarial`` (``repro info E15``
+reports the split).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.experiments.registry import register
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.clos import FatTree
-from repro.kernels import node_model_kernel, register_model_kernel
 from repro.percolation.faults import (
     AdversarialCutPercolation,
     CorrelatedFaultPercolation,
@@ -75,20 +73,6 @@ def _node_factory(graph, p, seed):
     return NodeFaultPercolation(
         graph, p, seed=seed, pinned=graph.canonical_pair()
     )
-
-
-def _pinned_pair(graph):
-    """The switches ``_node_factory`` exempts from failure."""
-    return graph.canonical_pair()
-
-
-# Opt the node arm into the vectorized chunk kernel: the kernel flips
-# the same per-vertex "site" coins NodeFaultPercolation flips (pinning
-# exactly what the factory pins) and opens an edge iff both endpoints
-# survive, so the kernel parity gate (tests/kernels/) holds record for
-# record.  Registration runs wherever this module imports — including
-# workers that learn of the workload by unpickling `_node_factory`.
-register_model_kernel(_node_factory, node_model_kernel(_pinned_pair))
 
 
 @dataclass(frozen=True)
@@ -122,7 +106,7 @@ class _AdversarialFactory:
 
 def _factories(k: int) -> dict:
     return {
-        "iid": None,  # default TablePercolation — the kernel path
+        "iid": None,  # the default TablePercolation
         "node": _node_factory,
         "correlated": _CorrelatedFactory(spread=CORRELATED_SPREAD),
         "adversarial": _AdversarialFactory(budget=k // 2 - 1),

@@ -14,16 +14,16 @@ the radius draws are coupled across the sweep (one uniform per
 epicenter, inverted), so raising ``spread`` grows the *same* outages
 into clusters rather than resampling them.  The ``mean_dead_frac``
 column reports the realised fault mass per point (recomputed from the
-per-trial seeds, bit-for-bit the models the trials used) so the table
-itself shows how much of the degradation is extra dead mass from the
-growing balls versus the clustering of that mass.
+seeds of the specs the point emitted, bit-for-bit the models the trials
+used) so the table itself shows how much of the degradation is extra
+dead mass from the growing balls versus the clustering of that mass.
 
 Spec emission: each ``spread`` point emits **per-trial,
 workload-referenced** :class:`TrialSpec` units via ``complexity_specs``
-— one shared Workload per point, slim ``(trial, seed)`` tails.  The
-factory is deliberately *not* registered with the kernel seam, so the
-point runs via the per-trial fallback and ``repro info E16`` audits it
-as such (the kernel-audit regression suite keys off this def).
+— one shared Workload per point, slim ``(trial, seed)`` tails.  Chunks
+run on the kernel through the model's own chunk draw: epicenter and
+radius coins as vectors, every outage ball grown by one bounded
+multi-source BFS (``repro info E16`` audits it as kernel).
 """
 
 from __future__ import annotations
@@ -71,19 +71,18 @@ class _OutageFactory:
         )
 
 
-def _mean_dead_frac(graph, factory, trials: int, seed: int) -> float:
+def _mean_dead_frac(graph, factory, specs) -> float:
     """Realised dead fraction, averaged over the point's trials.
 
-    Rebuilds each trial's model from the same derived seed the runner
-    used (``derive_seed(seed, "complexity", t)`` — the
-    ``complexity_specs`` derivation), so the number reported is the
-    fault mass the trials actually routed through.
+    Rebuilds each trial's model from the seed in its spec's ``(trial,
+    seed)`` tail, so the number reported is the fault mass the trials
+    actually routed through.
     """
     total = 0
-    for t in range(trials):
-        model = factory(graph, 1.0, derive_seed(seed, "complexity", t))
-        total += len(model.dead_nodes())
-    return total / (trials * graph.num_vertices())
+    for spec in specs:
+        _, seed = spec.args
+        total += len(factory(graph, 1.0, seed).dead_nodes())
+    return total / (len(specs) * graph.num_vertices())
 
 
 def run(scale: str, seed: int, runner=None) -> ResultTable:
@@ -125,6 +124,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         )
         for spread in spreads
     ]
+    specs = dict(groups)
     records = runner.run_grouped(groups)
 
     for spread in spreads:
@@ -139,10 +139,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
             epicenter_rate=EPICENTER_RATE,
             spread=spread,
             mean_dead_frac=_mean_dead_frac(
-                graph,
-                factories[spread],
-                trials,
-                derive_seed(seed, "e16", spread),
+                graph, factories[spread], specs[spread]
             ),
             connected_trials=m.connected_trials,
             median_frac_probed=frac,

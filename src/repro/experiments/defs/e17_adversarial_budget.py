@@ -19,10 +19,11 @@ the surviving uplink finishes the job.
 
 Spec emission: each ``(budget, placement)`` point emits **per-trial,
 workload-referenced** :class:`TrialSpec` units via ``complexity_specs``
-— one shared Workload per point, slim ``(trial, seed)`` tails.  The
-``random`` arm rides the built-in ``TablePercolation`` chunk kernel;
-the ``adversarial`` arm's factory is unregistered and takes the
-per-trial fallback.
+— one shared Workload per point, slim ``(trial, seed)`` tails.  Both
+arms run on the chunk kernel through their model's own chunk draw:
+``TablePercolation`` masks for ``random``, and for ``adversarial`` the
+greedy cut — computed once per point, since it depends only on the
+graph, the pair and the budget — ANDed into every row's edge coins.
 """
 
 from __future__ import annotations

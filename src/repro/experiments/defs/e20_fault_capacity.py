@@ -22,11 +22,9 @@ measure what the fabric still *carries*:
 Spec emission: each ``(p, fault model)`` point emits **per-trial,
 workload-referenced** :class:`TrialSpec` units via
 :func:`~repro.core.traffic.traffic_specs` — one frozen Workload per
-point, slim ``(trial, seed)`` tails.  The ``iid`` and ``node`` arms
-ride the chunk kernel (E15's
-:func:`~repro.kernels.complexity.node_model_kernel` registration
-covers the draw here too); ``correlated`` and ``adversarial`` carry
-unregistered factories and take the per-trial fallback.
+point, slim ``(trial, seed)`` tails.  All four arms run on the chunk
+kernel — each model draws its own chunk — and route every commodity
+of every trial through one batched engine pass.
 """
 
 from __future__ import annotations

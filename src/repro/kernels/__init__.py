@@ -24,8 +24,11 @@ Layout
     :func:`edge_index_for` keeps one per graph per process, shared
     with the per-trial draws.
 :mod:`~repro.kernels.percolation`
-    Batched seeded mask draws + mask-backed ``PercolationModel``\\ s
-    that answer exactly like the per-trial models they replace.
+    The chunk draws percolation models build through their
+    ``chunk_draw`` hook — table masks, lazy site coins, correlated
+    outages, keyed edge coins — and the mask-backed
+    ``PercolationModel`` rows that answer exactly like the per-trial
+    models they replace.
 :mod:`~repro.kernels.bfs`
     Chunk-wide reachability (the conditioning step) by batched
     frontier expansion.
@@ -36,23 +39,16 @@ Layout
     into.
 :mod:`~repro.kernels.complexity`
     The chunk compiler tying the above together for pair and demand
-    trials alike, plus the model-kernel registry percolation factories
-    opt into.
+    trials alike.  It builds each workload's model once and asks it for
+    a chunk draw, so any factory whose model has one vectorizes — no
+    registration.
 """
 
 from repro.kernels.bfs import batched_connected
-from repro.kernels.complexity import (
-    compile_trial_chunk,
-    node_model_kernel,
-    register_model_kernel,
-    site_model_kernel,
-    table_model_kernel,
-)
+from repro.kernels.complexity import compile_trial_chunk
 from repro.kernels.percolation import (
     LazySiteDraw,
     MaskEdgePercolation,
-    MaskSitePercolation,
-    site_up_masks,
     table_edge_masks,
 )
 from repro.kernels.routing import (
@@ -71,21 +67,15 @@ __all__ = [
     "EdgeIndex",
     "LazySiteDraw",
     "MaskEdgePercolation",
-    "MaskSitePercolation",
     "PairRoutingUnsupported",
     "batched_connected",
     "build_edge_index",
     "compile_trial_chunk",
     "edge_index_for",
-    "node_model_kernel",
-    "register_model_kernel",
     "register_router_kernel",
     "router_kernel_for",
     "routing_incidence",
-    "site_model_kernel",
-    "site_up_masks",
     "table_edge_masks",
-    "table_model_kernel",
 ]
 
 

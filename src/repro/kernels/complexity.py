@@ -11,9 +11,10 @@ pass, stage by stage:
 1. **topology** reads the graph's :class:`~repro.kernels.topology.
    EdgeIndex` (:func:`~repro.kernels.topology.edge_index_for`: compiled
    once per graph per process and shared with the per-trial draws);
-2. **draw** — the percolation factory's *model kernel* draws every
-   trial's mask as one matrix (or a lazily-demanded one), bit-identical
-   per row to the per-trial model;
+2. **draw** — the workload's model draws every trial at once through
+   its :meth:`~repro.percolation.models.PercolationModel.chunk_draw`
+   (a mask matrix, or a lazily-demanded one), bit-identical per row to
+   the per-trial model;
 3. **conditioning** (probe pairs under ``"exact"`` only) runs as
    chunk-wide batched BFS (:func:`~repro.kernels.bfs.batched_connected`,
    or the draw's own lazy variant — same verdicts, no per-trial Python
@@ -33,176 +34,38 @@ pass, stage by stage:
 
 The result is the same list of :class:`~repro.core.complexity.
 TrialRecord` objects ``spec.execute()`` would produce, field for field.
-Unsupported ingredients (a lazy :class:`~repro.percolation.models.
-HashPercolation` factory, an unenumerable graph, an unregistered
-factory) make the compiler return ``None`` and the runners fall back to
-the per-trial loop.  The compiled runner reports its per-stage verdicts
+Eligibility follows the model the workload's factory builds: the
+compiler builds it once (construction draws nothing) and asks it for a
+draw.  A model with none (the lazy :class:`~repro.percolation.models.
+HashPercolation`), a factory that raises, or an unenumerable graph
+make the compiler return ``None`` and the runners fall back to the
+per-trial loop.  The compiled runner reports its per-stage verdicts
 through ``stages()`` — what ``repro info``'s kernel audit prints.
-
-Model kernels are registered per factory *callable* with
-:func:`register_model_kernel`; :class:`~repro.percolation.models.
-TablePercolation` ships registered, site-percolation factories can opt
-in through :func:`site_model_kernel` (experiment E14 does), and
-node-fault factories — the same ``"site"`` coin stream viewed as
-incident-edge kill — through :func:`node_model_kernel` (E15's node arm
-does).
 """
 
 from __future__ import annotations
 
 import traceback
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro.graphs.base import Graph, Vertex
 from repro.kernels.bfs import batched_connected
-from repro.kernels.percolation import (
-    LazySiteDraw,
-    MaskEdgePercolation,
-    table_edge_masks,
-)
+# Kept importable under this module: perfbench's tracer binds the name.
+from repro.kernels.percolation import table_edge_masks  # noqa: F401
 from repro.kernels.routing import (
     PairRoutingUnsupported,
     _block_rows,
     router_kernel_for,
 )
 from repro.kernels.topology import EdgeIndex, edge_index_for
-from repro.percolation.models import TablePercolation
+from repro.percolation.models import PercolationModel
 from repro.runtime.trial import TrialExecutionError
 from repro.runtime.workload import Workload
 
-__all__ = [
-    "compile_trial_chunk",
-    "node_model_kernel",
-    "register_model_kernel",
-    "site_model_kernel",
-    "table_model_kernel",
-]
-
-#: Percolation factory callable -> model-kernel compiler.
-_MODEL_KERNELS: dict = {}
-
-
-def register_model_kernel(factory: Callable, compiler: Callable) -> None:
-    """Register the vectorized counterpart of a percolation factory.
-
-    ``factory`` is the exact callable workloads carry as
-    ``model_factory`` (a class like ``TablePercolation``, or a
-    module-level function).  ``compiler(graph, index, p)`` must return
-    an object with two methods — ``draw(seeds) ->`` chunk draw with
-    ``edge_masks()`` (a ``(trials, edges)`` open matrix for
-    conditioning) and ``model(i)`` (a
-    :class:`~repro.percolation.models.PercolationModel`
-    response-identical to ``factory(graph, p, seeds[i])``) — or ``None``
-    to decline this workload.  A draw may additionally expose
-    ``connected(source_code, target_code)`` (lazy conditioning) and
-    ``edge_masks_for(rows)`` (mask rows for the routed trials only);
-    the chunk runner prefers them when present.  Registration is per
-    process; do it at import time of the module defining the factory,
-    so worker processes registering by unpickling the workload see it
-    too.
-    """
-    _MODEL_KERNELS[factory] = compiler
-
-
-class _TableDraw:
-    def __init__(self, index: EdgeIndex, p: float, masks: np.ndarray):
-        self._index = index
-        self._p = p
-        self._masks = masks
-
-    def edge_masks(self) -> np.ndarray:
-        return self._masks
-
-    def model(self, i: int) -> MaskEdgePercolation:
-        return MaskEdgePercolation(self._index, self._p, self._masks[i])
-
-
-class _TableModelKernel:
-    def __init__(self, index: EdgeIndex, p: float):
-        self._index = index
-        self._p = p
-
-    def draw(self, seeds: Sequence[int]) -> _TableDraw:
-        masks = table_edge_masks(self._p, seeds, self._index.num_edges)
-        return _TableDraw(self._index, self._p, masks)
-
-
-def table_model_kernel(graph: Graph, index: EdgeIndex, p: float):
-    """Model kernel replaying ``TablePercolation`` row by row."""
-    return _TableModelKernel(index, p)
-
-
-class _SiteModelKernel:
-    def __init__(
-        self,
-        index: EdgeIndex,
-        p: float,
-        pinned_codes: tuple,
-        node_view: bool = False,
-    ):
-        self._index = index
-        self._p = p
-        self._pinned = pinned_codes
-        self._node_view = node_view
-
-    def draw(self, seeds: Sequence[int]) -> LazySiteDraw:
-        return LazySiteDraw(
-            self._index,
-            self._p,
-            seeds,
-            self._pinned,
-            node_view=self._node_view,
-        )
-
-
-def _site_compiler(pinned, node_view: bool):
-    def compiler(graph: Graph, index: EdgeIndex, p: float):
-        pinned_verts = () if pinned is None else tuple(pinned(graph))
-        codes = []
-        for v in pinned_verts:
-            code = index.code.get(v)
-            if code is None:
-                return None  # pinned vertex outside the graph
-            codes.append(code)
-        return _SiteModelKernel(index, p, tuple(codes), node_view=node_view)
-
-    return compiler
-
-
-def site_model_kernel(
-    pinned: Callable[[Graph], Sequence[Vertex]] | None = None,
-):
-    """Build a model-kernel compiler for a site-percolation factory.
-
-    ``pinned`` maps the graph to the vertices the factory exempts from
-    failure (``None`` = nothing pinned); it must produce the same set
-    the factory passes to :class:`~repro.percolation.site.
-    SitePercolation`, or the parity gate fails.
-    """
-    return _site_compiler(pinned, node_view=False)
-
-
-def node_model_kernel(
-    pinned: Callable[[Graph], Sequence[Vertex]] | None = None,
-):
-    """Build a model-kernel compiler for a node-fault factory.
-
-    :class:`~repro.percolation.faults.NodeFaultPercolation` flips the
-    *same* ``"site"`` BLAKE2b coin stream as ``SitePercolation`` — a
-    vertex survives iff pinned or its coin lands under ``p`` — and an
-    edge is open iff both endpoints survive.  That is exactly the site
-    up-mask viewed as incident-edge kill, so the kernel reuses the lazy
-    site draw and hands per-trial rows out as edge masks.  ``pinned``
-    must return the vertices the factory pins (E15 pins the probe
-    pair).
-    """
-    return _site_compiler(pinned, node_view=True)
-
-
-register_model_kernel(TablePercolation, table_model_kernel)
+__all__ = ["compile_trial_chunk"]
 
 
 @contextmanager
@@ -232,7 +95,7 @@ class _TrialChunk:
         self,
         graph: Graph,
         index: EdgeIndex,
-        model_kernel,
+        model: PercolationModel,
         router,
         router_kernel,
         budget: int | None,
@@ -244,7 +107,7 @@ class _TrialChunk:
         # its shared index refers back to it only weakly.
         self._graph = graph
         self._index = index
-        self._model_kernel = model_kernel
+        self._model = model
         self._router = router
         self._router_kernel = router_kernel
         self._budget = budget
@@ -279,7 +142,7 @@ class _TrialChunk:
 
         seeds = [seed for _, seed in tails]
         with _blame(keys[0] if keys else ("<chunk-kernel>",)):
-            draw = self._model_kernel.draw(seeds)
+            draw = self._model.chunk_draw(self._index, seeds)
             conn = None
             if self._conditioning == "exact":
                 source_code = self._index.code[self._pair[0]]
@@ -406,11 +269,11 @@ def compile_trial_chunk(workload: Workload):
 
     ``None`` — the per-trial fallback — whenever any ingredient lacks a
     vectorized counterpart; anything the fallback would *reject* (bad
-    ``p``, unknown conditioning) is also declined, so the error
-    surfaces through the unchanged per-trial code path.  A registered
-    model kernel with an unregistered *router* still compiles: draw and
-    conditioning vectorize, routing takes the per-trial loop (the
-    runner's ``stages()`` reports the split).
+    ``p``, unknown conditioning, a factory that raises) is also
+    declined, so the error surfaces through the unchanged per-trial
+    code path.  A model with a chunk draw and an unregistered *router*
+    still compiles: draw and conditioning vectorize, routing takes the
+    per-trial loop (the runner's ``stages()`` reports the split).
     """
     from repro.core.complexity import _default_factory, run_trial
     from repro.core.traffic import run_traffic_trial
@@ -441,20 +304,25 @@ def compile_trial_chunk(workload: Workload):
         return None
     factory = kwargs.get("model_factory") or _default_factory(graph)
     try:
-        compiler = _MODEL_KERNELS.get(factory)
-    except TypeError:
-        # Unhashable factory (e.g. an unfrozen dataclass instance) —
-        # it can't be registered, so it can't have a kernel: fall back.
-        compiler = None
-    if compiler is None:
+        # One model per workload: construction draws nothing, and its
+        # chunk draws never read its seed.
+        model = factory(graph, p, 0)
+    except Exception:
+        return None
+    # A model on the base hook has no draw: decline before compiling
+    # the graph (a complete graph's index would list every pair).
+    base = PercolationModel.chunk_draw
+    if getattr(type(model), "chunk_draw", base) is base:
         return None
     index = edge_index_for(graph)
     if index is None:
         return None
     if pair is not None and not all(v in index.code for v in pair):
         return None
-    model_kernel = compiler(graph, index, p)
-    if model_kernel is None:
+    try:
+        if model.chunk_draw(index, ()) is None:
+            return None
+    except Exception:
         return None
     # "router" conditioning routes with no budget (run_trial's rule);
     # the effective budget is fixed per workload, so the routing engine
@@ -463,7 +331,7 @@ def compile_trial_chunk(workload: Workload):
     return _TrialChunk(
         graph,
         index,
-        model_kernel,
+        model,
         router,
         router_kernel_for(router, index, budget),
         budget,

@@ -1,38 +1,41 @@
-"""Batched percolation draws and mask-backed models.
+"""Chunk draws: every trial of a chunk drawn at once, row by row.
 
 A chunk of trials shares one topology; what varies per trial is the
-seed.  The functions here draw the whole chunk's randomness as one
-``(trials, edges)`` (or ``(trials, vertices)``) boolean matrix — one
-row per trial, each row reproducing the corresponding per-trial model
-**bit for bit**:
+seed.  A *chunk draw* holds the whole chunk's randomness — one row per
+trial, each row reproducing the per-trial model seeded alike **bit for
+bit** — and each percolation model builds its own through
+:meth:`~repro.percolation.models.PercolationModel.chunk_draw` from the
+pieces here:
 
 * :func:`table_edge_masks` replays :class:`~repro.percolation.models.
   TablePercolation`'s recipe — one ``default_rng(derive_seed(seed,
   "table-percolation"))`` stream per row, thresholded at ``p`` — over
   edges in :class:`~repro.kernels.topology.EdgeIndex` order, which *is*
   ``graph.edges()`` order;
-* :func:`site_up_masks` replays :class:`~repro.percolation.site.
-  SitePercolation`'s per-vertex keyed BLAKE2b coins (pinned vertices
-  forced up), with the key bytes serialised once per chunk instead of
-  once per probe;
-* :class:`LazySiteDraw` draws the *same* coins on demand: the chunk's
-  connectivity BFS asks for exactly the coins its frontiers touch
-  (a dying subcritical cluster demands a handful per trial, not the
-  whole vertex set), and only the rows that go on to route pay for a
-  full row fill.  Values are bit-identical either way — every coin is
-  a pure function of ``(seed, vertex)`` — so laziness is invisible in
-  the records.
+* :func:`edge_coin_masks` flips the keyed-BLAKE2b ``"edge"`` coins the
+  structured fault models draw their background from, over
+  ``index.level_keys``, hashing only the edges still alive;
+* :class:`LazySiteDraw` flips per-vertex ``"site"`` coins on demand:
+  the chunk's connectivity BFS asks for exactly the coins its
+  frontiers touch (a dying subcritical cluster demands a handful per
+  trial, not the whole vertex set), and only the rows that go on to
+  route pay for a full row fill;
+* :class:`OutageDraw` draws correlated outages: epicenter and radius
+  coins as vectors, every ball grown by one bounded multi-source BFS.
 
-The mask-backed models wrap one row back into the
+Every coin goes through :func:`~repro.util.rng.uniforms_for`, so a
+coin is the same pure function of ``(seed, key)`` whichever row, stage
+or order demands it — laziness is invisible in the records.
+
+:class:`MaskEdgePercolation` wraps one row back into the
 :class:`~repro.percolation.models.PercolationModel` interface, so the
 routers (which only ever see ``is_open``/``open_neighbors`` answers)
-cannot distinguish them from the model they replace — the parity tests
-in ``tests/kernels/`` assert exactly that.
+cannot distinguish it from the model it replaces — the parity tests in
+``tests/kernels/`` and ``tests/percolation/`` assert exactly that.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 
 import numpy as np
@@ -41,17 +44,17 @@ from repro.graphs.base import Vertex
 from repro.kernels.bfs import block_rows
 from repro.kernels.topology import EdgeIndex
 from repro.percolation.models import PercolationModel
-from repro.util.rng import MAX_SEED, derive_seed
+from repro.percolation.site import SitePercolation
+from repro.util.rng import derive_seed, uniforms_for
 
 __all__ = [
     "LazySiteDraw",
+    "MaskDraw",
     "MaskEdgePercolation",
-    "MaskSitePercolation",
-    "site_up_masks",
+    "OutageDraw",
+    "edge_coin_masks",
     "table_edge_masks",
 ]
-
-_SCALE = float(2**64)
 
 
 def table_edge_masks(
@@ -59,10 +62,9 @@ def table_edge_masks(
 ) -> np.ndarray:
     """Draw every trial's edge mask; row ``i`` == trial ``seeds[i]``.
 
-    Row-for-row identical to ``TablePercolation(graph, p, seed).mask``:
-    same child-seed derivation, same generator, same threshold
-    comparison — only the per-trial edge enumeration and set/dict
-    builds are gone.
+    Row-for-row identical to ``TablePercolation(graph, p, seed)``'s open
+    set: same child-seed derivation, same generator, same threshold
+    comparison — only the per-trial set/dict builds are gone.
     """
     out = np.empty((len(seeds), num_edges), dtype=bool)
     for i, seed in enumerate(seeds):
@@ -71,45 +73,157 @@ def table_edge_masks(
     return out
 
 
-def site_up_masks(
-    p: float,
-    seeds: Sequence[int],
-    verts: Sequence[Vertex],
-    pinned_codes: Sequence[int] = (),
+def edge_coin_masks(
+    index: EdgeIndex, p: float, seeds: Sequence[int], alive: np.ndarray
 ) -> np.ndarray:
-    """Draw every trial's vertex-up mask; row ``i`` == trial ``seeds[i]``.
+    """Open edges: alive, and the ``"edge"`` coin under ``p``.
 
-    Entry ``[i, v]`` equals ``SitePercolation.is_up(verts[v])`` under
-    ``seeds[i]``: the keyed-BLAKE2b uniform ``uniform_for(seed, "site",
-    v) < p``, with pinned vertices forced up.  The ``repr`` key bytes
-    are serialised once for the whole chunk.
+    Entry ``[i, e]`` is ``alive[i, e] and uniform_for(seeds[i], "edge",
+    key_e) < p``; ``alive`` is one row per trial, or one row shared by
+    all.  Dead edges stay closed without being hashed.
     """
-    blobs = [repr(("site", v)).encode("utf-8") for v in verts]
-    out = np.empty((len(seeds), len(blobs)), dtype=bool)
-    blake2b = hashlib.blake2b
+    alive = np.broadcast_to(alive, (len(seeds), index.num_edges))
+    out = np.zeros(alive.shape, dtype=bool)
+    keys = index.level_keys
     for i, seed in enumerate(seeds):
-        if not 0 <= seed <= MAX_SEED:
-            raise ValueError(
-                f"seed must be a 64-bit unsigned int, got {seed!r}"
-            )
-        key = seed.to_bytes(8, "little")
-        row = out[i]
-        for j, blob in enumerate(blobs):
-            digest = blake2b(blob, digest_size=8, key=key).digest()
-            row[j] = int.from_bytes(digest, "little") / _SCALE < p
-    for code in pinned_codes:
-        out[:, code] = True
+        eids = np.flatnonzero(alive[i])
+        coins = uniforms_for(seed, [keys[e] for e in eids.tolist()])
+        out[i, eids] = coins < p
     return out
+
+
+class MaskDraw:
+    """A chunk draw served from one ``(trials, edges)`` open matrix."""
+
+    def __init__(self, index: EdgeIndex, p: float, masks: np.ndarray):
+        self.index = index
+        self.p = p
+        self._masks = masks
+
+    def edge_masks(self) -> np.ndarray:
+        return self._masks
+
+    def model(self, i: int) -> MaskEdgePercolation:
+        return MaskEdgePercolation(self.index, self.p, self.edge_masks()[i])
+
+
+def _geometric_radii(u: np.ndarray, spread: float) -> np.ndarray:
+    """Invert ``Pr[r >= j] = spread**j`` per uniform, float for float.
+
+    The thresholds are the per-trial loop's running products
+    ``spread, spread*spread, ...`` and they never increase, so ``r``
+    counts the thresholds ``u`` lies under.  Monotone in ``spread``
+    for a fixed uniform, so growing ``spread`` only ever grows a ball.
+    """
+    radius = np.zeros(u.size, dtype=np.int64)
+    threshold = spread
+    under = u < threshold
+    while under.any():
+        radius += under
+        threshold *= spread
+        under = u < threshold
+    return radius
+
+
+def _ball_union(
+    index: EdgeIndex,
+    trials: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    radius: np.ndarray,
+) -> np.ndarray:
+    """Per row, the union of the balls of radius ``radius[k]`` around
+    vertex ``cols[k]`` — as one bounded multi-source BFS.
+
+    Each vertex keeps the largest radius left over on reaching it
+    (``-1``: unreached); a sweep relaxes it along every edge of the
+    unpercolated graph, so after ``max(radius)`` sweeps — or the first
+    that changes nothing — it is ``>= 0`` exactly on the union of the
+    balls.
+    """
+    inc_nbr, _, inc_valid = index.incidence()
+    num_vertices, width = inc_nbr.shape
+    left = np.full((trials, num_vertices), -1, dtype=np.int32)
+    left[rows, cols] = radius
+    block = max(1, block_rows(num_vertices, width) // 4)
+    for lo in range(0, trials, block):
+        part = left[lo : lo + block]
+        for _ in range(int(part.max(initial=0))):
+            nearby = np.where(inc_valid, part[:, inc_nbr], -1).max(axis=2)
+            grown = nearby - 1 > part
+            if not grown.any():
+                break
+            part[grown] = nearby[grown] - 1
+    return left >= 0
+
+
+def _split_by_row(rows: np.ndarray, cols: np.ndarray, trials: int) -> list:
+    """``cols`` grouped by ``rows`` (ascending), one list per row."""
+    bounds = np.searchsorted(rows, np.arange(1, trials))
+    return [part.tolist() for part in np.split(cols, bounds)]
+
+
+class OutageDraw(MaskDraw):
+    """Correlated outages for a chunk, one row per seed.
+
+    Row ``i`` replays :class:`~repro.percolation.faults.
+    CorrelatedFaultPercolation` under ``seeds[i]``: ``epicenters`` and
+    ``dead`` are its ``(trials, vertices)`` epicenter and outage
+    matrices, drawn at construction; the background edge coins are
+    flipped on the first :meth:`edge_masks`, for surviving edges only.
+    """
+
+    def __init__(
+        self,
+        index: EdgeIndex,
+        p: float,
+        seeds: Sequence[int],
+        epicenter_rate: float,
+        spread: float,
+        pinned_codes: Sequence[int] = (),
+    ) -> None:
+        super().__init__(index, p, None)
+        self._seeds = list(seeds)
+        trials = len(self._seeds)
+        keys = index.vertex_keys("epicenter")
+        self.epicenters = np.empty((trials, index.num_vertices), dtype=bool)
+        for i, seed in enumerate(self._seeds):
+            self.epicenters[i] = uniforms_for(seed, keys) < epicenter_rate
+        rows, cols = np.nonzero(self.epicenters)
+        radius = np.zeros(rows.size, dtype=np.int64)
+        if spread > 0.0 and rows.size:
+            # Only epicenters draw a radius coin, as in the per-trial
+            # model.
+            keys = index.vertex_keys("radius")
+            u = np.concatenate(
+                [
+                    uniforms_for(seed, [keys[c] for c in mine])
+                    for seed, mine in zip(
+                        self._seeds, _split_by_row(rows, cols, trials)
+                    )
+                ]
+            )
+            radius = _geometric_radii(u, spread)
+        self.dead = _ball_union(index, trials, rows, cols, radius)
+        self.dead[:, list(pinned_codes)] = False
+
+    def edge_masks(self) -> np.ndarray:
+        if self._masks is None:
+            up = ~self.dead
+            alive = up[:, self.index.edge_u] & up[:, self.index.edge_v]
+            self._masks = edge_coin_masks(
+                self.index, self.p, self._seeds, alive
+            )
+        return self._masks
 
 
 class LazySiteDraw:
     """One chunk's site coins, drawn in frontier-demanded blocks.
 
-    The eager matrix (:func:`site_up_masks`) hashes every ``(trial,
-    vertex)`` coin up front — a loss when per-trial models would only
-    have touched a dying cluster's fringe.  This draw keeps an
-    undrawn/drawn ledger per coin and materialises exactly what each
-    stage demands:
+    Hashing every ``(trial, vertex)`` coin up front is a loss when the
+    per-trial models would only have touched a dying cluster's fringe.
+    This draw keeps an undrawn/drawn ledger per coin and materialises
+    exactly what each stage demands:
 
     * :meth:`connected` runs the chunk-wide layered BFS, drawing the
       coins of each sweep's candidate vertices just before expanding
@@ -119,10 +233,11 @@ class LazySiteDraw:
     * :meth:`edge_masks_for` / :meth:`model` fill whole rows, but only
       for the trials that actually go on to route.
 
-    ``node_view=True`` serves :class:`~repro.percolation.faults.
-    NodeFaultPercolation` — the *same* ``"site"`` coin stream viewed as
-    incident-edge kill — by handing per-trial rows out as
-    :class:`MaskEdgePercolation` over ``up[u] & up[v]``.
+    Edges are open iff both endpoints are up.  :meth:`model` serves
+    row ``i`` as the :class:`~repro.percolation.site.SitePercolation`
+    it replays (down to ``is_open`` on non-adjacent pairs), or with
+    ``node_view=True`` as a :class:`MaskEdgePercolation` — the view
+    :class:`~repro.percolation.faults.NodeFaultPercolation` draws.
     """
 
     def __init__(
@@ -136,6 +251,7 @@ class LazySiteDraw:
         self._index = index
         self._p = p
         self._seeds = list(seeds)
+        self._pinned = [index.verts[c] for c in pinned_codes]
         self._node_view = node_view
         trials = len(self._seeds)
         num_vertices = index.num_vertices
@@ -145,43 +261,16 @@ class LazySiteDraw:
             cols = list(pinned_codes)
             self._up[:, cols] = True
             self._drawn[:, cols] = True
-        # Key-blob cache, one slot per vertex, serialised on first
-        # demand: a dying subcritical chunk touches a handful of
-        # vertices, so eagerly ``repr``-ing the whole vertex set would
-        # dominate its runtime.
-        self._blobs: list[bytes | None] = [None] * num_vertices
-        self._keys: list[bytes | None] = [None] * trials
-
-    def _key(self, i: int) -> bytes:
-        key = self._keys[i]
-        if key is None:
-            seed = self._seeds[i]
-            if not 0 <= seed <= MAX_SEED:
-                raise ValueError(
-                    f"seed must be a 64-bit unsigned int, got {seed!r}"
-                )
-            key = self._keys[i] = seed.to_bytes(8, "little")
-        return key
 
     def _draw_pairs(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        blobs = self._blobs
-        verts = self._index.verts
-        keys = self._keys
-        blake2b = hashlib.blake2b
-        digests = []
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            blob = blobs[j]
-            if blob is None:
-                blob = blobs[j] = repr(("site", verts[j])).encode("utf-8")
-            key = keys[i]
-            if key is None:
-                key = self._key(i)
-            digests.append(blake2b(blob, digest_size=8, key=key).digest())
-        # uint64 -> float64 rounds to nearest and the /2**64 scaling is
-        # exact, so this equals the per-probe ``int.from_bytes(...) /
-        # 2**64`` bit for bit.
-        vals = np.frombuffer(b"".join(digests), dtype="<u8")
-        self._up[rows, cols] = vals / _SCALE < self._p
+        """Flip the coins at ``(rows[k], cols[k])``; ``rows`` ascending."""
+        keys = self._index.vertex_keys("site")
+        for i, mine in enumerate(
+            _split_by_row(rows, cols, len(self._seeds))
+        ):
+            if mine:
+                coins = uniforms_for(self._seeds[i], [keys[j] for j in mine])
+                self._up[i, mine] = coins < self._p
         self._drawn[rows, cols] = True
 
     def _fill_rows(self, rows: Sequence[int]) -> None:
@@ -277,20 +366,19 @@ class LazySiteDraw:
         return up[:, self._index.edge_u] & up[:, self._index.edge_v]
 
     def model(self, i: int) -> PercolationModel:
-        self._fill_rows([i])
         if self._node_view:
-            row = self._up[i]
-            mask = row[self._index.edge_u] & row[self._index.edge_v]
+            mask = self.edge_masks_for([i])[0]
             return MaskEdgePercolation(self._index, self._p, mask)
-        return MaskSitePercolation(self._index, self._p, self._up[i])
+        graph, seed = self._index.graph, self._seeds[i]
+        return SitePercolation(graph, self._p, seed, self._pinned)
 
 
 class MaskEdgePercolation(PercolationModel):
     """One trial's row of a batched edge draw, as a model.
 
-    Answers exactly like the ``TablePercolation`` it replaces: an edge
-    of the graph is open iff its mask bit is set; a non-edge pair is
-    closed (``TablePercolation`` answers via set membership of the
+    Answers exactly like the per-trial model it replaces: an edge of
+    the graph is open iff its mask bit is set; a non-edge pair is
+    closed (the per-trial models answer via membership of the
     canonical key, which a non-edge never has).
     """
 
@@ -326,30 +414,7 @@ class MaskEdgePercolation(PercolationModel):
         """Return the number of open edges."""
         return int(self._mask.sum())
 
-
-class MaskSitePercolation(PercolationModel):
-    """One trial's row of a batched site draw, as a model.
-
-    Mirrors :class:`~repro.percolation.site.SitePercolation` exactly —
-    including ``is_open`` on non-adjacent pairs (both endpoints up),
-    which the edge-mask view could not represent.
-    """
-
-    def __init__(
-        self, index: EdgeIndex, p: float, up: np.ndarray
-    ) -> None:
-        super().__init__(index.graph, p)
-        self._index = index
-        self._up = up
-
-    def is_up(self, v: Vertex) -> bool:
-        """Return whether vertex ``v`` survived."""
-        return bool(self._up[self._index.code[v]])
-
-    def is_open(self, u: Vertex, v: Vertex) -> bool:
-        return self.is_up(u) and self.is_up(v)
-
-    def open_neighbors(self, v: Vertex) -> list[Vertex]:
-        if not self.is_up(v):
-            return []
-        return [w for w in self.graph.neighbors(v) if self.is_up(w)]
+    def open_edges(self) -> set:
+        """Return the set of open edge keys."""
+        keys = self._index.edge_keys
+        return {keys[e] for e in np.flatnonzero(self._mask).tolist()}

@@ -29,10 +29,9 @@ The contract (enforced by ``tests/kernels/test_routing.py``):
   attach (``BUDGET`` / ``EXHAUSTED`` / ``GAVE_UP`` by
   ``router.is_complete``).
 
-Extension seam: :func:`register_router_kernel` mirrors
-:func:`~repro.kernels.complexity.register_model_kernel` — register a
-compiler per *exact* router type; unregistered routers (and declined
-compiles) keep the per-trial routing loop inside the chunk kernel.
+Extension seam: :func:`register_router_kernel` registers a compiler
+per *exact* router type; unregistered routers (and declined compiles)
+keep the per-trial routing loop inside the chunk kernel.
 
 An engine is compiled per workload, never per pair: its one entry
 point :meth:`~_EngineBase.route_pairs` routes row ``i`` from

@@ -78,6 +78,7 @@ class EdgeIndex:
         self._code: dict | None = None
         self._edge_keys: list | None = None
         self._level_keys: list | None = None
+        self._vertex_keys: dict[str, list[bytes]] = {}
         self._eid: dict | None = None
         self._incidence: tuple | None = None
 
@@ -146,6 +147,19 @@ class EdgeIndex:
                 repr(("edge", key)).encode("utf-8") for key in self.edge_keys
             ]
         return self._level_keys
+
+    def vertex_keys(self, tag: str) -> list[bytes]:
+        """Per vertex, the bytes ``uniform_for(seed, tag, v)`` hashes.
+
+        The vertex analogue of :attr:`level_keys`, serialised once per
+        graph and tag (``"site"``, ``"epicenter"``, ``"radius"``).
+        """
+        keys = self._vertex_keys.get(tag)
+        if keys is None:
+            keys = self._vertex_keys[tag] = [
+                repr((tag, v)).encode("utf-8") for v in self.verts
+            ]
+        return keys
 
     @property
     def eid(self) -> dict:

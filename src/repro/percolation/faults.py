@@ -29,19 +29,31 @@ decision is a pure function of ``(seed, structured key)`` through the
 keyed BLAKE2b streams of :mod:`repro.util.rng`, so a trial replays
 bit-for-bit in any process and the background edge coins stay
 monotone-coupled in ``p`` (the same ``"edge"`` stream as
-:class:`~repro.percolation.models.HashPercolation`).  Models
-materialise at construction, which requires an enumerable graph — the
-regime every structured-fault experiment runs in.
+:class:`~repro.percolation.models.HashPercolation`).
+
+Each model has one draw implementation, its
+:meth:`~repro.percolation.models.PercolationModel.chunk_draw`: the
+chunk kernel draws a whole chunk of trials through it, and a model
+built per trial is row 0 of its own one-seed draw.  Construction only
+checks parameters; the row is drawn on the first query, over the
+graph's :class:`~repro.kernels.topology.EdgeIndex` — so the graph must
+be enumerable, the regime every structured-fault experiment runs in.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.graphs.base import Edge, Graph, Vertex
 from repro.percolation.models import PercolationModel
-from repro.util.rng import uniform_for
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernels.topology import EdgeIndex
 
 __all__ = [
     "AdversarialCutPercolation",
@@ -50,41 +62,69 @@ __all__ = [
 ]
 
 
-class _MaterializedFaults(PercolationModel):
-    """Shared open-edge/adjacency index for the materialised models."""
+class _DrawnRow(PercolationModel):
+    """A per-trial model that is row 0 of its own one-seed chunk draw.
 
-    def _build_index(self, open_edges: Iterable[Edge]) -> None:
-        self._open: set = set(open_edges)
-        self._adjacency: dict[Vertex, list[Vertex]] = {}
-        for u, v in self._open:
-            self._adjacency.setdefault(u, []).append(v)
-            self._adjacency.setdefault(v, []).append(u)
+    Construction only checks parameters; the first query draws the
+    row through :meth:`chunk_draw` — the one draw implementation the
+    chunk kernel runs too — and serves it as a
+    :class:`~repro.kernels.percolation.MaskEdgePercolation` row.
+    """
+
+    def __init__(self, graph: Graph, p: float, seed: int) -> None:
+        super().__init__(graph, p)
+        self.seed = seed
+
+    @cached_property
+    def _index(self) -> EdgeIndex:
+        from repro.kernels.topology import edge_index_for
+
+        index = edge_index_for(self.graph)
+        if index is None:
+            raise ValueError(
+                f"{type(self).__name__} needs an enumerable graph, "
+                f"got {self.graph.name}"
+            )
+        return index
+
+    @cached_property
+    def _draw(self):
+        return self.chunk_draw(self._index, [self.seed])
+
+    @cached_property
+    def _row(self) -> PercolationModel:
+        return self._draw.model(0)
+
+    def _vertex_set(self, row: np.ndarray) -> frozenset:
+        verts = self._index.verts
+        return frozenset(verts[c] for c in np.flatnonzero(row).tolist())
 
     def is_open(self, u: Vertex, v: Vertex) -> bool:
-        return self.graph.edge_key(u, v) in self._open
+        return self._row.is_open(u, v)
 
     def open_neighbors(self, v: Vertex) -> list[Vertex]:
-        return self._adjacency.get(v, [])
+        return self._row.open_neighbors(v)
 
     def num_open_edges(self) -> int:
         """Return the number of open edges."""
-        return len(self._open)
+        return self._row.num_open_edges()
 
     def open_edges(self) -> set:
-        """Return the set of open edge keys (do not mutate)."""
-        return self._open
+        """Return the set of open edge keys."""
+        return self._row.open_edges()
 
 
-class NodeFaultPercolation(_MaterializedFaults):
+class NodeFaultPercolation(_DrawnRow):
     """Router failures: a failed node kills all incident edges.
 
     Each vertex survives independently with probability ``p`` (pinned
     vertices always survive); an edge is open iff **both** endpoints
     survived.  The per-vertex coin is the same ``"site"`` stream
     :class:`~repro.percolation.site.SitePercolation` flips, so the two
-    models agree sample for sample — this class adds the materialised
-    failure view (failed set, killed edge set, open-adjacency index)
-    that node-fault experiments and the property suite need.
+    models agree sample for sample — this class adds the failure view
+    (failed set, killed edge set) that node-fault experiments and the
+    property suite need.  Its chunk draw is the site model's
+    :class:`~repro.kernels.percolation.LazySiteDraw`, viewed as edges.
 
     >>> from repro.graphs.clos import FatTree
     >>> model = NodeFaultPercolation(FatTree(4), p=1.0, seed=0)
@@ -101,20 +141,20 @@ class NodeFaultPercolation(_MaterializedFaults):
         seed: int,
         pinned: Iterable[Vertex] = (),
     ) -> None:
-        super().__init__(graph, p)
-        self.seed = seed
+        super().__init__(graph, p, seed)
         self._pinned = frozenset(pinned)
         for v in self._pinned:
             graph._require_vertex(v)
-        self._failed = frozenset(
-            v
-            for v in graph.vertices()
-            if v not in self._pinned
-            and not uniform_for(seed, "site", v) < p
-        )
-        self._build_index(
-            e for e in graph.edges() if not self._failed.intersection(e)
-        )
+
+    def chunk_draw(self, index: EdgeIndex, seeds: Sequence[int]):
+        from repro.kernels.percolation import LazySiteDraw
+
+        pinned = [index.code[v] for v in self._pinned]
+        return LazySiteDraw(index, self.p, seeds, pinned, node_view=True)
+
+    @cached_property
+    def _failed(self) -> frozenset:
+        return self._vertex_set(~self._draw.up_masks()[0])
 
     def is_up(self, v: Vertex) -> bool:
         """Return whether vertex ``v`` survived."""
@@ -126,14 +166,10 @@ class NodeFaultPercolation(_MaterializedFaults):
 
     def killed_edges(self) -> set:
         """Return exactly the edges incident to a failed node."""
-        return {
-            self.graph.edge_key(v, w)
-            for v in self._failed
-            for w in self.graph.neighbors(v)
-        }
+        return set(self._index.edge_keys) - self.open_edges()
 
 
-class CorrelatedFaultPercolation(_MaterializedFaults):
+class CorrelatedFaultPercolation(_DrawnRow):
     """Clustered failures: epicenters kill graph-metric balls.
 
     Every vertex is an outage *epicenter* independently with
@@ -147,7 +183,8 @@ class CorrelatedFaultPercolation(_MaterializedFaults):
     ``spread=0`` makes every ball a single vertex: i.i.d. node faults
     at rate ``epicenter_rate``.  Raising ``spread`` grows the *same*
     epicenters into clusters (coupled radii), so sweeps isolate the
-    effect of correlation from the effect of epicenter density.
+    effect of correlation from the effect of epicenter density.  Its
+    chunk draw is an :class:`~repro.kernels.percolation.OutageDraw`.
 
     >>> from repro.graphs.hypercube import Hypercube
     >>> m = CorrelatedFaultPercolation(
@@ -166,7 +203,7 @@ class CorrelatedFaultPercolation(_MaterializedFaults):
         spread: float,
         pinned: Iterable[Vertex] = (),
     ) -> None:
-        super().__init__(graph, p)
+        super().__init__(graph, p, seed)
         if not 0.0 <= epicenter_rate <= 1.0:
             raise ValueError(
                 f"epicenter_rate must be in [0,1], got {epicenter_rate!r}"
@@ -176,54 +213,27 @@ class CorrelatedFaultPercolation(_MaterializedFaults):
                 f"spread must be in [0,1) (1 would grow unbounded "
                 f"clusters), got {spread!r}"
             )
-        self.seed = seed
         self.epicenter_rate = epicenter_rate
         self.spread = spread
         self._pinned = frozenset(pinned)
         for v in self._pinned:
             graph._require_vertex(v)
-        self._epicenters = frozenset(
-            v
-            for v in graph.vertices()
-            if uniform_for(seed, "epicenter", v) < epicenter_rate
-        )
-        dead: set[Vertex] = set()
-        for e in self._epicenters:
-            dead.update(self._ball(e, self._radius(e)))
-        self._dead = frozenset(dead - self._pinned)
-        self._build_index(
-            e
-            for e in graph.edges()
-            if not self._dead.intersection(e)
-            and uniform_for(seed, "edge", e) < p
+
+    def chunk_draw(self, index: EdgeIndex, seeds: Sequence[int]):
+        from repro.kernels.percolation import OutageDraw
+
+        return OutageDraw(
+            index,
+            self.p,
+            seeds,
+            self.epicenter_rate,
+            self.spread,
+            [index.code[v] for v in self._pinned],
         )
 
-    def _radius(self, epicenter: Vertex) -> int:
-        # Geometric by inversion on one uniform: Pr[r >= j] = spread^j.
-        # Monotone in `spread` for a fixed draw, so growing `spread`
-        # only ever grows the ball.
-        if self.spread == 0.0:
-            return 0
-        u = uniform_for(self.seed, "radius", epicenter)
-        radius = 0
-        threshold = self.spread
-        while u < threshold:
-            radius += 1
-            threshold *= self.spread
-        return radius
-
-    def _ball(self, center: Vertex, radius: int) -> set[Vertex]:
-        seen = {center}
-        frontier = deque([(center, 0)])
-        while frontier:
-            x, d = frontier.popleft()
-            if d >= radius:
-                continue
-            for y in self.graph.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append((y, d + 1))
-        return seen
+    @cached_property
+    def _dead(self) -> frozenset:
+        return self._vertex_set(self._draw.dead[0])
 
     def is_up(self, v: Vertex) -> bool:
         """Return whether vertex ``v`` survived every outage ball."""
@@ -231,14 +241,14 @@ class CorrelatedFaultPercolation(_MaterializedFaults):
 
     def epicenters(self) -> frozenset:
         """Return the outage epicenters (dead unless pinned)."""
-        return self._epicenters
+        return self._vertex_set(self._draw.epicenters[0])
 
     def dead_nodes(self) -> frozenset:
         """Return the union of all outage balls (minus pinned)."""
         return self._dead
 
 
-class AdversarialCutPercolation(_MaterializedFaults):
+class AdversarialCutPercolation(_DrawnRow):
     """Budget-``k`` adversarial edge removal targeting a probe pair.
 
     The adversary knows the topology and the ``(source, target)``
@@ -274,23 +284,27 @@ class AdversarialCutPercolation(_MaterializedFaults):
         budget: int,
         pair: tuple[Vertex, Vertex] | None = None,
     ) -> None:
-        super().__init__(graph, p)
+        super().__init__(graph, p, seed)
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget!r}")
-        self.seed = seed
         self.budget = budget
         self.pair = pair if pair is not None else graph.canonical_pair()
         for v in self.pair:
             graph._require_vertex(v)
-        self._removed: tuple[Edge, ...] = self._greedy_cut()
-        removed = set(self._removed)
-        self._build_index(
-            e
-            for e in graph.edges()
-            if e not in removed and uniform_for(seed, "edge", e) < p
-        )
 
-    def _greedy_cut(self) -> tuple[Edge, ...]:
+    def chunk_draw(self, index: EdgeIndex, seeds: Sequence[int]):
+        # The cut depends only on the graph, the pair and the budget:
+        # one per model, ANDed into every row's edge coins.
+        from repro.kernels.percolation import MaskDraw, edge_coin_masks
+
+        alive = np.ones(index.num_edges, dtype=bool)
+        alive[[index.eid[e] for e in self._removed]] = False
+        masks = edge_coin_masks(index, self.p, seeds, alive)
+        return MaskDraw(index, self.p, masks)
+
+    @cached_property
+    def _removed(self) -> tuple[Edge, ...]:
+        # The greedy cut, on first use; no coin is involved.
         removed: set[Edge] = set()
         sequence: list[Edge] = []
         for _ in range(self.budget):

@@ -9,9 +9,9 @@ the paper's needs:
   implicit hypercube; and the coupling is monotone in ``p`` (raising the
   retention probability only opens edges).
 * :class:`TablePercolation` — *materialised*: samples every edge of an
-  (enumerable) graph up front with numpy and keeps an open-adjacency
-  index.  Used when ground-truth connectivity must be computed for many
-  vertices, where per-edge hashing would dominate.
+  (enumerable) graph with numpy on the first query and keeps an
+  open-adjacency index.  Used when ground-truth connectivity must be
+  computed for many vertices, where per-edge hashing would dominate.
 * :class:`GnpPercolation` — the Erdős–Rényi graph ``G(n, p)`` sampled
   *sparsely*: only the open pairs are drawn, so cost is proportional to
   the number of open edges rather than to ``n²``.  This is the substrate
@@ -19,19 +19,28 @@ the paper's needs:
 
 All models answer :meth:`~PercolationModel.is_open` for any vertex pair
 of the graph; states are functions of the *canonical* edge key, so both
-orientations agree.
+orientations agree.  A model with a batched counterpart returns it from
+:meth:`~PercolationModel.chunk_draw` — the one hook the chunk kernel
+reads (``TablePercolation`` has one; the lazy and sparse models do
+not).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
+from functools import cached_property
 from itertools import compress
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.graphs.base import Graph, Vertex
 from repro.graphs.complete import CompleteGraph
 from repro.util.rng import derive_seed, edge_coin
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernels.topology import EdgeIndex
 
 __all__ = [
     "GnpPercolation",
@@ -70,6 +79,29 @@ class PercolationModel(ABC):
         """Return whether every consecutive edge of ``path`` is open."""
         return all(self.is_open(a, b) for a, b in zip(path, path[1:]))
 
+    def chunk_draw(self, index: EdgeIndex, seeds: Sequence[int]):
+        """Draw this model's class and parameters under every seed at once.
+
+        The batched counterpart of building the model once per seed,
+        or ``None`` when there is none (the chunk kernel then runs the
+        per-trial loop).  ``index`` is the graph's
+        :class:`~repro.kernels.topology.EdgeIndex`; the model's own
+        seed plays no part.  The returned draw has two methods:
+
+        * ``edge_masks()`` — the ``(trials, edges)`` open matrix, row
+          ``i`` the model seeded ``seeds[i]``, edges in ``index``
+          order;
+        * ``model(i)`` — a model answering ``is_open`` and
+          ``open_neighbors`` exactly like that seed's model.
+
+        It may add ``connected(source_code, target_code)`` (per-row
+        conditioning verdicts without drawing every coin) and
+        ``edge_masks_for(rows)`` (mask rows for the routed trials
+        only); the chunk kernel prefers them when present.  A subclass
+        that changes which edges are open must override this too.
+        """
+        return None
+
 
 class HashPercolation(PercolationModel):
     """Lazy percolation: edge states are keyed hashes, never stored.
@@ -91,9 +123,9 @@ class HashPercolation(PercolationModel):
 class TablePercolation(PercolationModel):
     """Materialised percolation with an open-adjacency index.
 
-    Samples all edges of ``graph`` in one vectorised pass.  Requires the
-    graph to be enumerable in memory (used for meshes, moderate
-    hypercubes, trees).
+    Samples all edges of ``graph`` in one vectorised pass, on the first
+    query.  Requires the graph to be enumerable in memory (used for
+    meshes, moderate hypercubes, trees).
 
     >>> from repro.graphs.mesh import Mesh
     >>> model = TablePercolation(Mesh(2, 4), p=1.0, seed=0)
@@ -102,23 +134,32 @@ class TablePercolation(PercolationModel):
     """
 
     def __init__(self, graph: Graph, p: float, seed: int) -> None:
+        super().__init__(graph, p)
+        self.seed = seed
+
+    @cached_property
+    def _open(self) -> set:
         # Imported here: repro.kernels imports this module.
         from repro.kernels.topology import edge_index_for
 
-        super().__init__(graph, p)
-        self.seed = seed
         # The graph's shared index lists its edges in edges() order, so
         # the draw neither re-enumerates the graph per trial nor moves
         # a coin; graphs too large to index are walked as before.
-        index = edge_index_for(graph)
-        edges = index.edge_keys if index is not None else list(graph.edges())
-        rng = np.random.default_rng(derive_seed(seed, "table-percolation"))
-        mask = rng.random(len(edges)) < p
-        self._open: set = set(compress(edges, mask.tolist()))
-        self._adjacency: dict[Vertex, list[Vertex]] = {}
+        index = edge_index_for(self.graph)
+        edges = (
+            index.edge_keys if index is not None else list(self.graph.edges())
+        )
+        seed = derive_seed(self.seed, "table-percolation")
+        mask = np.random.default_rng(seed).random(len(edges)) < self.p
+        return set(compress(edges, mask.tolist()))
+
+    @cached_property
+    def _adjacency(self) -> dict[Vertex, list[Vertex]]:
+        adjacency: dict[Vertex, list[Vertex]] = {}
         for u, v in self._open:
-            self._adjacency.setdefault(u, []).append(v)
-            self._adjacency.setdefault(v, []).append(u)
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+        return adjacency
 
     def is_open(self, u: Vertex, v: Vertex) -> bool:
         return self.graph.edge_key(u, v) in self._open
@@ -134,14 +175,21 @@ class TablePercolation(PercolationModel):
         """Return the set of open edge keys (do not mutate)."""
         return self._open
 
+    def chunk_draw(self, index: EdgeIndex, seeds: Sequence[int]):
+        from repro.kernels.percolation import MaskDraw, table_edge_masks
+
+        masks = table_edge_masks(self.p, seeds, index.num_edges)
+        return MaskDraw(index, self.p, masks)
+
 
 class GnpPercolation(PercolationModel):
     """The Erdős–Rényi graph ``G(n, p)`` sampled in O(open edges).
 
     The number of open pairs is drawn ``Binomial(C(n,2), p)`` and the
     pairs themselves uniformly without replacement, which is exactly the
-    ``G(n, p)`` distribution (a ``G(n, M)`` mixture).  Probing any pair —
-    including closed ones — is an O(1) set lookup.
+    ``G(n, p)`` distribution (a ``G(n, M)`` mixture), on the first
+    query.  Probing any pair — including closed ones — is an O(1) set
+    lookup.
 
     >>> model = GnpPercolation(n=50, p=0.1, seed=3)
     >>> isinstance(model.graph, CompleteGraph)
@@ -152,9 +200,14 @@ class GnpPercolation(PercolationModel):
         super().__init__(CompleteGraph(n), p)
         self.n = n
         self.seed = seed
+
+    @cached_property
+    def _pairs(self) -> tuple[list[int], list[int]]:
+        """The open pairs as ascending ``(low, high)``, on first query."""
+        n = self.n
         total_pairs = n * (n - 1) // 2
-        rng = np.random.default_rng(derive_seed(seed, "gnp-percolation"))
-        count = int(rng.binomial(total_pairs, p))
+        rng = np.random.default_rng(derive_seed(self.seed, "gnp-percolation"))
+        count = int(rng.binomial(total_pairs, self.p))
         chosen: set[int] = set()
         # Draw-with-replacement + dedupe is distributionally identical to
         # without-replacement sampling and costs O(count) when p is small.
@@ -164,11 +217,19 @@ class GnpPercolation(PercolationModel):
         indices = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
         indices.sort()
         low, high = (half.tolist() for half in _pairs_from_indices(indices))
-        self._open: set[tuple[int, int]] = set(zip(low, high))
-        self._adjacency: dict[int, list[int]] = {}
-        for i, j in zip(low, high):
-            self._adjacency.setdefault(i, []).append(j)
-            self._adjacency.setdefault(j, []).append(i)
+        return low, high
+
+    @cached_property
+    def _open(self) -> set[tuple[int, int]]:
+        return set(zip(*self._pairs))
+
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        adjacency: dict[int, list[int]] = {}
+        for i, j in zip(*self._pairs):
+            adjacency.setdefault(i, []).append(j)
+            adjacency.setdefault(j, []).append(i)
+        return adjacency
 
     def is_open(self, u: Vertex, v: Vertex) -> bool:
         if u == v:

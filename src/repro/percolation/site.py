@@ -16,15 +16,23 @@ faults.
 Convention: the routing endpoints are typically *conditioned up* (a
 query between dead hosts is meaningless); pass them as ``pinned`` to
 exempt them from failure.
+
+Its chunk draw is a :class:`~repro.kernels.percolation.LazySiteDraw`
+over the model's own pinned vertices: the chunk kernel flips the same
+``"site"`` coins, only as its frontiers demand them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.graphs.base import Graph, Vertex
 from repro.percolation.models import PercolationModel
 from repro.util.rng import uniform_for
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernels.topology import EdgeIndex
 
 __all__ = ["SitePercolation"]
 
@@ -64,3 +72,9 @@ class SitePercolation(PercolationModel):
         if not self.is_up(v):
             return []
         return [w for w in self.graph.neighbors(v) if self.is_up(w)]
+
+    def chunk_draw(self, index: EdgeIndex, seeds: Sequence[int]):
+        from repro.kernels.percolation import LazySiteDraw
+
+        pinned = [index.code[v] for v in self._pinned]
+        return LazySiteDraw(index, self.p, seeds, pinned)

@@ -1,13 +1,13 @@
-"""Regression: the kernel-split audit on kernel-less fault models.
+"""Regression: the kernel-split audit follows the model a factory builds.
 
 ``repro info`` audits each def by counting kernel-eligible vs
 per-trial-fallback specs (:func:`repro.runtime.chunkexec.kernel_split`).
-Custom fault-model factories are usually *not* registered with the
-kernel seam — the audit must report them as "per-trial fallback", not
-crash and not mislabel them as vectorized.  The nastiest case is a
-factory object that is not even hashable (e.g. an ``eq=True``,
-non-frozen dataclass instance): the registry lookup itself would raise
-``TypeError`` without the guard in ``compile_trial_chunk``.
+Eligibility depends on what the factory *builds*: a model with a chunk
+draw vectorizes whatever callable built it — a module-level function,
+or a factory object that is not even hashable (e.g. an ``eq=True``,
+non-frozen dataclass instance) — and a model without one (the lazy
+``HashPercolation``) takes the per-trial fallback.  The audit must
+report either answer honestly, never crash.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ from repro.experiments.cli import _kernel_audit_line
 from repro.experiments.registry import get_experiment
 from repro.graphs.clos import FatTree
 from repro.percolation.faults import NodeFaultPercolation
+from repro.percolation.models import HashPercolation
 from repro.routers.waypoint import WaypointRouter
 from repro.runtime import SerialRunner
 from repro.runtime.chunkexec import kernel_split
@@ -26,14 +27,26 @@ def _unregistered_factory(graph, p, seed):
     return NodeFaultPercolation(graph, p, seed=seed)
 
 
+def _hash_factory(graph, p, seed):
+    return HashPercolation(graph, p, seed=seed)
+
+
 @dataclass(eq=True)
 class _UnhashableFactory:
     # eq=True without frozen=True: __hash__ is set to None, so this
-    # instance cannot even be *looked up* in the kernel registry.
+    # instance could never key a registry.
     budget: int = 0
 
     def __call__(self, graph, p, seed):
         return NodeFaultPercolation(graph, p, seed=seed)
+
+
+@dataclass(eq=True)
+class _UnhashableHashFactory:
+    budget: int = 0
+
+    def __call__(self, graph, p, seed):
+        return HashPercolation(graph, p, seed=seed)
 
 
 def _specs(factory):
@@ -48,13 +61,29 @@ def _specs(factory):
     )
 
 
-def test_unregistered_factory_audits_as_fallback():
+def test_unregistered_node_factory_audits_as_kernel():
     kernel, fallback = kernel_split(_specs(_unregistered_factory))
+    assert (kernel, fallback) == (6, 0)
+
+
+def test_unhashable_node_factory_audits_as_kernel():
+    factory = _UnhashableFactory()
+    kernel, fallback = kernel_split(_specs(factory))
+    assert (kernel, fallback) == (6, 0)
+    # ...and the kernel's records are the per-trial loop's.
+    records = SerialRunner().run_values(_specs(factory))
+    assert repr(records) == repr(
+        [spec.execute().value for spec in _specs(factory)]
+    )
+
+
+def test_hash_factory_audits_as_fallback():
+    kernel, fallback = kernel_split(_specs(_hash_factory))
     assert (kernel, fallback) == (0, 6)
 
 
-def test_unhashable_factory_does_not_crash_the_audit():
-    factory = _UnhashableFactory()
+def test_unhashable_hash_factory_does_not_crash_the_audit():
+    factory = _UnhashableHashFactory()
     kernel, fallback = kernel_split(_specs(factory))
     assert (kernel, fallback) == (0, 6)
     # ...and the specs still *execute* through the per-trial path.
@@ -63,46 +92,43 @@ def test_unhashable_factory_does_not_crash_the_audit():
 
 
 def test_default_factory_still_vectorizes():
-    # The guard must not regress the registered path.
     kernel, fallback = kernel_split(_specs(None))
     assert (kernel, fallback) == (6, 0)
 
 
-def test_info_line_reports_fallback_for_e16():
-    # E16's factory is deliberately unregistered: pure fallback.
+def test_info_line_reports_kernel_for_e16():
+    # E16's correlated-outage factory is registered nowhere; its model
+    # draws its own chunk.
     line = _kernel_audit_line(get_experiment("E16"))
-    assert "per-trial fallback" in line
-    assert "vectorized" not in line
-    assert "0/" in line
+    assert "execution: vectorized chunk kernel " in line
+    assert "per-trial fallback" not in line
+    assert "(10/10 specs" in line
 
 
-def test_registered_node_factory_audits_as_kernel():
-    # E15's own node factory is registered with the kernel seam
-    # (node_model_kernel); the identically-behaved local factory above
-    # is not — eligibility keys on the factory callable, not on what
-    # it builds.
+def test_e15_node_factory_audits_as_kernel():
+    # E15's own node factory and the local one above build the same
+    # model, so both vectorize.
     from repro.experiments.defs.e15_clos_faults import _node_factory
 
     kernel, fallback = kernel_split(_specs(_node_factory))
     assert (kernel, fallback) == (6, 0)
 
 
-def test_info_line_reports_mixed_split_for_e15():
-    # E15's iid and node arms ride chunk kernels; the correlated and
-    # adversarial arms fall back — the audit must show both.
+def test_info_line_reports_all_kernel_for_e15():
+    # All four arms, correlated and adversarial included, draw their
+    # chunks on the kernel.
     line = _kernel_audit_line(get_experiment("E15"))
-    assert "vectorized chunk kernel + per-trial fallback" in line
+    assert "execution: vectorized chunk kernel " in line
+    assert "per-trial fallback" not in line
 
 
 def test_info_line_reports_per_stage_breakdown():
     line = _kernel_audit_line(get_experiment("E15"))
     stages = [l for l in line.splitlines() if l.startswith("stages:")]
     assert len(stages) == 1
-    # Half the tiny-scale specs (iid + node of four arms) are
-    # kernel-eligible in every stage.
     assert stages[0] == (
-        "stages: draw 20/40 kernel  conditioning 20/40 kernel  "
-        "routing 20/40 kernel"
+        "stages: draw 40/40 kernel  conditioning 40/40 kernel  "
+        "routing 40/40 kernel"
     )
 
 

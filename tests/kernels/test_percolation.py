@@ -14,15 +14,16 @@ from repro.graphs.double_tree import DoubleBinaryTree
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
 from repro.kernels import (
+    LazySiteDraw,
     MaskEdgePercolation,
-    MaskSitePercolation,
     build_edge_index,
-    site_up_masks,
     table_edge_masks,
 )
+import repro.kernels.percolation as kpercolation
+from repro.percolation.cluster import component
 from repro.percolation.models import TablePercolation
 from repro.percolation.site import SitePercolation
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_seed, uniforms_for
 
 SEEDS = [derive_seed(7, "kernel-mask", t) for t in range(6)]
 
@@ -48,22 +49,53 @@ def test_table_edge_masks_match_table_percolation(graph, p):
 
 
 @pytest.mark.parametrize("pinned", [(), None], ids=["bare", "pinned"])
-def test_site_up_masks_match_site_percolation(pinned):
+def test_lazy_site_draw_matches_site_percolation(pinned):
     graph = Hypercube(5)
     p = 0.6
-    verts = list(graph.vertices())
+    index = build_edge_index(graph)
+    verts = index.verts
     if pinned is None:
         pinned = graph.canonical_pair()
-    codes = [verts.index(v) for v in pinned]
-    up = site_up_masks(p, SEEDS, verts, pinned_codes=codes)
+    codes = [index.code[v] for v in pinned]
+    up = LazySiteDraw(index, p, SEEDS, codes).up_masks()
     for row, seed in zip(up, SEEDS):
         model = SitePercolation(graph, p, seed=seed, pinned=pinned)
         assert row.tolist() == [model.is_up(v) for v in verts]
 
 
-def test_site_up_masks_reject_out_of_range_seed():
+def test_lazy_site_draw_rejects_out_of_range_seed():
+    index = build_edge_index(Hypercube(2))
     with pytest.raises(ValueError):
-        site_up_masks(0.5, [-1], [0, 1])
+        LazySiteDraw(index, 0.5, [-1]).up_masks()
+
+
+def test_lazy_site_conditioning_flips_only_frontier_coins(monkeypatch):
+    # Subcritical site percolation (p < 1/n): each row's conditioning
+    # BFS may flip the coins of its source cluster and that cluster's
+    # boundary, and nothing else.
+    graph = Hypercube(8)
+    p = 0.08
+    index = build_edge_index(graph)
+    source, target = graph.canonical_pair()
+    flipped = []
+
+    def counting_uniforms(seed, keys):
+        keys = list(keys)
+        flipped.append(len(keys))
+        return uniforms_for(seed, keys)
+
+    monkeypatch.setattr(kpercolation, "uniforms_for", counting_uniforms)
+    pinned = [index.code[source], index.code[target]]
+    draw = LazySiteDraw(index, p, SEEDS, pinned)
+    draw.connected(index.code[source], index.code[target])
+    allowed = 0
+    for seed in SEEDS:
+        model = SitePercolation(graph, p, seed, pinned=(source, target))
+        cluster = component(model, source)
+        frontier = {w for v in cluster for w in graph.neighbors(v)}
+        allowed += len((cluster | frontier) - {source, target})
+    assert 0 < sum(flipped) <= allowed
+    assert sum(flipped) < len(SEEDS) * graph.num_vertices() // 10
 
 
 @pytest.mark.parametrize(
@@ -104,26 +136,3 @@ def test_mask_edge_open_neighbors_order_matches_incidence():
     ref = TablePercolation(graph, 0.7, seed=SEEDS[1])
     for v in graph.vertices():
         assert set(kernel.open_neighbors(v)) == set(ref.open_neighbors(v))
-
-
-def test_mask_site_model_answers_like_site():
-    graph = Hypercube(4)
-    p = 0.55
-    pinned = graph.canonical_pair()
-    index = build_edge_index(graph)
-    verts = index.verts
-    codes = [index.code[v] for v in pinned]
-    seed = SEEDS[2]
-    up = site_up_masks(p, [seed], verts, pinned_codes=codes)[0]
-    kernel = MaskSitePercolation(index, p, up)
-    ref = SitePercolation(graph, p, seed=seed, pinned=pinned)
-    for v in verts:
-        assert kernel.is_up(v) == ref.is_up(v)
-        assert kernel.open_neighbors(v) == ref.open_neighbors(v)
-    for u, v in graph.edges():
-        assert kernel.is_open(u, v) == ref.is_open(u, v)
-    # SitePercolation answers non-adjacent pairs too (both up); the
-    # mask-backed model must mirror that quirk, not the edge-mask view.
-    a, b = verts[0], verts[-1]
-    assert not graph.is_edge(a, b)
-    assert kernel.is_open(a, b) == ref.is_open(a, b)

@@ -22,11 +22,6 @@ from repro.graphs.clos import FatTree
 from repro.graphs.debruijn import DeBruijn
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
-from repro.kernels.complexity import (
-    _MODEL_KERNELS,
-    register_model_kernel,
-    table_model_kernel,
-)
 from repro.kernels.routing import _ROUTER_KERNELS, register_router_kernel
 from repro.percolation.models import HashPercolation, TablePercolation
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
@@ -156,13 +151,13 @@ def test_run_chunk_rejects_unsupported_workload():
         run_chunk(workload, specs)
 
 
-def _unregistered_factory(graph, p, seed):
-    return TablePercolation(graph, p, seed)
+def _hash_factory(graph, p, seed):
+    return HashPercolation(graph, p, seed)
 
 
 @pytest.mark.parametrize(
-    "factory", [HashPercolation, _unregistered_factory],
-    ids=["hash", "unregistered"],
+    "factory", [HashPercolation, _hash_factory],
+    ids=["hash", "hash-factory"],
 )
 def test_unsupported_factory_falls_back_identically(factory):
     specs = complexity_specs(
@@ -227,47 +222,33 @@ def test_kernel_wraps_per_trial_errors_with_spec_key():
 # share one compiler.
 
 
-def _fragile_factory(graph, p, seed):
-    """``TablePercolation`` behind a factory with faulty model kernels."""
-    return TablePercolation(graph, p, seed=seed)
+class _DrawFails(TablePercolation):
+    """``TablePercolation`` whose chunk draw raises."""
 
-
-class _FaultyDraw:
-    """A table draw whose conditioning matrix cannot be built."""
-
-    def __init__(self, draw):
-        self._draw = draw
-
-    def edge_masks(self):
-        raise RuntimeError("conditioning failed")
-
-    def model(self, i):
-        return self._draw.model(i)
-
-
-class _FaultyModelKernel:
-    def __init__(self, kernel, stage):
-        self._kernel = kernel
-        self._stage = stage
-
-    def draw(self, seeds):
-        if self._stage == "draw":
+    def chunk_draw(self, index, seeds):
+        draw = super().chunk_draw(index, seeds)
+        if len(seeds):  # the compile-time probe draws no trial
             raise RuntimeError("draw failed")
-        return _FaultyDraw(self._kernel.draw(seeds))
+        return draw
+
+
+class _ConditioningFails(TablePercolation):
+    """``TablePercolation`` whose conditioning matrix cannot be built."""
+
+    def chunk_draw(self, index, seeds):
+        draw = super().chunk_draw(index, seeds)
+
+        def edge_masks():
+            raise RuntimeError("conditioning failed")
+
+        draw.edge_masks = edge_masks
+        return draw
 
 
 @pytest.fixture
-def faulty_model_kernel():
-    def install(stage):
-        register_model_kernel(
-            _fragile_factory,
-            lambda graph, index, p: _FaultyModelKernel(
-                table_model_kernel(graph, index, p), stage
-            ),
-        )
-
-    yield install
-    _MODEL_KERNELS.pop(_fragile_factory, None)
+def faulty_model():
+    """The model class whose chunk draw fails at the given stage."""
+    return {"draw": _DrawFails, "conditioning": _ConditioningFails}.get
 
 
 class _EngineFailsBFS(LocalBFSRouter):
@@ -326,21 +307,19 @@ def _kernel_error(specs):
 
 
 @pytest.mark.parametrize("kind", ["pair", "demand"])
-def test_draw_error_blames_the_chunks_first_key(kind, faulty_model_kernel):
-    faulty_model_kernel("draw")
+def test_draw_error_blames_the_chunks_first_key(kind, faulty_model):
     specs = _blame_specs(
-        kind, LocalBFSRouter(), model_factory=_fragile_factory
+        kind, LocalBFSRouter(), model_factory=faulty_model("draw")
     )
     err = _kernel_error(specs[2:])
     assert err.key == specs[2].key
     assert "RuntimeError: draw failed" in err.detail
 
 
-def test_conditioning_error_blames_the_chunks_first_key(faulty_model_kernel):
-    faulty_model_kernel("conditioning")
+def test_conditioning_error_blames_the_chunks_first_key(faulty_model):
     specs = _blame_specs(
         "pair", LocalBFSRouter(), conditioning="exact",
-        model_factory=_fragile_factory,
+        model_factory=faulty_model("conditioning"),
     )
     err = _kernel_error(specs[2:])
     assert err.key == specs[2].key

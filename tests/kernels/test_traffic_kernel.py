@@ -39,10 +39,10 @@ def _kernel_on(monkeypatch):
 
 
 def _exotic_factory(graph, p, seed):
-    """A picklable percolation factory no kernel is registered for."""
-    from repro.percolation.models import TablePercolation
+    """A picklable percolation factory whose model has no chunk draw."""
+    from repro.percolation.models import HashPercolation
 
-    return TablePercolation(graph, p, seed=seed)
+    return HashPercolation(graph, p, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class TestFallbacks:
         assert kernel_err.value.key == per_trial_err.value.key
         assert kernel_err.value.key == ("demands", 3)
 
-    def test_unregistered_model_factory_declines(self):
+    def test_model_without_chunk_draw_declines(self):
         graph = Hypercube(4)
         specs = traffic_specs(
             graph, 0.7, LocalBFSRouter(), PermutationTraffic(3),

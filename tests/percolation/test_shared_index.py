@@ -121,6 +121,16 @@ def test_edge_keys_are_the_enumeration(graph):
 
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=IDS)
+def test_vertex_keys_are_the_coin_keys(graph):
+    index = edge_index_for(graph)
+    for tag in ("site", "epicenter", "radius"):
+        assert index.vertex_keys(tag) == [
+            repr((tag, v)).encode("utf-8") for v in graph.vertices()
+        ]
+    assert index.vertex_keys("site") is index.vertex_keys("site")
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=IDS)
 def test_batched_levels_equal_uniform_for(graph):
     index = edge_index_for(graph)
     for seed in SEEDS:
