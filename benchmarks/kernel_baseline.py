@@ -40,9 +40,11 @@ from repro.experiments.defs.e17_adversarial_budget import (
 )
 from repro.experiments.spec import SCALES, pick
 from repro.graphs.clos import FatTree
+from repro.graphs.double_tree import DoubleBinaryTree
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
+from repro.routers.tree import MirrorPairOracleRouter
 from repro.routers.waypoint import MeshWaypointRouter, WaypointRouter
 from repro.runtime import supports_run_chunk
 from repro.runtime.chunkexec import execute_specs
@@ -58,6 +60,7 @@ def _scenarios(scale: str, seed: int):
     hypercube = Hypercube(n)
     mesh = Mesh(2, side)
     fat_tree = FatTree(pick(scale, tiny=4, small=6, medium=8))
+    double_tree = DoubleBinaryTree(pick(scale, tiny=8, small=10, medium=12))
     supercritical = float(n) ** -0.3
     cases = [
         ("hypercube-subcritical", hypercube, float(n) ** -1.0,
@@ -86,6 +89,11 @@ def _scenarios(scale: str, seed: int):
          _OutageFactory(EPICENTER_RATE, 0.5)),
         ("adversarial-cut", fat_tree, P_BACKGROUND, WaypointRouter(),
          _AdversaryFactory(fat_tree.k // 2 - 1)),
+        # E8's shape: conditioning on the double tree's roots (its
+        # canonical pair) by union-find labels; the mirror-pair oracle
+        # has no engine, so both sides route it per trial.
+        ("double-tree-conditioning", double_tree, 0.75,
+         MirrorPairOracleRouter(), None),
     ]
     for label, graph, p, router, factory in cases:
         yield label, complexity_specs(
@@ -161,7 +169,9 @@ def record(scale: str = "small", seed: int = 0, out: Path | None = None):
             "(eager site draw vs the lazy per-trial model), now draws "
             "coins lazily per frontier block and stays at or above "
             "parity. correlated-outages and adversarial-cut run the "
-            "structured fault models on their own chunk draws"
+            "structured fault models on their own chunk draws; "
+            "double-tree-conditioning times E8's root-pair "
+            "conditioning by union-find labels"
         ),
         "results": entries,
     }

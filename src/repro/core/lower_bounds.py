@@ -22,18 +22,22 @@ On estimator bias: η is a **maximum** over cut edges of a per-edge
 probability.  Estimating each per-edge probability and taking the max
 is upward-biased (good: the bound stays conservative) but can be noisy;
 we report both the max and the mean.
+
+The trials are ``TablePercolation`` draws taken as one chunk of mask
+rows, and every cluster question is answered from them at once by the
+union-find kernel of :mod:`repro.kernels.bfs`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.graphs.base import Edge, Graph, Vertex
 from repro.graphs.traversal import bfs_distances
-from repro.percolation.cluster import connected
-from repro.percolation.models import PercolationModel, TablePercolation
+from repro.percolation.models import TablePercolation
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -98,23 +102,6 @@ class Lemma5Certificate:
         )
 
 
-def _reachable_within(
-    model: PercolationModel, start: Vertex, region: set[Vertex]
-) -> set[Vertex]:
-    """Return vertices of ``region`` connected to ``start`` inside it."""
-    if start not in region:
-        return set()
-    seen = {start}
-    queue: deque[Vertex] = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in model.open_neighbors(x):
-            if y in region and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
 def estimate_certificate(
     graph: Graph,
     p: float,
@@ -123,18 +110,20 @@ def estimate_certificate(
     target: Vertex,
     trials: int = 200,
     seed: int = 0,
-    model_factory: Callable[[Graph, float, int], PercolationModel] = (
-        TablePercolation
-    ),
     cut: Iterable[Edge] | None = None,
 ) -> Lemma5Certificate:
     """Monte-Carlo-estimate the Lemma 5 certificate for cut ``(S, S̄)``.
 
-    Per trial (one percolation draw): compute the open cluster of
-    ``target`` **inside** ``S`` once, then check which cut edges have
-    their ``S``-endpoint in it; also record whether ``(u ~ v) ∈ S``
-    (when ``u ∈ S``) and ground-truth ``u ~ v``.
+    Per trial (one percolation draw): the open cluster of ``target``
+    **inside** ``S`` — the draw's component labels with every edge
+    leaving ``S`` closed — decides which cut edges have their
+    ``S``-endpoint in it and whether ``(u ~ v) ∈ S``; the draw's own
+    labels decide ground-truth ``u ~ v``.
     """
+    # Imported here: repro.kernels imports repro.core.
+    from repro.kernels.bfs import batched_connected, batched_labels
+    from repro.kernels.topology import edge_index_or_walk
+
     if target not in s:
         raise ValueError("Lemma 5 requires the target inside S")
     if source in s and source == target:
@@ -144,29 +133,33 @@ def estimate_certificate(
     cut_list = list(cut) if cut is not None else cut_edges(graph, s)
     if not cut_list:
         raise ValueError("the cut (S, S̄) has no edges; bound is vacuous")
-
-    edge_hits = [0] * len(cut_list)
-    uv_in_s = 0
-    uv = 0
     # Identify, per cut edge, its endpoint inside S.
     s_endpoints = []
     for a, b in cut_list:
         if a in s and b in s:
             raise ValueError(f"edge {(a, b)!r} does not cross the cut")
         s_endpoints.append(a if a in s else b)
+    graph._require_vertex(source)
+    graph._require_vertex(target)
 
-    for t in range(trials):
-        model = model_factory(graph, p, derive_seed(seed, "lemma5", t))
-        cluster = _reachable_within(model, target, s)
-        for i, endpoint in enumerate(s_endpoints):
-            if endpoint in cluster:
-                edge_hits[i] += 1
-        if source in cluster:
-            uv_in_s += 1
-        if connected(model, source, target):
-            uv += 1
+    index = edge_index_or_walk(graph)
+    code = index.code
+    source_code, target_code = code[source], code[target]
+    seeds = [derive_seed(seed, "lemma5", t) for t in range(trials)]
+    masks = TablePercolation(graph, p, 0).chunk_draw(index, seeds).edge_masks()
+    uv = int(batched_connected(index, masks, source_code, target_code).sum())
 
-    eta_estimates = [hits / trials for hits in edge_hits]
+    # Close every edge with an endpoint outside S: what is left of the
+    # target's cluster is its cluster inside S.
+    in_s = np.fromiter((v in s for v in index.verts), bool, index.num_vertices)
+    masks &= in_s[index.edge_u] & in_s[index.edge_v]
+    labels = batched_labels(index, masks)
+    cluster = labels[:, [target_code]]
+    edge_hits = (labels[:, [code[v] for v in s_endpoints]] == cluster).sum(0)
+    # The source shares the target's label only if it is inside S.
+    uv_in_s = int((labels[:, source_code] == cluster[:, 0]).sum())
+
+    eta_estimates = [hits / trials for hits in edge_hits.tolist()]
     return Lemma5Certificate(
         eta_max=max(eta_estimates),
         eta_mean=sum(eta_estimates) / len(eta_estimates),

@@ -56,14 +56,16 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         columns=COLUMNS,
     )
     routers = [DirectedDFSRouter(), LocalBFSRouter()]
+    # One tree per depth: every point of a depth shares its edge index.
+    trees = {depth: DoubleBinaryTree(depth) for depth in depths}
     groups = [
         (
             (p, depth, router.name),
             complexity_specs(
-                DoubleBinaryTree(depth),
+                trees[depth],
                 p=p,
                 router=router,
-                pair=DoubleBinaryTree(depth).roots(),
+                pair=trees[depth].roots(),
                 trials=trials,
                 seed=derive_seed(seed, "e7", p, depth, router.name),
                 key=("e7", p, depth, router.name),
@@ -77,7 +79,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
     for p in ps:
         fits: dict[str, list[tuple[float, float]]] = {}
         for depth in depths:
-            graph = DoubleBinaryTree(depth)
+            graph = trees[depth]
             pair = graph.roots()
             for router in routers:
                 m = assemble_measurement(

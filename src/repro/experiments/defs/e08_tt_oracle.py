@@ -50,14 +50,16 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         "Double-tree oracle (mirror-pair) routing vs depth (expect O(n))",
         columns=COLUMNS,
     )
+    # One tree per depth: every point of a depth shares its edge index.
+    trees = {depth: DoubleBinaryTree(depth) for depth in depths}
     groups = [
         (
             (p, depth),
             complexity_specs(
-                DoubleBinaryTree(depth),
+                trees[depth],
                 p=p,
                 router=MirrorPairOracleRouter(),
-                pair=DoubleBinaryTree(depth).roots(),
+                pair=trees[depth].roots(),
                 trials=trials,
                 seed=derive_seed(seed, "e8", p, depth),
                 key=("e8", p, depth),
@@ -70,7 +72,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
     for p in ps:
         points = []
         for depth in depths:
-            graph = DoubleBinaryTree(depth)
+            graph = trees[depth]
             m = assemble_measurement(
                 graph,
                 p,

@@ -4,8 +4,8 @@ The runtime's schedulable unit is a single trial, but the *executable*
 unit on a worker is a chunk of consecutive specs sharing one workload.
 This package supplies batch kernels that execute such a chunk in one
 call — i.i.d. percolation masks drawn as one seeded bit-matrix, the
-conditioning BFS as chunk-wide frontier expansion over implicit
-topologies compiled to index arithmetic — while preserving the
+conditioning as chunk-wide union-find labels over implicit topologies
+compiled to index arithmetic — while preserving the
 per-trial seed derivation, so every record is **bit-identical** to what
 ``spec.execute()`` produces.  Registration happens on import: pulling
 this package in wires the one chunk compiler into
@@ -30,8 +30,9 @@ Layout
     ``PercolationModel`` rows that answer exactly like the per-trial
     models they replace.
 :mod:`~repro.kernels.bfs`
-    Chunk-wide reachability (the conditioning step) by batched
-    frontier expansion.
+    Chunk-wide cluster labels by batched union-find: the conditioning
+    step, and every cluster question of the Lemma 5 certificate and
+    the giant-component and connectivity scans.
 :mod:`~repro.kernels.routing`
     Lockstep frontier-array routing engines replaying the complete
     -information routers probe for probe through one entry point,
@@ -44,7 +45,7 @@ Layout
     registration.
 """
 
-from repro.kernels.bfs import batched_connected
+from repro.kernels.bfs import batched_connected, batched_labels
 from repro.kernels.complexity import compile_trial_chunk
 from repro.kernels.percolation import (
     LazySiteDraw,
@@ -61,6 +62,7 @@ from repro.kernels.topology import (
     EdgeIndex,
     build_edge_index,
     edge_index_for,
+    edge_index_or_walk,
 )
 
 __all__ = [
@@ -69,9 +71,11 @@ __all__ = [
     "MaskEdgePercolation",
     "PairRoutingUnsupported",
     "batched_connected",
+    "batched_labels",
     "build_edge_index",
     "compile_trial_chunk",
     "edge_index_for",
+    "edge_index_or_walk",
     "register_router_kernel",
     "router_kernel_for",
     "routing_incidence",

@@ -16,8 +16,8 @@ pass, stage by stage:
    (a mask matrix, or a lazily-demanded one), bit-identical per row to
    the per-trial model;
 3. **conditioning** (probe pairs under ``"exact"`` only) runs as
-   chunk-wide batched BFS (:func:`~repro.kernels.bfs.batched_connected`,
-   or the draw's own lazy variant — same verdicts, no per-trial Python
+   chunk-wide union-find (:func:`~repro.kernels.bfs.batched_connected`,
+   or the draw's own lazy BFS — same verdicts, no per-trial Python
    BFS);
 4. **routing** flattens the chunk into ``(trial, source, target)``
    rows — the workload's pair for every trial conditioning keeps, or

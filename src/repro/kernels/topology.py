@@ -4,7 +4,7 @@ The vectorized kernels never walk object graphs: a topology is compiled
 into an :class:`EdgeIndex` — flat integer arrays in which vertex ``i``
 is the ``i``-th element of ``graph.vertices()`` and edge ``e`` is the
 ``e``-th element of ``graph.edges()``.  Everything downstream (mask
-drawing, frontier expansion, the mask-backed percolation models) is
+drawing, cluster labels, the mask-backed percolation models) is
 array indexing on those codes.
 
 **One index per graph per process.**  :func:`edge_index_for` compiles a
@@ -47,7 +47,12 @@ from repro.graphs.debruijn import DeBruijn
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
 
-__all__ = ["EdgeIndex", "build_edge_index", "edge_index_for"]
+__all__ = [
+    "EdgeIndex",
+    "build_edge_index",
+    "edge_index_for",
+    "edge_index_or_walk",
+]
 
 #: Refuse to materialise indexes beyond this many vertices — the same
 #: bound ``repro.core.complexity._default_factory`` uses to switch from
@@ -81,6 +86,7 @@ class EdgeIndex:
         self._vertex_keys: dict[str, list[bytes]] = {}
         self._eid: dict | None = None
         self._incidence: tuple | None = None
+        self._adjacency: list | None = None
 
     @classmethod
     def walk(cls, graph: Graph) -> EdgeIndex:
@@ -187,6 +193,25 @@ class EdgeIndex:
                 self.edge_u, self.edge_v, self.num_vertices
             )
         return self._incidence
+
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """Per vertex code, its ``(neighbour code, edge id)`` pairs.
+
+        The Python-list form of :meth:`incidence`, for searches that
+        step one vertex at a time (list reads beat numpy scalar
+        indexing there); built on first use and cached.
+        """
+        if self._adjacency is None:
+            adjacency: list[list[tuple[int, int]]] = [
+                [] for _ in range(self.num_vertices)
+            ]
+            for e, (u, v) in enumerate(
+                zip(self.edge_u.tolist(), self.edge_v.tolist())
+            ):
+                adjacency[u].append((v, e))
+                adjacency[v].append((u, e))
+            self._adjacency = adjacency
+        return self._adjacency
 
 
 def _build_incidence(
@@ -348,3 +373,13 @@ def edge_index_for(graph: Graph) -> EdgeIndex | None:
             index._graph = weakref.ref(graph)
         state[EDGE_INDEX_ATTR] = index
     return state[EDGE_INDEX_ATTR]
+
+
+def edge_index_or_walk(graph: Graph) -> EdgeIndex:
+    """Return ``graph``'s shared index, or a one-off walk of its edges.
+
+    For callers that need an index whatever the graph's size: a graph
+    too large to keep an index (:func:`edge_index_for` returns
+    ``None``) is compiled for this call alone and not cached.
+    """
+    return edge_index_for(graph) or EdgeIndex.walk(graph)

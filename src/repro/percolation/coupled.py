@@ -7,23 +7,30 @@ with ``p``.  That coupling makes per-trial threshold questions exact —
 no scanning, no bisection:
 
 * the ``p`` at which ``u ~ v`` first holds is the **bottleneck value**
-  of the minimax path between them (Kruskal-style union–find over edges
-  sorted by their uniforms);
+  of the minimax path between them.  A best-first search from ``u``,
+  ordered by the highest edge level on the path so far, settles ``v``
+  at exactly that value, and hashes only the edges it reaches;
 * the ``p`` at which the largest cluster first reaches a target
-  fraction falls out of the same sweep.
+  fraction needs every merge, so it comes from a Kruskal-style sweep:
+  union–find over all edges sorted by their uniforms.
 
 These exact thresholds agree with :class:`HashPercolation` by
-construction (same hash stream), which the test suite verifies — and
-they turn threshold experiments from O(grid × trials) into O(trials).
+construction (same hash stream, every coin through
+:mod:`repro.util.rng`), which the test suite verifies — and they turn
+threshold experiments from O(grid × trials) into O(trials).  Both read
+the graph's shared :class:`~repro.kernels.topology.EdgeIndex` and its
+cached per-edge key bytes.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
 from repro.graphs.base import Graph, Vertex
 from repro.percolation.models import HashPercolation
-from repro.util.rng import uniform_for, uniforms_for
+from repro.util.rng import uniform_for, uniform_hasher, uniforms_for
 
 __all__ = [
     "edge_level",
@@ -40,15 +47,6 @@ def edge_level(graph: Graph, seed: int, u: Vertex, v: Vertex) -> float:
     ``p > edge_level(...)`` (strictly: iff the level is `< p`).
     """
     return uniform_for(seed, "edge", graph.edge_key(u, v))
-
-
-def _index(graph: Graph):
-    """The graph's shared :class:`~repro.kernels.topology.EdgeIndex`."""
-    # Imported here: repro.kernels imports repro.percolation.
-    from repro.kernels.topology import EdgeIndex, edge_index_for
-
-    # Too large to keep an index: walk the graph for this sweep alone.
-    return edge_index_for(graph) or EdgeIndex.walk(graph)
 
 
 def _merges(index, seed: int):
@@ -91,26 +89,40 @@ def _merges(index, seed: int):
 def pair_threshold(graph: Graph, seed: int, u: Vertex, v: Vertex) -> float:
     """Return the exact ``p`` above which ``u ~ v`` in this coupling.
 
-    Union edges in increasing level order until ``u`` and ``v`` merge;
-    the last level added is the threshold (the bottleneck of the
-    minimax ``u``–``v`` path).  Returns ``inf`` if the full graph does
-    not connect them.
+    The bottleneck of the minimax ``u``–``v`` path, found by a lazy
+    best-first search: vertices settle in order of the highest edge
+    level on their best path from ``u``, an edge is hashed only when
+    one endpoint settles and the other has not, and the search stops
+    when ``v`` settles.  The minimax value is unique, so this is the
+    same float a Kruskal sweep returns at the merge of ``u`` and ``v``.
+    Returns ``inf`` if the full graph does not connect them.
     """
+    # Imported here: repro.kernels imports repro.percolation.
+    from repro.kernels.topology import edge_index_or_walk
+
     graph._require_vertex(u)
     graph._require_vertex(v)
     if u == v:
         return 0.0
-    index = _index(graph)
-    # The current cluster roots of u and v: a root changes only when
-    # its cluster is absorbed, so tracking them needs no finds.
-    ru, rv = index.code[u], index.code[v]
-    for level, root, absorbed, _ in _merges(index, seed):
-        if ru == absorbed:
-            ru = root
-        if rv == absorbed:
-            rv = root
-        if ru == rv:
-            return level
+    index = edge_index_or_walk(graph)
+    adjacency = index.adjacency()
+    keys = index.level_keys
+    level = uniform_hasher(seed)
+    target = index.code[v]
+    settled = bytearray(index.num_vertices)
+    heap = [(0.0, index.code[u])]
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        bottleneck, x = pop(heap)
+        if settled[x]:
+            continue
+        if x == target:
+            return bottleneck
+        settled[x] = 1
+        for y, e in adjacency[x]:
+            if not settled[y]:
+                edge = level(keys[e])
+                push(heap, (edge if edge > bottleneck else bottleneck, y))
     return float("inf")
 
 
@@ -121,13 +133,15 @@ def giant_threshold(graph: Graph, seed: int, fraction: float) -> float:
     Returns ``inf`` if even the full graph falls short (possible only
     for disconnected graphs).
     """
+    from repro.kernels.topology import edge_index_or_walk
+
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
     n = graph.num_vertices()
     target = fraction * n
     if target <= 1:
         return 0.0  # singletons already qualify
-    for level, _, _, size in _merges(_index(graph), seed):
+    for level, _, _, size in _merges(edge_index_or_walk(graph), seed):
         if size >= target:
             return level
     return float("inf")

@@ -24,7 +24,7 @@ The hash is BLAKE2b keyed with the seed; keys are serialised with
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 import numpy as np
@@ -34,6 +34,7 @@ __all__ = [
     "derive_seed",
     "edge_coin",
     "uniform_for",
+    "uniform_hasher",
     "uniforms_for",
 ]
 
@@ -74,26 +75,57 @@ def uniform_for(seed: int, *key: Any) -> float:
     return int.from_bytes(_digest(seed, key), "little") / _SCALE
 
 
+def _keyed_state(seed: int) -> Any:
+    """Return the BLAKE2b state keyed with ``seed``, to copy per key.
+
+    Keying BLAKE2b costs a compression; copying the keyed state does
+    not, and hashing into a copy is byte-identical to hashing each key
+    from scratch.
+    """
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+
+
+def uniform_hasher(seed: int) -> Callable[[bytes], float]:
+    """Return :func:`uniform_for` under ``seed`` for keys hashed on demand.
+
+    The returned function takes a key already serialised the way
+    :func:`uniform_for` serialises it — ``repr(key).encode("utf-8")``
+    for the key tuple ``(tag, *parts)`` — and returns exactly
+    ``uniform_for(seed, *key)``, hashing into a copy of the seed's
+    keyed state.  For searches that discover the keys they need one at
+    a time (a lazy threshold search hashes only the edges it reaches).
+
+    >>> key = ("edge", (0, 1))
+    >>> uniform_hasher(7)(repr(key).encode("utf-8")) == uniform_for(7, *key)
+    True
+    """
+    base = _keyed_state(seed)
+
+    def uniform(data: bytes) -> float:
+        hasher = base.copy()
+        hasher.update(data)
+        return int.from_bytes(hasher.digest(), "little") / _SCALE
+
+    return uniform
+
+
 def uniforms_for(seed: int, encoded_keys: Iterable[bytes]) -> np.ndarray:
     """Return :func:`uniform_for` over many keys under one seed, as floats.
 
-    Each item of ``encoded_keys`` is a key already serialised the way
-    :func:`uniform_for` serialises it — ``repr(key).encode("utf-8")``
-    for the key tuple ``(tag, *parts)`` — so entry ``i`` equals
-    ``uniform_for(seed, *key_i)`` exactly.  Callers hashing the same
-    keys under many seeds (one coupled sweep per trial) serialise them
-    once and pay only the hashing here.
+    The batch form of :func:`uniform_hasher`, over the same copied
+    keyed state: entry ``i`` equals ``uniform_for(seed, *key_i)``
+    exactly.  Callers hashing the same keys under many seeds (one
+    coupled sweep per trial) serialise them once and pay only the
+    hashing here.
 
     >>> key = ("edge", (0, 1))
     >>> levels = uniforms_for(7, [repr(key).encode("utf-8")])
     >>> float(levels[0]) == uniform_for(7, *key)
     True
     """
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned int, got {seed!r}")
-    # Keying BLAKE2b costs a compression; copying the keyed state does
-    # not, and is byte-identical to hashing each key from scratch.
-    base = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+    base = _keyed_state(seed)
     digests = []
     for data in encoded_keys:
         hasher = base.copy()

@@ -1,5 +1,6 @@
 """Tests for repro.analysis.path_counting — the Theorem 3(i) argument."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.path_counting import (
@@ -99,6 +100,7 @@ class TestOpenWalkProbabilityBound:
     def test_dominates_true_connection_probability(self):
         # Monte-Carlo: Pr[(v ~ x) in S] for the hypercube ball must stay
         # below the series bound.
+        from repro.kernels import batched_labels, edge_index_for
         from repro.percolation.models import TablePercolation
 
         n, l = 6, 2
@@ -107,14 +109,16 @@ class TestOpenWalkProbabilityBound:
         s = ball(g, 0, l)
         x = 0b11
         trials = 400
-        hits = 0
-        for seed in range(trials):
-            model = TablePercolation(g, p, seed=seed)
-            # reachability within S
-            from repro.core.lower_bounds import _reachable_within
-
-            if x in _reachable_within(model, 0, s):
-                hits += 1
+        # One TablePercolation row per seed; closing every edge that
+        # leaves S leaves each vertex's cluster inside S.
+        index = edge_index_for(g)
+        masks = TablePercolation(g, p, 0).chunk_draw(index, range(trials))
+        masks = masks.edge_masks()
+        inside = np.isin(np.asarray(index.verts), list(s))
+        masks &= inside[index.edge_u] & inside[index.edge_v]
+        labels = batched_labels(index, masks)
+        cluster = labels[:, index.code[0]]
+        hits = int((labels[:, index.code[x]] == cluster).sum())
         estimate = hits / trials
         bound = open_walk_probability_bound(n, l, p)
         assert estimate <= bound + 0.05

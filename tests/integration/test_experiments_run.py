@@ -51,10 +51,16 @@ class TestQualitativeClaims:
             )
 
     def test_e2_lemma5_bound_respected(self, tables):
-        for row in tables["E2"].rows:
-            observed = row["observed_cdf_at_t"]
-            if not math.isnan(observed):
-                assert observed <= row["bound_at_t"] + 0.35
+        rows = tables["E2"].rows
+        observed = [
+            row for row in rows if not math.isnan(row["observed_cdf_at_t"])
+        ]
+        assert observed, "no E2 row measured a router CDF"
+        for row in observed:
+            assert row["observed_cdf_at_t"] <= row["bound_at_t"] + 0.35
+        for row in rows:
+            # The Monte-Carlo eta stays under the path-counting bound.
+            assert row["eta_empirical"] <= row["eta_theory"]
 
     def test_e3_success_rates_high(self, tables):
         rates = tables["E3"].column("success_rate")
@@ -82,10 +88,10 @@ class TestQualitativeClaims:
 
     def test_e8_linear_not_exponential(self, tables):
         rows = tables["E8"].rows
-        if len(rows) >= 2:
-            depth_ratio = rows[-1]["depth"] / rows[0]["depth"]
-            query_ratio = rows[-1]["mean_queries"] / rows[0]["mean_queries"]
-            assert query_ratio < depth_ratio**2
+        assert len(rows) >= 2
+        depth_ratio = rows[-1]["depth"] / rows[0]["depth"]
+        query_ratio = rows[-1]["mean_queries"] / rows[0]["mean_queries"]
+        assert query_ratio < depth_ratio**2
 
     def test_e9_quadratic_scaling(self, tables):
         rows = tables["E9"].rows
@@ -104,6 +110,13 @@ class TestQualitativeClaims:
     def test_e11_giant_fraction_increases(self, tables):
         rows = tables["E11"].filtered(section="giant_fraction")
         assert rows[0]["value"] <= rows[-1]["value"] + 0.05
+
+    def test_e11_connectivity_does_not_fall(self, tables):
+        rows = tables["E11"].filtered(section="pr_connected")
+        for n in sorted({row["n"] for row in rows}):
+            curve = [row for row in rows if row["n"] == n]
+            assert len(curve) >= 2
+            assert curve[0]["value"] <= curve[-1]["value"]
 
     def test_e12_all_families_present(self, tables):
         families = set(tables["E12"].column("family"))

@@ -1,24 +1,89 @@
-"""Chunk-wide reachability equals the per-trial cluster BFS."""
+"""Chunk-wide cluster labels and reachability equal the per-trial
+cluster BFS."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.kernels.bfs as bfs
+from repro.graphs.clos import FatTree
 from repro.graphs.debruijn import DeBruijn
+from repro.graphs.double_tree import DoubleBinaryTree
+from repro.graphs.explicit import ExplicitGraph
 from repro.graphs.hypercube import Hypercube
-from repro.graphs.mesh import Mesh
+from repro.graphs.mesh import Mesh, Torus
 from repro.kernels import (
     MaskEdgePercolation,
     batched_connected,
+    batched_labels,
     build_edge_index,
+    edge_index_for,
     table_edge_masks,
 )
-from repro.percolation.cluster import connected
+from repro.percolation.cluster import component, connected
 from repro.util.rng import derive_seed
 
 SEEDS = [derive_seed(11, "kernel-bfs", t) for t in range(24)]
+
+# The graph set of tests/percolation/test_shared_index.py: every index
+# builder, a generic walk, and a disconnected explicit graph.
+GRAPHS = [
+    Hypercube(5),
+    Mesh(2, 5),
+    Torus(2, 4),
+    DeBruijn(5),
+    DoubleBinaryTree(4),
+    FatTree(4),
+    ExplicitGraph(
+        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("x", "y")],
+        vertices=["lonely"],
+    ),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=st.sampled_from(GRAPHS),
+    p=st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    region=st.booleans(),
+    blocked=st.booleans(),
+    data=st.data(),
+)
+def test_labels_and_verdicts_match_the_cluster_bfs(
+    graph, p, seed, region, blocked, data
+):
+    index = edge_index_for(graph)
+    verts = index.verts
+    seeds = [derive_seed(seed, "labels", t) for t in range(3)]
+    masks = table_edge_masks(p, seeds, index.num_edges)
+    size = len(verts)
+    if region:
+        # Close every edge leaving a vertex region, as Lemma 5's
+        # cluster-inside-S does.
+        flags = st.lists(st.booleans(), min_size=size, max_size=size)
+        inside = np.asarray(data.draw(flags))
+        masks &= inside[index.edge_u] & inside[index.edge_v]
+    source = data.draw(st.sampled_from(range(size)))
+    target = data.draw(st.sampled_from(range(size)))
+    block_bytes = 1 if blocked else bfs.BLOCK_BYTES
+    with mock.patch.object(bfs, "BLOCK_BYTES", block_bytes):
+        labels = batched_labels(index, masks)
+        verdicts = batched_connected(index, masks, source, target)
+    assert labels.shape == (len(seeds), size)
+    for row, mask, verdict in zip(labels, masks, verdicts.tolist()):
+        model = MaskEdgePercolation(index, p, mask)
+        for code, v in enumerate(verts):
+            cluster = {index.code[w] for w in component(model, v)}
+            # Same partition, each class labelled by its smallest code.
+            assert set(np.flatnonzero(row == row[code]).tolist()) == cluster
+            assert row[code] == min(cluster)
+        assert verdict == connected(model, verts[source], verts[target])
 
 
 @pytest.mark.parametrize(

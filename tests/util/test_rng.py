@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.rng import MAX_SEED, derive_seed, edge_coin, uniform_for
+from repro.util.rng import (
+    MAX_SEED,
+    derive_seed,
+    edge_coin,
+    uniform_for,
+    uniform_hasher,
+    uniforms_for,
+)
 
 KEYS = st.one_of(
     st.integers(min_value=-(2**40), max_value=2**40),
@@ -54,6 +61,24 @@ class TestUniformFor:
         u = uniform_for(seed, key)
         assert u == uniform_for(seed, key)
         assert 0.0 <= u < 1.0
+
+    @given(st.integers(min_value=0, max_value=MAX_SEED))
+    def test_on_demand_hasher_equals_batch_and_scalar(self, seed):
+        # The lazy threshold search hashes one key at a time; its
+        # floats must be the batch sweep's and uniform_for's, bit for
+        # bit (ties in the uint64 -> float rounding included).
+        keys = [("edge", (i, i + 1)) for i in range(64)]
+        encoded = [repr(key).encode("utf-8") for key in keys]
+        level = uniform_hasher(seed)
+        lazy = [level(data) for data in encoded]
+        assert lazy == uniforms_for(seed, encoded).tolist()
+        assert lazy == [uniform_for(seed, *key) for key in keys]
+
+    def test_on_demand_hasher_rejects_bad_seed(self):
+        with pytest.raises(ValueError):
+            uniform_hasher(-1)
+        with pytest.raises(ValueError):
+            uniform_hasher(MAX_SEED + 1)
 
 
 class TestEdgeCoin:
