@@ -359,7 +359,7 @@ def traffic_specs(
     percolation factory — is frozen into one
     :class:`~repro.runtime.Workload`, and each spec carries only its
     ``(t, derive_seed(seed, "traffic", t))`` tail, so demand trials
-    ride the same chunk-kernel seam, record wire and result cache as
+    ride the same chunk-kernel seam, cluster wire and result cache as
     single-pair trials.
     """
     if trials < 1:

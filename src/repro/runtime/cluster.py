@@ -92,11 +92,9 @@ with a lock, so replies raced by pool callbacks and pongs never
 interleave mid-frame.  Messages are ``(kind, body)`` tuples; the
 handshake is ``("hello", {"version"})`` → ``("welcome", {"version",
 "pid"})``, then ``("chunk", {"chunk", "specs", "payloads"})`` answered
-by one of ``("done", {"chunk", "packed"})`` (record arrays — chunks of
-``run_trial`` records flatten column-wise on the node and reassemble
-to identical ``TrialResult`` lists coordinator-side; see
-:mod:`repro.runtime.recordwire`) or ``("done", {"chunk", "results"})``
-(the pickled list — the fallback for chunks the packer declines),
+by one of ``("done", {"chunk", "results"})`` (the chunk's pickled
+``TrialResult`` list — the coordinator accepts it only with one result
+per spec, in order, each carrying its spec's key),
 ``("miss", {"chunk", "workload_ids"})``, ``("failed", {"chunk",
 "key", "detail"})`` or ``("lost", {"chunk", "reason"})`` (the node
 abandoned the chunk — requeue it elsewhere; a graceful drain refusal
@@ -104,7 +102,9 @@ carries ``"draining": True``, which requeues the chunk without
 charging a retry and retires the connection).  ``("ping", {...})`` →
 ``("pong", {...})`` may interleave at any point; ``("shutdown", {})``
 → ``("bye", {})`` asks the node to stop: it refuses new chunks
-(answering ``lost``), finishes the chunks in hand, then exits.
+(answering ``lost``), finishes the chunks in hand, then exits.  A node
+whose reply breaks any of these shapes is dropped like a lost one:
+its in-flight chunks requeue under the retry cap.
 
 **Security note:** frames carry pickles, which execute arbitrary code
 on unpickling.  A worker node must only listen where its coordinator
@@ -133,6 +133,7 @@ from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+from repro.runtime.chunkexec import execute_specs
 from repro.runtime.runner import (
     TrialRunner,
     _execute_chunk,
@@ -193,8 +194,10 @@ MISS_ROUND_CAP = 32
 
 #: Bumped on any incompatible wire change; checked in the handshake.
 #: v2: ping/pong heartbeats, the "lost" chunk reply, node-side pools.
-#: v3: packed record arrays in the "done" reply (the "packed" body).
-PROTOCOL_VERSION = 3
+#: v3: the "done" reply could carry column arrays instead of a list.
+#: v4: "done" always carries the pickled result list, checked against
+#: its chunk.
+PROTOCOL_VERSION = 4
 
 #: Stdout line a worker prints once its socket is bound (the spawner
 #: parses it to learn an ephemeral port).
@@ -742,32 +745,7 @@ def _job_done(job: _ChunkJob, future) -> None:
             ),
         )
         return
-    _finish_job(job, _done_message(job, results))
-
-
-def _done_message(job: _ChunkJob, results) -> tuple:
-    """Build the ``done`` reply — packed record arrays when possible.
-
-    Chunks of ``run_trial`` and ``run_traffic_trial`` records flatten
-    to a handful of flat arrays
-    (:func:`repro.runtime.recordwire.pack_records`); anything the
-    packer declines — foreign workloads, records it cannot represent —
-    ships as the legacy pickled list.  Both bodies reassemble to
-    identical results.
-    """
-    from repro.runtime.recordwire import pack_records
-
-    def _resolve(workload_id):
-        found, _missing = job.server.cache.lookup([workload_id])
-        return found.get(workload_id)
-
-    body = {"chunk": job.chunk_id}
-    packed = pack_records(job.specs, results, resolve=_resolve)
-    if packed is not None:
-        body["packed"] = packed
-    else:
-        body["results"] = results
-    return ("done", body)
+    _finish_job(job, ("done", {"chunk": chunk_id, "results": results}))
 
 
 def _finish_job(job: _ChunkJob, message) -> None:
@@ -1254,6 +1232,31 @@ class _Task:
         return f"offset {self.start} (keys {span})"
 
 
+def _checked_results(node: _Node, task: _Task, results) -> list:
+    """A ``done`` reply's results, if they answer ``task`` exactly.
+
+    One :class:`TrialResult` per spec, in order, each keyed as its
+    spec.  A short reply would leave trials unplaced, a long one could
+    overwrite a neighbouring chunk, and a mis-keyed one would file a
+    value under the wrong trial: any of them means the node is not
+    speaking the protocol, so :class:`ProtocolError` drops it and the
+    chunk requeues.
+    """
+    if not isinstance(results, list) or len(results) != len(task.chunk):
+        got = len(results) if isinstance(results, list) else results
+        raise ProtocolError(
+            f"node {node.label()} returned {got!r:.80} results for a "
+            f"{len(task.chunk)}-spec chunk"
+        )
+    for spec, result in zip(task.chunk, results):
+        if not isinstance(result, TrialResult) or result.key != spec.key:
+            raise ProtocolError(
+                f"node {node.label()} answered key {spec.key!r} with "
+                f"{result!r:.80}"
+            )
+    return results
+
+
 class _RunState:
     """Completion/failure bookkeeping shared by the node threads."""
 
@@ -1616,7 +1619,7 @@ class ClusterRunner(TrialRunner):
             # different — the user asked for the work to run *there*
             # (imports, memory, data locality may only exist on the
             # node) — so every non-empty batch ships, however small.
-            return [spec.execute() for spec in specs]
+            return execute_specs(specs)
         nodes = self._ensure_nodes()
         payload_table = batch_payloads(specs)
         board = ChunkBoard(len(specs))
@@ -1700,13 +1703,17 @@ class ClusterRunner(TrialRunner):
                 # half-written frame, so drop it too.
                 node.close()
                 state.fail(exc)
-            except (ConnectionError, ProtocolError, OSError) as exc:
-                # Transport fault or heartbeat expiry: the node is
-                # gone; its in-flight chunks requeue to survivors.
+            except Exception as exc:
+                # Transport fault, heartbeat expiry, or a reply that
+                # breaks the protocol (a ProtocolError, or a malformed
+                # body raising KeyError, TypeError, ...): the node is
+                # gone or not to be trusted, so drop it and requeue its
+                # in-flight chunks to survivors under the retry cap.
                 node.close()
+                cause = f"{type(exc).__name__}: {exc}"
                 if not state.finished:
                     for task in inflight.values():
-                        if not self._requeue(tasks, task, state, exc):
+                        if not self._requeue(tasks, task, state, cause):
                             break
         finally:
             state.node_exit()
@@ -1822,31 +1829,7 @@ class ClusterRunner(TrialRunner):
                     f"{node.label()} (no such chunk in flight)"
                 )
             if kind == "done":
-                packed = body.get("packed")
-                if packed is not None:
-                    from repro.runtime.recordwire import unpack_records
-
-                    try:
-                        results = unpack_records(packed, task.chunk)
-                    except Exception as exc:
-                        # An undecodable packed body is a protocol
-                        # violation like a short reply: drop the node,
-                        # requeue the chunk elsewhere.
-                        raise ProtocolError(
-                            f"node {node.label()} sent an undecodable "
-                            f"packed record chunk: {exc}"
-                        )
-                else:
-                    results = body["results"]
-                if len(results) != len(task.chunk):
-                    # A short reply would leave trials unplaced (and be
-                    # misreported later); a long one could overwrite a
-                    # neighbouring chunk.  Either way the node is not
-                    # speaking the protocol: drop it, requeue the chunk.
-                    raise ProtocolError(
-                        f"node {node.label()} returned {len(results)} "
-                        f"results for a {len(task.chunk)}-spec chunk"
-                    )
+                results = _checked_results(node, task, body.get("results"))
                 del inflight[task.start]
                 board.place(task.start, results)
                 state.chunk_done()

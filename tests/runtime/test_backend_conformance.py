@@ -18,6 +18,7 @@ backend: a new name in the registry that cannot pass it does not ship.
 
 import pytest
 
+from repro.experiments.registry import all_experiments
 from repro.runtime import (
     ClusterRunner,
     SerialRunner,
@@ -30,6 +31,8 @@ from repro.runtime import testing as kit
 from repro.runtime.trial import TrialResult
 
 BACKENDS = sorted(set(available_backends()) - {"auto"})
+
+ALL_IDS = [spec.experiment_id for spec in all_experiments()]
 
 NODES_ENV = "REPRO_CLUSTER_NODES"
 
@@ -154,17 +157,15 @@ class TestConformance:
 class TestClusterExperimentParity:
     """Cluster-vs-serial byte parity at the ResultTable level.
 
-    E1 exercises ``complexity_specs`` emission; E12 carries the fattest
-    explicit-graph payload in the registry; E18/E19/E20 route demand
-    matrices, so their records cross the wire through the ragged
-    traffic columns of ``records/2`` (and E20 ships the structured
-    fault factories alongside them).  ``chunksize=1`` maximises
-    interleaving across the two nodes — the adversarial schedule.
+    Every registered def, so every record type the registry produces
+    (pair trials, demand-matrix trials, plain-``fn`` sweeps) crosses
+    the wire as the pickled ``TrialResult`` list of a ``done`` reply,
+    and every workload payload ships to the nodes.  ``chunksize=1``
+    maximises interleaving across the two nodes — the adversarial
+    schedule.
     """
 
-    @pytest.mark.parametrize(
-        "experiment_id", ["E1", "E12", "E18", "E19", "E20"]
-    )
+    @pytest.mark.parametrize("experiment_id", ALL_IDS)
     def test_cluster_matches_serial(self, cluster_addresses, experiment_id):
         from repro.experiments.registry import get_experiment
 
@@ -267,3 +268,33 @@ class TestClusterSpecifics:
         assert runner.run_values(kit.square_specs(5)) == [0, 1, 4, 9, 16]
         assert runner._nodes is None
         assert runner._local == []
+
+    def test_inline_batch_runs_through_the_chunk_kernels(
+        self, monkeypatch
+    ):
+        # The inline path is the serial path: kernel-eligible trials
+        # execute as one compiled chunk, not one spec at a time.
+        from repro.core.complexity import complexity_specs
+        from repro.graphs.hypercube import Hypercube
+        from repro.routers.waypoint import WaypointRouter
+        from repro.runtime import chunkexec
+
+        monkeypatch.delenv(NODES_ENV, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        specs = complexity_specs(
+            Hypercube(5), 0.5, WaypointRouter(), trials=12, seed=3
+        )
+        lookups = []
+        real_chunk_runner = chunkexec.chunk_runner
+
+        def counting_chunk_runner(workload):
+            runner = real_chunk_runner(workload)
+            lookups.append(runner)
+            return runner
+
+        monkeypatch.setattr(chunkexec, "chunk_runner", counting_chunk_runner)
+        runner = ClusterRunner(workers=1)
+        clustered = runner.run(specs)
+        assert runner._nodes is None
+        assert lookups and all(found is not None for found in lookups)
+        assert repr(clustered) == repr(SerialRunner().run(specs))

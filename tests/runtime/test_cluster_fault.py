@@ -425,6 +425,58 @@ def _handshake(address):
     return stream
 
 
+def test_done_reply_is_exactly_the_result_list():
+    # The one result encoding, checked on the raw wire of a spawned
+    # node: a `done` body carries the chunk id and the pickled
+    # TrialResult list — nothing else — and that list is what the
+    # coordinator would have computed in process.
+    from repro.core.complexity import complexity_specs
+    from repro.core.traffic import PermutationTraffic, traffic_specs
+    from repro.graphs.hypercube import Hypercube
+    from repro.routers.bfs import LocalBFSRouter
+    from repro.routers.waypoint import WaypointRouter
+    from repro.runtime.chunkexec import execute_specs
+    from repro.runtime.runner import batch_payloads
+
+    chunks = [
+        complexity_specs(
+            Hypercube(4), 0.6, WaypointRouter(), trials=4, seed=1
+        ),
+        traffic_specs(
+            Hypercube(4),
+            0.6,
+            LocalBFSRouter(),
+            PermutationTraffic(3),
+            trials=3,
+            seed=2,
+        ),
+        kit.seeded_specs(3, label="raw"),
+    ]
+    with kit.local_nodes(1, node_workers=1) as addresses:
+        stream = _handshake(addresses[0])
+        try:
+            for chunk_id, specs in enumerate(chunks):
+                stream.send(
+                    (
+                        "chunk",
+                        {
+                            "chunk": chunk_id,
+                            "specs": specs,
+                            "payloads": batch_payloads(specs),
+                        },
+                    )
+                )
+                message = stream.recv(timeout=30)
+                assert message is not None, "node went silent"
+                kind, body = message
+                assert kind == "done", body
+                assert set(body) == {"chunk", "results"}
+                assert body["chunk"] == chunk_id
+                assert repr(body["results"]) == repr(execute_specs(specs))
+        finally:
+            stream.close()
+
+
 def test_shutdown_drains_inflight_chunks_before_exit():
     # Connection 1 has a slow chunk executing when connection 2 asks
     # for shutdown: the node must finish (and deliver) the chunk in
@@ -686,6 +738,112 @@ def test_short_done_reply_is_a_protocol_failure():
     finally:
         for server in servers:
             server.close()
+
+
+def _one_result_too_many(body):
+    return [spec.execute() for spec in body["specs"]] + [
+        TrialResult(key=("extra",), value=0)
+    ]
+
+
+def _one_forged_key(body):
+    results = [spec.execute() for spec in body["specs"]]
+    results[-1] = TrialResult(key=("forged",), value=results[-1].value)
+    return results
+
+
+def _bare_values(body):
+    return [spec.execute().value for spec in body["specs"]]
+
+
+@pytest.mark.parametrize(
+    "forge", [_one_result_too_many, _one_forged_key, _bare_values]
+)
+def test_malformed_done_results_are_a_protocol_failure(forge):
+    # A long reply could overwrite a neighbouring chunk, a forged key
+    # would file a value under the wrong trial, and bare values are not
+    # results at all: each discredits the node exactly as a short reply
+    # does, so with no retries the run ends in the retry-cap error.
+    def rogue(body):
+        return ("done", {"chunk": body["chunk"], "results": forge(body)})
+
+    servers = []
+    addresses = []
+    for _ in range(2):
+        server, address = _start_fake_node(rogue)
+        servers.append(server)
+        addresses.append(address)
+    try:
+        runner = ClusterRunner(
+            nodes=addresses, chunksize=2, retries=0, pipeline_depth=1
+        )
+        with runner:
+            with pytest.raises(
+                TrialExecutionError, match=r"retry cap 0\): ProtocolError"
+            ):
+                runner.run(kit.square_specs(8))
+    finally:
+        for server in servers:
+            server.close()
+
+
+MALFORMED_REPLIES = {
+    "done-without-results": lambda c: ("done", {"chunk": c}),
+    "done-results-not-a-list": lambda c: (
+        "done",
+        {"chunk": c, "results": 7},
+    ),
+    "miss-without-ids": lambda c: ("miss", {"chunk": c}),
+    "failed-without-key": lambda c: (
+        "failed",
+        {"chunk": c, "detail": "x"},
+    ),
+    "done-without-body": lambda c: ("done",),
+    "lost-with-list-body": lambda c: ("lost", [c]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_REPLIES))
+def test_malformed_reply_drops_the_node_instead_of_hanging(shape):
+    # A reply whose body does not parse must drop the rogue node like
+    # a lost one and requeue its chunk, so the honest node finishes the
+    # batch.  The run is joined under a timeout: if the coordinator
+    # ever waits forever again, this test fails instead of hanging.
+    asked = []
+
+    def rogue(body):
+        asked.append(body["chunk"])
+        return MALFORMED_REPLIES[shape](body["chunk"])
+
+    rogue_server, rogue_address = _start_fake_node(rogue)
+    honest_server, honest_address = _start_fake_node(_done_reply)
+    specs = kit.square_specs(8)
+    outcome = {}
+
+    def drive():
+        try:
+            with ClusterRunner(
+                nodes=[rogue_address, honest_address],
+                chunksize=1,
+                retries=2,
+                heartbeat=0,
+                pipeline_depth=1,
+            ) as runner:
+                outcome["values"] = runner.run_values(specs)
+        except Exception as exc:  # reported by the main thread
+            outcome["error"] = exc
+
+    try:
+        thread = threading.Thread(target=drive, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), f"run hung on a {shape} reply"
+        assert "error" not in outcome, outcome.get("error")
+        assert outcome["values"] == [i * i for i in range(8)]
+        assert asked, "the rogue node was never sent a chunk"
+    finally:
+        rogue_server.close()
+        honest_server.close()
 
 
 def test_close_is_idempotent_and_runner_reusable():
