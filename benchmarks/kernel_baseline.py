@@ -75,7 +75,7 @@ def _scenarios(scale: str, seed: int):
          WaypointRouter(), _site_factory),
         # Routing-dominated regimes: supercritical, so (nearly) every
         # trial conditions in and the wall clock is the router itself —
-        # the lockstep frontier engines against the per-trial loop.
+        # the per-row replay engines against the per-trial loop.
         ("routing-local-bfs", hypercube, supercritical,
          LocalBFSRouter(), None),
         ("routing-bidirectional", hypercube, supercritical,
@@ -115,7 +115,7 @@ def record(scale: str = "small", seed: int = 0, out: Path | None = None):
         if not supports_run_chunk(workload):  # also warms the compile
             raise AssertionError(f"{label}: workload has no chunk kernel")
         # Best of three interleaved passes: the first kernel pass pays
-        # one-time costs (incidence build, key-blob serialisation)
+        # one-time costs (adjacency build, key-blob serialisation)
         # that are not steady-state throughput, and the fastest
         # regimes finish in milliseconds where single-pass timing is
         # noise-bound.
@@ -161,11 +161,11 @@ def record(scale: str = "small", seed: int = 0, out: Path | None = None):
             "timings are the best of three interleaved passes. the "
             "kernel batches percolation draws, connectivity BFS and — "
             "for registered routers — the routing stage itself "
-            "(lockstep frontier engines replaying the exact per-trial "
-            "probe sequence). subcritical regimes gain from the "
-            "batched draw+BFS; the routing-* scenarios measure the "
-            "vectorized routing stage where it dominates the wall "
-            "clock. site-subcritical, once the seam's known loss "
+            "(per-row engines replaying the exact per-trial probe "
+            "sequence over each mask row). subcritical regimes gain "
+            "from the batched draw+BFS; the routing-* scenarios measure "
+            "the routing stage where it dominates the wall clock. "
+            "site-subcritical, once the seam's known loss "
             "(eager site draw vs the lazy per-trial model), now draws "
             "coins lazily per frontier block and stays at or above "
             "parity. correlated-outages and adversarial-cut run the "

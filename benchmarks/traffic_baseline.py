@@ -5,13 +5,13 @@ Times the same chunk of ``run_traffic_trial`` specs twice on one core —
 through the per-trial loop (``spec.execute()`` each: one percolation
 draw and one router call per commodity, sequentially) and through the
 commodity-batched chunk kernel (:func:`repro.runtime.execute_specs`,
-which vectorizes the draw and routes every commodity of every trial in
-lockstep frontier blocks) — asserts the records are ``repr``-identical,
-and folds throughputs plus speedups into the ``traffic`` section of
-``results/BENCH_runtime.json``.
+which vectorizes the draw and routes every commodity of every trial
+through one routing-engine call per chunk) — asserts the records are
+``repr``-identical, and folds throughputs plus speedups into the
+``traffic`` section of ``results/BENCH_runtime.json``.
 
 The batched win grows with the commodity count: a k-commodity trial
-gives the frontier engine k× the rows per mask draw, so the fixed
+gives the routing engine k× the rows per mask draw, so the fixed
 per-trial costs (model set-up, edge-mask materialisation) amortise
 across the whole demand matrix instead of one probe pair.
 
@@ -144,7 +144,7 @@ def record(scale: str = "small", seed: int = 0, out: Path | None = None):
             "per-trial loop routes each trial's commodities one router "
             "call at a time; the kernel draws every trial's edge mask "
             "in one vector pass and routes all commodities of all "
-            "trials through the lockstep frontier engines, replaying "
+            "trials through the per-row routing engines, replaying "
             "the exact sequential probe order per commodity"
         ),
         "results": entries,

@@ -402,7 +402,7 @@ def _kernel_audit_line(spec) -> str:
     # (e.g. an unregistered router drops only the routing stage), so
     # break the split down per pipeline stage underneath the headline.
     # Demand-matrix trials route every commodity of a chunk through one
-    # batched frontier pass — name that explicitly on the routing stage.
+    # engine call — name that explicitly on the routing stage.
     def _label(stage: str) -> str:
         if stage == "routing" and audit.demand_specs:
             return "routing (commodity-batched)"

@@ -85,6 +85,8 @@ def run(
     )
     router_classes = [WaypointRouter, DirectedDFSRouter]
     router_names = {cls: cls().name for cls in router_classes}
+    # One cube per n: every point of an n shares its edge index.
+    cubes = {n: Hypercube(n) for n in ns}
 
     points = [
         (n, alpha, router_cls)
@@ -96,7 +98,7 @@ def run(
         (
             (n, alpha, router_names[router_cls]),
             complexity_specs(
-                Hypercube(n),
+                cubes[n],
                 p=n**-alpha,
                 router=router_cls(),
                 trials=trials,
@@ -112,12 +114,12 @@ def run(
 
     transition_data: dict[str, list[tuple[float, float]]] = {}
     for n in ns:
-        edges = Hypercube(n).num_edges()
+        edges = cubes[n].num_edges()
         for alpha in alphas:
             for router_cls in router_classes:
                 name = router_names[router_cls]
                 m = assemble_measurement(
-                    Hypercube(n),
+                    cubes[n],
                     n**-alpha,
                     router_cls(),
                     records[(n, alpha, name)],

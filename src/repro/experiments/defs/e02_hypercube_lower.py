@@ -81,6 +81,8 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         columns=COLUMNS,
     )
     routers = [WaypointRouter(), DirectedDFSRouter()]
+    # One cube per n: every route point of an n shares its edge index.
+    cubes = {n: Hypercube(n) for n in ns}
 
     groups = [
         (
@@ -104,7 +106,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         (
             ("route", n, alpha, router.name),
             complexity_specs(
-                Hypercube(n),
+                cubes[n],
                 p=n**-alpha,
                 router=router,
                 trials=route_trials,
@@ -119,7 +121,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
     measured = runner.run_grouped(groups)
 
     for n in ns:
-        graph = Hypercube(n)
+        graph = cubes[n]
         for alpha in alphas:
             p = n**-alpha
             radius = _ball_radius(n, alpha)

@@ -50,11 +50,13 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         "Hypercube waypoint routing for alpha < 1/2 (poly(n) regime)",
         columns=COLUMNS,
     )
+    # One cube per n: every point of an n shares its edge index.
+    cubes = {n: Hypercube(n) for n in ns}
     groups = [
         (
             (alpha, n),
             complexity_specs(
-                Hypercube(n),
+                cubes[n],
                 p=n**-alpha,
                 router=HypercubeWaypointRouter(alpha=alpha),
                 trials=trials,
@@ -69,7 +71,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
     for alpha in alphas:
         per_n = []
         for n in ns:
-            graph = Hypercube(n)
+            graph = cubes[n]
             p = n**-alpha
             router = HypercubeWaypointRouter(alpha=alpha)
             m = assemble_measurement(graph, p, router, records[(alpha, n)])

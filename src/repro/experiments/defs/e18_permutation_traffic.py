@@ -27,8 +27,8 @@ workload-referenced** :class:`TrialSpec` units via
 point carrying (graph, p, router, demand factory), slim ``(trial,
 seed)`` tails.  Both arms ride the chunk kernel
 (:mod:`repro.kernels.complexity`): the draw vectorizes per chunk and
-every commodity of the chunk routes through the waypoint engine in
-one lockstep batch.
+every commodity of the chunk routes through one call of the waypoint
+engine's per-row replay.
 """
 
 from __future__ import annotations

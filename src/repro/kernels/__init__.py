@@ -5,7 +5,8 @@ unit on a worker is a chunk of consecutive specs sharing one workload.
 This package supplies batch kernels that execute such a chunk in one
 call — i.i.d. percolation masks drawn as one seeded bit-matrix, the
 conditioning as chunk-wide union-find labels over implicit topologies
-compiled to index arithmetic — while preserving the
+compiled to index arithmetic, the routing as exact per-row replays of
+each router's probe sequence over those masks — while preserving the
 per-trial seed derivation, so every record is **bit-identical** to what
 ``spec.execute()`` produces.  Registration happens on import: pulling
 this package in wires the one chunk compiler into
@@ -34,10 +35,10 @@ Layout
     step, and every cluster question of the Lemma 5 certificate and
     the giant-component and connectivity scans.
 :mod:`~repro.kernels.routing`
-    Lockstep frontier-array routing engines replaying the complete
-    -information routers probe for probe through one entry point,
-    ``route_pairs``, plus the router-kernel registry router types opt
-    into.
+    Routing engines replaying the BFS, bidirectional and waypoint
+    routers probe for probe, one mask row at a time, through one entry
+    point, ``route_pairs``, plus the router-kernel registry router types
+    opt into.
 :mod:`~repro.kernels.complexity`
     The chunk compiler tying the above together for pair and demand
     trials alike.  It builds each workload's model once and asks it for
@@ -56,7 +57,6 @@ from repro.kernels.routing import (
     PairRoutingUnsupported,
     register_router_kernel,
     router_kernel_for,
-    routing_incidence,
 )
 from repro.kernels.topology import (
     EdgeIndex,
@@ -78,7 +78,6 @@ __all__ = [
     "edge_index_or_walk",
     "register_router_kernel",
     "router_kernel_for",
-    "routing_incidence",
     "table_edge_masks",
 ]
 

@@ -23,11 +23,12 @@ pass, stage by stage:
    rows — the workload's pair for every trial conditioning keeps, or
    every commodity the demand factory draws (*the very same call* the
    per-trial path makes) — and routes them through the router's
-   registered *engine* (:mod:`repro.kernels.routing`): a lockstep
-   frontier-array replay of the exact per-trial probe sequence, same
-   counts, same paths.  Unregistered routers, and batches an engine
-   cannot replay, keep the per-trial ``Router.route`` loop against
-   cheap mask-backed models — behaviour, not speed, is the invariant;
+   registered *engine* (:mod:`repro.kernels.routing`): a per-row
+   replay of the exact per-trial probe sequence over each row's mask
+   bytes, with no oracle — same counts, same paths.  Unregistered
+   routers, and batches an engine cannot replay, keep the per-trial
+   ``Router.route`` loop against cheap mask-backed models — behaviour,
+   not speed, is the invariant;
 5. **records** — a pair trial's one result, or a demand trial's
    commodity results folded by the one shared
    :func:`~repro.core.traffic.summarize_traffic`.
@@ -52,14 +53,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.graphs.base import Graph, Vertex
-from repro.kernels.bfs import batched_connected
+from repro.kernels.bfs import BLOCK_BYTES, batched_connected
 # Kept importable under this module: perfbench's tracer binds the name.
 from repro.kernels.percolation import table_edge_masks  # noqa: F401
-from repro.kernels.routing import (
-    PairRoutingUnsupported,
-    _block_rows,
-    router_kernel_for,
-)
+from repro.kernels.routing import PairRoutingUnsupported, router_kernel_for
 from repro.kernels.topology import EdgeIndex, edge_index_for
 from repro.percolation.models import PercolationModel
 from repro.runtime.trial import TrialExecutionError
@@ -208,7 +205,7 @@ class _TrialChunk:
         return records
 
     def _route_kernel(self, keys, draw, rows):
-        """Route every row in lockstep engine blocks, or ``None``.
+        """Route every row through the router's engine, or ``None``.
 
         ``None`` means the batch cannot be replayed (a pair without a
         kernel-side representation) and the per-trial loop should run
@@ -216,8 +213,8 @@ class _TrialChunk:
         """
         code = self._index.code
         try:
-            src = np.asarray([code[s] for _, s, _ in rows], dtype=np.int64)
-            tgt = np.asarray([code[t] for _, _, t in rows], dtype=np.int64)
+            src = [code[s] for _, s, _ in rows]
+            tgt = [code[t] for _, _, t in rows]
         except KeyError:
             return None
         trial_of_row = np.asarray([i for i, _, _ in rows], dtype=np.int64)
@@ -231,12 +228,9 @@ class _TrialChunk:
                         trial_of_row, return_inverse=True
                     )
                     masks = rows_fn(routed.tolist())
-                # Expand trial masks to rows one engine-sized block at
-                # a time, so peak memory matches the engines' own
-                # blocking however many commodities a trial carries.
-                block = _block_rows(
-                    self._index.num_vertices, self._index.num_edges
-                )
+                # Expand trial masks to rows a bounded block at a time,
+                # however many commodities a trial carries.
+                block = max(1, BLOCK_BYTES // max(1, self._index.num_edges))
                 out = []
                 for lo in range(0, len(rows), block):
                     hi = lo + block

@@ -195,22 +195,28 @@ class EdgeIndex:
         return self._incidence
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per vertex code, its ``(neighbour code, edge id)`` pairs.
+        """Per vertex code, its ``(neighbour code, edge id)`` pairs in
+        ``graph.neighbors(v)`` order.
 
-        The Python-list form of :meth:`incidence`, for searches that
-        step one vertex at a time (list reads beat numpy scalar
-        indexing there); built on first use and cached.
+        For searches that step one vertex at a time (list reads beat
+        numpy scalar indexing there).  The order is the routers' probe
+        order, which is observable — ``queries`` stops counting
+        mid-neighbourhood on discovery or budget exhaustion — so the
+        routing engines replay from it.  Built on first use by one walk
+        of ``neighbors()`` against per-vertex edge-id maps; cached.
         """
         if self._adjacency is None:
-            adjacency: list[list[tuple[int, int]]] = [
-                [] for _ in range(self.num_vertices)
-            ]
+            ids: list[dict[int, int]] = [{} for _ in range(self.num_vertices)]
             for e, (u, v) in enumerate(
                 zip(self.edge_u.tolist(), self.edge_v.tolist())
             ):
-                adjacency[u].append((v, e))
-                adjacency[v].append((u, e))
-            self._adjacency = adjacency
+                ids[u][v] = e
+                ids[v][u] = e
+            graph, code = self.graph, self.code
+            self._adjacency = [
+                [(code[w], ids[u][code[w]]) for w in graph.neighbors(v)]
+                for u, v in enumerate(self.verts)
+            ]
         return self._adjacency
 
 

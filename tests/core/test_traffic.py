@@ -36,7 +36,7 @@ from repro.core.traffic import (
 )
 from repro.graphs.hypercube import Hypercube
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
-from repro.routers.dfs import DirectedDFSRouter
+from repro.routers.dfs import DirectedDFSRouter, GreedyRouter
 from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
 from repro.runtime import TrialSpec
 from repro.runtime.chunkexec import execute_specs
@@ -176,7 +176,9 @@ _ONE_COMMODITY_ROUTERS = [
     BidirectionalBFSRouter(),
     WaypointRouter(),
     HypercubeWaypointRouter(),
-    DirectedDFSRouter(),  # no routing engine: the per-trial loop
+    # No routing engine: the per-trial loop.
+    DirectedDFSRouter(),
+    GreedyRouter(),
 ]
 
 

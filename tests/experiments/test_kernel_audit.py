@@ -134,9 +134,10 @@ def test_info_line_reports_per_stage_breakdown():
 
 def test_info_line_names_commodity_batched_routing_for_traffic_defs():
     # Demand-matrix defs route whole chunks of commodities through one
-    # batched frontier pass; the stage split says so by name.  Pair
-    # defs (above) keep the plain "routing" label.
+    # engine call; the stage split says so by name.  Pair defs (above)
+    # keep the plain "routing" label.
     line = _kernel_audit_line(get_experiment("E18"))
     assert "routing (commodity-batched)" in line
     pair_line = _kernel_audit_line(get_experiment("E15"))
     assert "(commodity-batched)" not in pair_line
+

@@ -45,10 +45,10 @@ class TestQualitativeClaims:
         rows = table.filtered(router="waypoint")
         low = [r for r in rows if r["alpha"] < 0.5 and r["connected_trials"]]
         high = [r for r in rows if r["alpha"] > 0.5 and r["connected_trials"]]
-        if low and high:
-            assert min(h["frac_edges_probed"] for h in high) >= max(
-                0.5 * l["frac_edges_probed"] for l in low
-            )
+        assert low and high, "E1 lacks a connected row on a side of 1/2"
+        assert min(h["frac_edges_probed"] for h in high) >= max(
+            0.5 * l["frac_edges_probed"] for l in low
+        )
 
     def test_e2_lemma5_bound_respected(self, tables):
         rows = tables["E2"].rows
@@ -70,8 +70,8 @@ class TestQualitativeClaims:
     def test_e4_queries_grow_with_distance(self, tables):
         table = tables["E4"]
         rows = table.rows
-        if len(rows) >= 2:
-            assert rows[-1]["mean_queries"] > rows[0]["mean_queries"] * 0.8
+        assert len(rows) >= 2
+        assert rows[-1]["mean_queries"] > rows[0]["mean_queries"] * 0.8
 
     def test_e5_connectivity_increases_with_p(self, tables):
         routing = tables["E5"].filtered(section="routing")
@@ -83,8 +83,8 @@ class TestQualitativeClaims:
 
     def test_e7_cost_grows_with_depth(self, tables):
         rows = tables["E7"].filtered(router="directed-dfs")
-        if len(rows) >= 2:
-            assert rows[-1]["mean_queries"] > rows[0]["mean_queries"]
+        assert len(rows) >= 2
+        assert rows[-1]["mean_queries"] > rows[0]["mean_queries"]
 
     def test_e8_linear_not_exponential(self, tables):
         rows = tables["E8"].rows
@@ -95,17 +95,17 @@ class TestQualitativeClaims:
 
     def test_e9_quadratic_scaling(self, tables):
         rows = tables["E9"].rows
-        if len(rows) >= 2:
-            n_ratio = rows[-1]["n"] / rows[0]["n"]
-            q_ratio = rows[-1]["mean_queries"] / rows[0]["mean_queries"]
-            assert q_ratio > n_ratio  # super-linear
+        assert len(rows) >= 2
+        n_ratio = rows[-1]["n"] / rows[0]["n"]
+        q_ratio = rows[-1]["mean_queries"] / rows[0]["mean_queries"]
+        assert q_ratio > n_ratio  # super-linear
 
     def test_e10_subquadratic_scaling(self, tables):
         rows = tables["E10"].rows
-        if len(rows) >= 2:
-            n_ratio = rows[-1]["n"] / rows[0]["n"]
-            q_ratio = rows[-1]["mean_queries"] / rows[0]["mean_queries"]
-            assert q_ratio < n_ratio**2  # sub-quadratic
+        assert len(rows) >= 2
+        n_ratio = rows[-1]["n"] / rows[0]["n"]
+        q_ratio = rows[-1]["mean_queries"] / rows[0]["mean_queries"]
+        assert q_ratio < n_ratio**2  # sub-quadratic
 
     def test_e11_giant_fraction_increases(self, tables):
         rows = tables["E11"].filtered(section="giant_fraction")
@@ -133,14 +133,14 @@ class TestQualitativeClaims:
 
     def test_e14_site_hits_harder(self, tables):
         table = tables["E14"]
-        for alpha in sorted({r["alpha"] for r in table.rows}):
+        alphas = sorted({r["alpha"] for r in table.rows})
+        assert len(alphas) >= 2
+        for alpha in alphas:
             rows = {r["fault_model"]: r for r in table.filtered(alpha=alpha)}
             edge, site = rows.get("edge"), rows.get("site")
-            if edge and site:
-                # site faults never connect more often than edge faults
-                assert (
-                    site["connected_trials"] <= edge["connected_trials"] + 1
-                )
+            assert edge and site, f"E14 lacks a fault model at {alpha}"
+            # site faults never connect more often than edge faults
+            assert site["connected_trials"] <= edge["connected_trials"] + 1
 
     def test_a1_verdicts_agree(self, tables):
         assert all(tables["A1"].column("verdicts_agree"))

@@ -1,13 +1,13 @@
-"""Golden + property parity for the vectorized routing engines.
+"""Golden + property parity for the routing engines.
 
 The routing stage of the chunk kernel replays each router's exact
-probe sequence across all trials in lockstep, so every
+probe sequence row by row over the chunk's masks, so every
 :class:`RoutingResult` — success flag, query count, path, failure
 reason — must be ``repr``-identical to ``router.route`` on the same
 percolated graph.  The golden grid pins the supported ingredient
 combinations (including budget-exhaustion boundaries and disconnected
-trials); the hypothesis suite drives batched-frontier routing against
-the per-trial reference over random graphs, masks and pairs.
+trials); the hypothesis suite drives the engines against the per-trial
+reference over random graphs, masks and pairs.
 """
 
 from __future__ import annotations
@@ -22,16 +22,13 @@ from repro.core.traffic import FixedTraffic, traffic_specs
 from repro.graphs.explicit import ExplicitGraph
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh
-from repro.kernels.routing import (
-    register_router_kernel,
-    router_kernel_for,
-    routing_incidence,
-)
+from repro.kernels.routing import register_router_kernel, router_kernel_for
 from repro.kernels.topology import build_edge_index
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
 from repro.runtime import TrialExecutionError
 from repro.runtime.chunkexec import chunk_runner, execute_specs
+from tests.percolation.test_shared_index import GRAPHS, IDS
 
 
 @pytest.fixture(autouse=True)
@@ -186,6 +183,7 @@ def test_waypoint_declines_on_disconnected_base_graph():
         conditioning="none",
         key=("disconnected-base",),
     )
+    assert chunk_runner(specs[0].workload).stages()["routing"] == "kernel"
     with pytest.raises(TrialExecutionError) as kernel_err:
         execute_specs(specs)
     with pytest.raises(TrialExecutionError) as fallback_err:
@@ -294,23 +292,16 @@ def test_waypoint_engine_builds_a_pairs_vector_once(monkeypatch):
     assert repr(got) == repr([spec.execute() for spec in specs])
 
 
-def test_routing_incidence_is_neighbor_ordered():
-    graph = Hypercube(3)
+@pytest.mark.parametrize("graph", GRAPHS, ids=IDS)
+def test_adjacency_is_neighbor_ordered(graph):
+    # Probe order is observable, so every engine reads this order.
     index = build_edge_index(graph)
-    inc_nbr, inc_eid, inc_valid = routing_incidence(index)
-    code, eid = index.code, index.eid
-    for v in graph.vertices():
-        c = code[v]
-        row = [
-            (code[w], eid[graph.edge_key(v, w)])
-            for w in graph.neighbors(v)
-        ]
-        assert inc_valid[c].sum() == len(row)
-        got = list(zip(inc_nbr[c, : len(row)], inc_eid[c, : len(row)]))
-        assert [(int(a), int(b)) for a, b in got] == row
-    # Padding carries sentinels, never a real vertex or edge id.
-    assert (inc_nbr[~inc_valid] == index.num_vertices).all()
-    assert (inc_eid[~inc_valid] == index.num_edges).all()
+    code = index.code
+    eid = {key: e for e, key in enumerate(graph.edges())}
+    assert index.adjacency() == [
+        [(code[w], eid[graph.edge_key(v, w)]) for w in graph.neighbors(v)]
+        for v in graph.vertices()
+    ]
 
 
 # -- hypothesis: random graphs x masks x pairs -------------------------

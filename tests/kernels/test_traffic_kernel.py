@@ -27,7 +27,7 @@ from repro.core.traffic import (
 from repro.graphs.clos import FatTree
 from repro.graphs.hypercube import Hypercube
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
-from repro.routers.dfs import DirectedDFSRouter
+from repro.routers.dfs import GreedyRouter
 from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
 from repro.runtime import TrialExecutionError
 from repro.runtime.chunkexec import chunk_runner, execute_specs
@@ -124,7 +124,7 @@ class TestFallbacks:
     def test_unregistered_router_takes_sequential_routing(self):
         graph = Hypercube(4)
         specs = traffic_specs(
-            graph, 0.7, DirectedDFSRouter(), PermutationTraffic(4),
+            graph, 0.7, GreedyRouter(), PermutationTraffic(4),
             trials=6, seed=3,
         )
         runner = chunk_runner(specs[0].workload)

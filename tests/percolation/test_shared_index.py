@@ -33,7 +33,7 @@ from repro.kernels.topology import edge_index_for
 from repro.percolation.coupled import giant_threshold, pair_threshold
 from repro.percolation.models import TablePercolation
 from repro.routers.bfs import LocalBFSRouter
-from repro.routers.dfs import DirectedDFSRouter
+from repro.routers.dfs import GreedyRouter
 from repro.util.rng import derive_seed, uniform_for, uniforms_for
 from repro.util.unionfind import DisjointSets
 
@@ -230,13 +230,13 @@ def test_index_is_freed_with_its_graph():
 def test_compiled_runner_keeps_its_graph():
     # A compiled chunk runner outlives its workload in the compile
     # cache, and the shared index holds the graph only weakly, so the
-    # runner itself must keep the graph alive.  DirectedDFSRouter has
-    # no routing kernel: each trial routes on a mask-backed model
-    # built from the index's graph at run time.
+    # runner itself must keep the graph alive.  GreedyRouter has no
+    # routing kernel: each trial routes on a mask-backed model built
+    # from the index's graph at run time.
     graph = Hypercube(5)
     graph_ref = weakref.ref(graph)
     specs = complexity_specs(
-        graph, p=0.6, router=DirectedDFSRouter(), trials=3, seed=9,
+        graph, p=0.6, router=GreedyRouter(), trials=3, seed=9,
         key=("idx",),
     )
     runner = compile_trial_chunk(specs[0].workload)
@@ -264,3 +264,27 @@ def test_index_is_built_once_per_graph(monkeypatch):
     pair_threshold(graph, 3, *graph.canonical_pair())
     assert compile_trial_chunk(_specs(graph)[0].workload) is not None
     assert calls == [graph]
+
+
+def test_e1_builds_one_index_per_cube(monkeypatch):
+    # E1's (alpha, router) points at one n share one Hypercube, so the
+    # compiled runners cached for them share one index and adjacency.
+    # Serial on purpose: a pool or cluster worker unpickles its own
+    # graph per workload, out of this process's sight.
+    from repro.experiments.registry import get_experiment
+    from repro.runtime import SerialRunner, chunkexec
+
+    calls = []
+    build = topology.build_edge_index
+
+    def counting_build(graph):
+        calls.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(topology, "build_edge_index", counting_build)
+    chunkexec._COMPILED.clear()
+    try:
+        get_experiment("E1")(scale="tiny", seed=0, runner=SerialRunner())
+    finally:
+        chunkexec._COMPILED.clear()
+    assert len(calls) == 1
