@@ -146,7 +146,6 @@ def record(
             "REPRO_NODE_WORKERS",
             "REPRO_PIPELINE_DEPTH",
             "REPRO_HEARTBEAT",
-            "REPRO_NODE_CACHE",
         )
     }
     try:

@@ -179,7 +179,7 @@ def record(scale: str = "small", seed: int = 0, out: Path | None = None):
     out.parent.mkdir(exist_ok=True)
     if out.exists():
         # runtime_baseline.py owns the top-level document; this script
-        # only replaces its own section, like ipc/cluster do.
+        # only replaces its own section, like cluster/traffic do.
         baseline = json.loads(out.read_text(encoding="utf-8"))
     else:
         baseline = {}

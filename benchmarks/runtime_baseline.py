@@ -84,8 +84,8 @@ def record(
         "granularity": (
             "per-trial: every Monte-Carlo trial of every sweep point is "
             "its own work unit, so single points parallelise too; "
-            "shared contexts ship once per worker as workloads and the "
-            "pool persists across experiments"
+            "shared contexts ride in workloads, written once per chunk, "
+            "and the pool persists across experiments"
         ),
         "scale": scale,
         "seed": seed,
@@ -105,8 +105,8 @@ def record(
     out = out or RESULTS_DIR / "BENCH_runtime.json"
     out.parent.mkdir(exist_ok=True)
     if out.exists():
-        # benchmarks/ipc_baseline.py, benchmarks/cluster_baseline.py
-        # and benchmarks/kernel_baseline.py fold their headline numbers
+        # benchmarks/cluster_baseline.py, benchmarks/kernel_baseline.py
+        # and benchmarks/traffic_baseline.py fold their headline numbers
         # into this file; keep every section this run did not measure.
         previous = json.loads(out.read_text(encoding="utf-8"))
         for section, value in previous.items():

@@ -19,8 +19,8 @@ sweep point can fan its trials out across worker processes:
   master seed — the rejection-sampling hot loop is the parallel unit.
   The shared context (graph, router, pair, factory, conditioning) is
   frozen into one :class:`~repro.runtime.Workload` for the whole group,
-  so a spec's wire form is its ``(trial, seed)`` tail plus a content
-  id: the graph ships to each worker once, not once per trial;
+  and a spec carries only its ``(trial, seed)`` tail: a pickled chunk
+  writes the graph once, not once per trial;
 * :func:`run_trial` is the pure per-trial kernel (one percolation draw,
   one conditioning check, at most one routing attempt) executed by a
   :class:`~repro.runtime.TrialRunner`, in any process;
@@ -284,9 +284,8 @@ def complexity_specs(
     The measurement context — graph, router, pair, budget, factory,
     conditioning — is emitted once as a shared
     :class:`~repro.runtime.Workload` referenced by every spec of the
-    group, so a spec pickles to its per-trial ``(t, seed)`` tail plus a
-    16-byte content id however large the graph is.  The returned specs
-    keep the workload alive; see the ownership contract in
+    group, so a pickled chunk writes the context once and each spec
+    adds only its per-trial ``(t, seed)`` tail; see
     :mod:`repro.runtime.workload`.  Demand-matrix trials emit through
     :func:`~repro.core.traffic.traffic_specs` instead.
     """

@@ -138,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "local execution-pool size: trials run on this many worker "
         "processes concurrently",
     )
-    _add_knob(
-        serve, "--cache-cap", "node_cache", "N",
-        "LRU cap on the node's workload-payload cache, in entries; "
-        "0 = unbounded; evicted payloads are re-shipped transparently "
-        "on demand",
-    )
 
     service = sub.add_parser(
         "serve",
@@ -543,14 +537,12 @@ def _cmd_report(
     return 0
 
 
-def _cmd_worker_serve(
-    host: str, port: int, paths, node_workers, cache_cap
-) -> int:
+def _cmd_worker_serve(host: str, port: int, paths, node_workers) -> int:
     from repro.runtime.cluster import serve
 
     for path in reversed(paths):
         sys.path.insert(0, path)
-    serve(host, port, node_workers=node_workers, cache_cap=cache_cap)
+    serve(host, port, node_workers=node_workers)
     return 0
 
 
@@ -591,11 +583,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "worker":
         if args.worker_command == "serve":
             return _cmd_worker_serve(
-                args.host,
-                args.port,
-                args.path,
-                args.node_workers,
-                args.cache_cap,
+                args.host, args.port, args.path, args.node_workers
             )
         raise AssertionError(
             f"unhandled worker command {args.worker_command!r}"

@@ -11,8 +11,8 @@ Every trial of every (graph, router) pair is its own
 the comparison stays draw-for-draw fair under any scheduling.
 Each spec is
 **workload-referenced**: the point's shared context (graph, router,
-pair) rides in one :class:`~repro.runtime.Workload`, shipped to a
-worker once; the specs carry only their ``(trial, seed)`` tails.
+pair) rides in one :class:`~repro.runtime.Workload`, written once
+per chunk; the specs carry only their ``(trial, seed)`` tails.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ all three routers of a size share per-trial seeds — identical draws —
 so the comparison is a true ablation under any scheduling.
 Each spec is
 **workload-referenced**: the point's shared context (graph, router,
-pair) rides in one :class:`~repro.runtime.Workload`, shipped to a
-worker once; the specs carry only their ``(trial, seed)`` tails.
+pair) rides in one :class:`~repro.runtime.Workload`, written once
+per chunk; the specs carry only their ``(trial, seed)`` tails.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ Every trial of every (boundary, p, n) point is its own
 ``(p, n)``, keeping the comparison draw-for-draw coupled.
 Each spec is
 **workload-referenced**: the point's shared context (graph, router,
-pair) rides in one :class:`~repro.runtime.Workload`, shipped to a
-worker once; the specs carry only their ``(trial, seed)`` tails.
+pair) rides in one :class:`~repro.runtime.Workload`, written once
+per chunk; the specs carry only their ``(trial, seed)`` tails.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Monte-Carlo with the same hash stream.  Each union–find sweep is one
 :class:`TrialSpec`, using the same per-trial seed derivation as
 ``threshold_sample``, so depths fan out trial by trial.  Each spec is
 **workload-referenced**: the depth's tree is frozen into one shared
-:class:`Workload` and a spec ships only its derived seed — the graph
-crosses to each worker once per depth.
+:class:`Workload` and a spec carries only its derived seed — a chunk
+writes the tree once, and a worker keeps one copy of it per depth.
 """
 
 from __future__ import annotations

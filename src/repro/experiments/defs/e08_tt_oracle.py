@@ -9,8 +9,8 @@ Every trial of every ``(p, depth)`` point is its own
 :class:`TrialSpec`, so the sweep fans out across workers.
 Each spec is
 **workload-referenced**: the point's shared context (graph, router,
-pair) rides in one :class:`~repro.runtime.Workload`, shipped to a
-worker once; the specs carry only their ``(trial, seed)`` tails.
+pair) rides in one :class:`~repro.runtime.Workload`, written once
+per chunk; the specs carry only their ``(trial, seed)`` tails.
 """
 
 from __future__ import annotations

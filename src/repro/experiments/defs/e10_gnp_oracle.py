@@ -10,8 +10,8 @@ Every trial of every size is its own :class:`TrialSpec`, and so is
 every trial of the local-router comparison at one size, so the largest
 ``n`` fans out across workers.  Each spec is
 **workload-referenced**: the point's shared context (graph, router,
-pair) rides in one :class:`~repro.runtime.Workload`, shipped to a
-worker once; the specs carry only their ``(trial, seed)`` tails.
+pair) rides in one :class:`~repro.runtime.Workload`, written once
+per chunk; the specs carry only their ``(trial, seed)`` tails.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ Work units: one :class:`TrialSpec` per family for the structural scan
 every ``(family, p)`` point, all in a single batch across workers.
 Both shapes are **workload-referenced**: the graphs — including the
 explicit ``RandomMatchingCycle``, whose stored matching is the fattest
-payload in the suite — ride in shared :class:`Workload`\\ s, so each
-crosses to a worker once, not once per trial.
+payload in the suite — ride in shared :class:`Workload`\\ s, so a
+chunk writes each graph once, not once per trial.
 """
 
 from __future__ import annotations

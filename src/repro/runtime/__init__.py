@@ -27,53 +27,36 @@ Two consequences:
 * ``--workers N`` covers the entire suite; there is no legacy
   ``run(scale, seed)`` path left.
 
-The workload protocol (shared payloads)
----------------------------------------
+Shared workloads
+----------------
 
 Per-trial parameters are a few scalars; the measurement *context* —
 graph, router, percolation factory, conditioning config — is shared by
-every trial of a sweep point and can be orders of magnitude larger
-(explicit topologies store their structure).  The runtime therefore
-splits the two:
+every trial of a sweep point.  The runtime therefore splits the two:
 
 * a :class:`~repro.runtime.workload.Workload` freezes the shared
   context once per group, content-addressed by a stable id (a digest of
-  its pickled contents);
+  its pickled contents) that keys the compiled kernels and the result
+  cache;
 * each :class:`TrialSpec` references the workload and carries only its
-  per-trial tail — ``key``, ``(trial, trial_seed)`` — so its wire form
-  costs bytes proportional to the tail, never to the graph.
+  per-trial tail — ``key``, ``(trial, trial_seed)``.
 
-**Shipping:** payloads travel to each worker process at most once.  A
-pool created while a batch is in hand ships the batch's payload table
-through the worker initializer; workloads appearing in later batches
-reach already-running workers by first-touch (the worker reports a
-:class:`~repro.runtime.workload.WorkloadMissError`, the pool resubmits
-the chunk with the payload attached, the worker caches it for life).
-Content addressing stands in for invalidation: payloads are immutable,
-so a different payload is a different id, and a cached entry can go
-unused but never stale.
-
-**Ownership:** the emitter (e.g.
-:func:`repro.core.complexity.complexity_specs`) owns its workloads and
-must keep them alive — via the specs referencing them — until their
-trials finish; runners resolve ids against live objects and never
-deep-copy payloads.
+A chunk's pickle is the whole wire form of its work on every backend:
+specs pickle their workload by value, pickle's memo writes each one
+once per chunk, and a worker keeps one live copy per content id, so a
+graph's cached index built by one chunk serves the next.
 
 **Pool reuse:** :class:`ProcessPoolRunner` keeps its pool alive across
-``run``/``run_grouped`` calls, so consecutive batches pay neither
-process start-up nor payload re-pickling.  ``close()`` (or a ``with``
-block) reaps the workers.
+``run``/``run_grouped`` calls, so consecutive batches do not pay
+process start-up.  ``close()`` (or a ``with`` block) reaps the workers.
 
-This split is also the seam for distributed runners — and the cluster
-backend walks through it: :class:`~repro.runtime.cluster.ClusterRunner`
-ships each ``Workload`` to a TCP worker node once (keyed by content
-id, tracked per node; the node keeps payloads in a capped LRU cache
-and evicted ids are re-shipped transparently), pipelines slim spec
-chunks to each node (``$REPRO_PIPELINE_DEPTH`` in flight per
-connection), and streams results back.  Nodes execute chunks on their
-own process pools (``repro worker serve --node-workers``), and
-heartbeat supervision (``$REPRO_HEARTBEAT``) requeues the chunks of a
-node that disconnects *or* silently wedges to the survivors.
+The cluster backend carries the same chunks over TCP:
+:class:`~repro.runtime.cluster.ClusterRunner` pipelines chunks to each
+worker node (``$REPRO_PIPELINE_DEPTH`` in flight per connection) and
+streams results back.  Nodes execute chunks on their own process pools
+(``repro worker serve --node-workers``), and heartbeat supervision
+(``$REPRO_HEARTBEAT``) requeues the chunks of a node that disconnects
+*or* silently wedges to the survivors.
 
 The batch-kernel seam (run_chunk)
 ---------------------------------
@@ -108,18 +91,16 @@ serial/process split, the default), ``serial``, ``process`` and
 ``cluster`` ship in-tree — selected by argument, else the
 ``REPRO_BACKEND`` environment variable.  :func:`register_backend` adds
 a backend; the contract every factory must honour (determinism versus
-``SerialRunner``, ``run_grouped`` flattening, workload first-touch
-shipping, crash/traceback propagation, chunking edge cases) is
+``SerialRunner``, ``run_grouped`` flattening, workloads appearing in
+later batches, crash/traceback propagation, chunking edge cases) is
 enforced by the conformance suite in
 ``tests/runtime/test_backend_conformance.py``, which parametrises over
 the registry — a new backend is gated on passing it.
 
-The cluster backend's hand-shake, wire framing, fault tolerance and
-ownership story (unchanged: emitters keep workloads alive while their
-specs run) are documented in :mod:`repro.runtime.cluster`; worker
-nodes start with ``repro worker serve`` and are named by
-``$REPRO_CLUSTER_NODES``, or spawned on localhost automatically when
-that is unset.
+The cluster backend's hand-shake, wire framing and fault tolerance are
+documented in :mod:`repro.runtime.cluster`; worker nodes start with
+``repro worker serve`` and are named by ``$REPRO_CLUSTER_NODES``, or
+spawned on localhost automatically when that is unset.
 
 Seed-derivation contract
 ------------------------
@@ -146,7 +127,7 @@ Together these make ``SerialRunner`` and ``ProcessPoolRunner`` produce
 **identical** ``ResultTable``\\ s for the same master seed — enforced
 for every registered experiment by ``tests/experiments/test_parity.py``
 (including under a ``spawn`` multiprocessing context, where nothing is
-inherited and every payload must ship explicitly) and at the kernel
+inherited and every workload arrives inside its chunk) and at the kernel
 level by ``tests/core/test_trial_split.py``.
 
 Choosing a runner
@@ -179,7 +160,7 @@ from repro.runtime.chunkexec import (
 )
 from repro.runtime.runner import ProcessPoolRunner, SerialRunner, TrialRunner
 from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
-from repro.runtime.workload import Workload, WorkloadMissError, WorkloadRef
+from repro.runtime.workload import Workload
 
 __all__ = [
     "ClusterRunner",
@@ -190,8 +171,6 @@ __all__ = [
     "TrialRunner",
     "TrialSpec",
     "Workload",
-    "WorkloadMissError",
-    "WorkloadRef",
     "available_backends",
     "execute_specs",
     "make_runner",

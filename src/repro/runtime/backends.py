@@ -35,8 +35,8 @@ Backend contract
 
 A factory must return a :class:`TrialRunner` honouring the runtime's
 determinism contract — results in submission order, byte-identical to
-``SerialRunner`` for the same specs — plus the workload-shipping and
-error-propagation behaviour of the built-ins.  The contract is
+``SerialRunner`` for the same specs — plus the later-batch workload
+and error-propagation behaviour of the built-ins.  The contract is
 *enforced*, not just documented:
 ``tests/runtime/test_backend_conformance.py`` parametrises one suite
 over every registered backend (it reads this registry), and any new

@@ -36,12 +36,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 
 from repro.runtime.trial import TrialResult, TrialSpec
-from repro.runtime.workload import (
-    Workload,
-    WorkloadMissError,
-    WorkloadRef,
-    resolve_workload,
-)
+from repro.runtime.workload import Workload
 from repro.settings import resolve
 
 __all__ = [
@@ -127,17 +122,10 @@ def _eligible_tail(spec: TrialSpec) -> bool:
     )
 
 
-def _live_workload(spec: TrialSpec) -> Workload | None:
-    workload = spec.workload
-    if isinstance(workload, Workload):
-        return workload
-    if isinstance(workload, WorkloadRef):
-        try:
-            return resolve_workload(workload.workload_id)
-        except WorkloadMissError:
-            # Let spec.execute() raise the miss through the normal
-            # first-touch machinery.
-            return None
+def _spec_runner(spec: TrialSpec, enabled: bool) -> Callable | None:
+    """The chunk runner of a kernel-eligible spec, else ``None``."""
+    if enabled and _eligible_tail(spec):
+        return chunk_runner(spec.workload)
     return None
 
 
@@ -178,18 +166,13 @@ def execute_specs(specs: Iterable[TrialSpec]) -> list[TrialResult]:
     i = 0
     while i < len(specs):
         spec = specs[i]
-        runner = None
-        workload = None
-        if enabled and _eligible_tail(spec):
-            workload = _live_workload(spec)
-            if workload is not None:
-                runner = chunk_runner(workload)
+        runner = _spec_runner(spec, enabled)
         if runner is None:
             results[i] = spec.execute()
             i += 1
             continue
         j = i
-        workload_id = workload.workload_id
+        workload_id = spec.workload_id
         while (
             j < len(specs)
             and specs[j].workload_id == workload_id
@@ -215,11 +198,7 @@ def kernel_split(specs: Iterable[TrialSpec]) -> tuple[int, int]:
     kernel = fallback = 0
     enabled = resolve("kernel")
     for spec in specs:
-        runner = None
-        if enabled and _eligible_tail(spec):
-            workload = _live_workload(spec)
-            if workload is not None:
-                runner = chunk_runner(workload)
+        runner = _spec_runner(spec, enabled)
         if runner is None:
             fallback += 1
         else:
@@ -243,11 +222,7 @@ def stage_split(specs: Iterable[TrialSpec]) -> dict[str, dict[str, int]]:
     split = {stage: {"kernel": 0, "per-trial": 0} for stage in STAGES}
     enabled = resolve("kernel")
     for spec in specs:
-        runner = None
-        if enabled and _eligible_tail(spec):
-            workload = _live_workload(spec)
-            if workload is not None:
-                runner = chunk_runner(workload)
+        runner = _spec_runner(spec, enabled)
         if runner is None:
             for counts in split.values():
                 counts["per-trial"] += 1

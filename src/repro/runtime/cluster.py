@@ -2,20 +2,13 @@
 
 The third runner backend.  A :class:`ClusterRunner` (coordinator)
 connects to ``repro worker serve`` node processes — on this machine or
-any other — and speaks the shared-payload workload protocol of
-:mod:`repro.runtime.workload` end-to-end over TCP:
+any other — and streams them **chunks** of specs over TCP:
 
-* slim ``(trial, seed)`` specs stream to nodes in **chunks** (a spec's
-  pickled wire form collapses its workload to a 16-byte content id);
-  the coordinator keeps up to ``pipeline_depth`` chunks in flight per
-  connection, so a node starts its next chunk without waiting a
-  round-trip after finishing one;
-* each content-addressed :class:`~repro.runtime.workload.Workload`
-  ships to a node **once** — the coordinator tracks per-node shipped
-  ids and attaches unseen payloads to the first chunk that needs them;
-  a node that still meets an unknown id (nested specs reveal them in
-  stages, or its LRU cache evicted the payload) reports a first-touch
-  miss and the chunk is resubmitted with the payload attached;
+* a chunk's pickle carries its own workloads (each written once per
+  chunk, see :mod:`repro.runtime.workload`), so a node needs nothing
+  from earlier chunks; the coordinator keeps up to ``pipeline_depth``
+  chunks in flight per connection, so a node starts its next chunk
+  without waiting a round-trip after finishing one;
 * trial results stream back per chunk and are reassembled by offset
   (:class:`ChunkBoard`), so completion order never leaks into the
   output and the determinism contract holds: byte-identical
@@ -38,13 +31,6 @@ affected chunks are answered with ``lost``, which the coordinator
 requeues through the ordinary retry path.  Each pool worker carries a
 watchdog that exits when its owning node process dies, so a killed or
 wedged node never leaks orphan workers.
-
-Shipped payloads land in a node-wide **LRU cache**
-(:class:`WorkloadCache`, ``--cache-cap`` entries, default
-``256``; ``0`` = unbounded) shared by every connection for the node's
-lifetime.  Eviction is invisible: a chunk that needs an evicted
-payload reports a miss and the coordinator re-ships it — content
-addressing makes the re-ship redundant, never wrong.
 
 Fault tolerance and heartbeats
 ------------------------------
@@ -77,9 +63,7 @@ for more concurrency per node).  With neither, the runner is
 **self-managed**: it spawns ``workers`` (default 2) localhost ``repro
 worker serve`` subprocesses on first use and reaps them on
 ``close()``.  External nodes are shared infrastructure — many runners
-may connect to them in turn (a node's workload cache persists for its
-lifetime, so a payload still ships once per *node*, not once per
-runner) — and ``close()`` never shuts them down.
+may connect to them in turn — and ``close()`` never shuts them down.
 
 Wire format
 -----------
@@ -91,12 +75,11 @@ partial reads).  :class:`MessageStream` serialises concurrent senders
 with a lock, so replies raced by pool callbacks and pongs never
 interleave mid-frame.  Messages are ``(kind, body)`` tuples; the
 handshake is ``("hello", {"version"})`` → ``("welcome", {"version",
-"pid"})``, then ``("chunk", {"chunk", "specs", "payloads"})`` answered
-by one of ``("done", {"chunk", "results"})`` (the chunk's pickled
+"pid"})``, then ``("chunk", {"chunk", "specs"})`` answered by one of
+``("done", {"chunk", "results"})`` (the chunk's pickled
 ``TrialResult`` list — the coordinator accepts it only with one result
-per spec, in order, each carrying its spec's key),
-``("miss", {"chunk", "workload_ids"})``, ``("failed", {"chunk",
-"key", "detail"})`` or ``("lost", {"chunk", "reason"})`` (the node
+per spec, in order, each carrying its spec's key), ``("failed",
+{"chunk", "key", "detail"})`` or ``("lost", {"chunk", "reason"})`` (the node
 abandoned the chunk — requeue it elsewhere; a graceful drain refusal
 carries ``"draining": True``, which requeues the chunk without
 charging a retry and retires the connection).  ``("ping", {...})`` →
@@ -104,7 +87,9 @@ charging a retry and retires the connection).  ``("ping", {...})`` →
 → ``("bye", {})`` asks the node to stop: it refuses new chunks
 (answering ``lost``), finishes the chunks in hand, then exits.  A node
 whose reply breaks any of these shapes is dropped like a lost one:
-its in-flight chunks requeue under the retry cap.
+its in-flight chunks requeue under the retry cap.  A peer whose
+handshake reply is malformed or undecodable is refused with
+:class:`ProtocolError`.
 
 **Security note:** frames carry pickles, which execute arbitrary code
 on unpickling.  A worker node must only listen where its coordinator
@@ -127,24 +112,16 @@ import sys
 import threading
 import time
 import weakref
-from collections import OrderedDict, deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections import deque
+from collections.abc import Iterable, Sequence
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from repro.runtime.chunkexec import execute_specs
-from repro.runtime.runner import (
-    TrialRunner,
-    _execute_chunk,
-    batch_payloads,
-    pick_chunksize,
-    resolve_miss_payload,
-    split_chunks,
-)
+from repro.runtime.runner import TrialRunner, pick_chunksize, split_chunks
 from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
-from repro.runtime.workload import Workload, WorkloadMissError
-from repro.settings import KNOBS, resolve
+from repro.settings import resolve
 
 __all__ = [
     "ChunkBoard",
@@ -154,7 +131,6 @@ __all__ = [
     "MessageStream",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "WorkloadCache",
     "encode_frame",
     "node_process_pid",
     "parse_nodes",
@@ -186,18 +162,13 @@ BYE_WAIT_TIMEOUT = 10.0
 #: machinery re-runs the chunk elsewhere.
 NODE_SEND_TIMEOUT = 60.0
 
-#: Miss/resubmit rounds one chunk may take on one node before the run
-#: is declared non-convergent (legitimate rounds come from nested
-#: workloads revealed in stages and from cache eviction; a chunk that
-#: loops past this is hitting a runtime bug, not a slow reveal).
-MISS_ROUND_CAP = 32
-
 #: Bumped on any incompatible wire change; checked in the handshake.
 #: v2: ping/pong heartbeats, the "lost" chunk reply, node-side pools.
 #: v3: the "done" reply could carry column arrays instead of a list.
 #: v4: "done" always carries the pickled result list, checked against
 #: its chunk.
-PROTOCOL_VERSION = 4
+#: v5: a "chunk" carries its workloads inline; no "miss" reply.
+PROTOCOL_VERSION = 5
 
 #: Stdout line a worker prints once its socket is bound (the spawner
 #: parses it to learn an ephemeral port).
@@ -235,7 +206,8 @@ class FrameReader:
 
     ``feed`` accepts whatever bytes arrived — half a header, three
     frames and a torn fourth — buffers the remainder, and returns every
-    message completed so far, in order.
+    message completed so far, in order.  A frame whose payload does
+    not unpickle raises :class:`ProtocolError`, like a bad header.
     """
 
     def __init__(self) -> None:
@@ -266,7 +238,12 @@ class FrameReader:
                 break
             payload = bytes(self._buffer[_HEADER.size : end])
             del self._buffer[:end]
-            messages.append(pickle.loads(payload))
+            try:
+                messages.append(pickle.loads(payload))
+            except Exception as exc:
+                raise ProtocolError(
+                    f"undecodable frame: {type(exc).__name__}: {exc}"
+                ) from exc
         return messages
 
 
@@ -391,9 +368,9 @@ def parse_nodes(nodes) -> tuple[tuple[str, int], ...]:
     form), an iterable of ``"host:port"`` strings, or an iterable of
     ``(host, port)`` pairs — rejecting empty hosts, out-of-range ports
     and duplicate addresses uniformly.  A duplicated address would
-    create two independent coordinator-side ledgers (shipped payload
-    ids, once-per-node accounting) for one physical node; one node is
-    one entry — ``--node-workers`` adds concurrency *within* it.
+    give one physical node two connections and twice its share of
+    chunks; one node is one entry — ``--node-workers`` adds
+    concurrency *within* it.
 
     >>> parse_nodes("127.0.0.1:7101, 127.0.0.1:7102")
     (('127.0.0.1', 7101), ('127.0.0.1', 7102))
@@ -477,67 +454,13 @@ def node_process_pid() -> int | None:
     return _NODE_PID
 
 
-class WorkloadCache:
-    """Thread-safe LRU cache of shipped workload payloads, node-wide.
-
-    ``cap=0`` means unbounded (the pre-eviction behaviour).  Eviction
-    is harmless by construction: payloads are content-addressed and the
-    coordinator re-ships an evicted id through the ordinary first-touch
-    miss path, so a bounded cache trades a re-ship round-trip for
-    bounded memory on a months-long shared node.
-    """
-
-    def __init__(self, cap: int = KNOBS["node_cache"].default) -> None:
-        if cap < 0:
-            raise ValueError(f"cache cap must be >= 0, got {cap}")
-        self.cap = cap
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, Workload] = OrderedDict()
-
-    def install(self, payloads: Mapping[str, Workload]) -> None:
-        """Cache freshly-shipped payloads (most-recently-used)."""
-        with self._lock:
-            for workload_id, workload in payloads.items():
-                self._entries[workload_id] = workload
-                self._entries.move_to_end(workload_id)
-            if self.cap:
-                while len(self._entries) > self.cap:
-                    self._entries.popitem(last=False)
-
-    def lookup(
-        self, workload_ids: Iterable[str]
-    ) -> tuple[dict[str, Workload], tuple[str, ...]]:
-        """Split ids into ``(found payloads, missing ids)``; touching
-        found entries keeps hot payloads resident."""
-        found: dict[str, Workload] = {}
-        missing: list[str] = []
-        with self._lock:
-            for workload_id in workload_ids:
-                workload = self._entries.get(workload_id)
-                if workload is None:
-                    missing.append(workload_id)
-                else:
-                    self._entries.move_to_end(workload_id)
-                    found[workload_id] = workload
-        return found, tuple(sorted(missing))
-
-    def ids(self) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class _NodeServer:
-    """Per-process state behind :func:`serve`: the execution pool, the
-    workload cache and the drain bookkeeping, shared by every
-    connection for the node's lifetime."""
+    """Per-process state behind :func:`serve`: the execution pool and
+    the drain bookkeeping, shared by every connection for the node's
+    lifetime."""
 
-    def __init__(self, workers: int, cache_cap: int) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.cache = WorkloadCache(cache_cap)
         self.stop = threading.Event()
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
@@ -595,14 +518,12 @@ class _NodeServer:
 class _ChunkJob:
     """One chunk executing on the node pool, with its reply route."""
 
-    __slots__ = ("server", "stream", "chunk_id", "specs", "shipped", "pool")
+    __slots__ = ("server", "stream", "chunk_id", "pool")
 
-    def __init__(self, server, stream, chunk_id, specs, shipped) -> None:
+    def __init__(self, server, stream, chunk_id) -> None:
         self.server = server
         self.stream = stream
         self.chunk_id = chunk_id
-        self.specs = specs
-        self.shipped = shipped  # payloads attached across resubmits
         self.pool = None  # executor the live future belongs to
 
 
@@ -640,67 +561,12 @@ def _reply(stream: MessageStream, message, chunk_id) -> None:
             pass
 
 
-def _submit_job(job: _ChunkJob) -> None:
-    try:
-        pool = job.server.pool()
-        job.pool = pool
-        future = pool.submit(
-            _execute_chunk, job.specs, dict(job.shipped) or None
-        )
-    except Exception as exc:
-        _finish_job(
-            job,
-            (
-                "lost",
-                {
-                    "chunk": job.chunk_id,
-                    "reason": f"node pool unavailable: {exc}",
-                },
-            ),
-        )
-        return
-    future.add_done_callback(lambda f, job=job: _job_done(job, f))
-
-
 def _job_done(job: _ChunkJob, future) -> None:
-    """Pool completion callback: reply, resubmit on a local miss, or
-    abandon the chunk (``lost``) when the pool broke under it."""
+    """Pool completion callback: reply, or abandon the chunk
+    (``lost``) when the pool broke under it."""
     chunk_id = job.chunk_id
     try:
         results = future.result()
-    except WorkloadMissError as miss:
-        found, missing = job.server.cache.lookup(miss.workload_ids)
-        if missing:
-            # The node itself does not hold these (never shipped, or
-            # evicted): first-touch back to the coordinator.
-            _finish_job(
-                job,
-                ("miss", {"chunk": chunk_id, "workload_ids": missing}),
-            )
-            return
-        if not any(wid not in job.shipped for wid in found):
-            import traceback
-
-            _finish_job(
-                job,
-                (
-                    "failed",
-                    {
-                        "chunk": chunk_id,
-                        "key": ("<node>",),
-                        "detail": (
-                            "workload shipping did not converge on the "
-                            f"node pool (ids {sorted(found)} were "
-                            "already attached); this is a runtime "
-                            f"bug\n{traceback.format_exc()}"
-                        ),
-                    },
-                ),
-            )
-            return
-        job.shipped.update(found)
-        _submit_job(job)
-        return
     except (BrokenProcessPool, CancelledError) as exc:
         if job.pool is not None:
             job.server.discard_pool(job.pool)
@@ -757,9 +623,6 @@ def _finish_job(job: _ChunkJob, message) -> None:
 
 def _start_chunk(server: _NodeServer, stream: MessageStream, body) -> None:
     chunk_id = body["chunk"]
-    payloads = dict(body.get("payloads") or {})
-    if payloads:
-        server.cache.install(payloads)
     if server.stop.is_set():
         # Draining for shutdown: the chunks in hand finish, new ones
         # are refused so the coordinator requeues them elsewhere.
@@ -780,7 +643,23 @@ def _start_chunk(server: _NodeServer, stream: MessageStream, body) -> None:
         )
         return
     server.chunk_started()
-    _submit_job(_ChunkJob(server, stream, chunk_id, body["specs"], payloads))
+    job = _ChunkJob(server, stream, chunk_id)
+    try:
+        job.pool = server.pool()
+        future = job.pool.submit(execute_specs, body["specs"])
+    except Exception as exc:
+        _finish_job(
+            job,
+            (
+                "lost",
+                {
+                    "chunk": chunk_id,
+                    "reason": f"node pool unavailable: {exc}",
+                },
+            ),
+        )
+        return
+    future.add_done_callback(lambda f: _job_done(job, f))
 
 
 def _handle_connection(conn: socket.socket, server: _NodeServer) -> None:
@@ -855,7 +734,6 @@ def serve(
     port: int = 0,
     *,
     node_workers: int | None = None,
-    cache_cap: int | None = None,
     ready_stream=None,
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
 ) -> None:
@@ -867,11 +745,7 @@ def serve(
     thread — until a coordinator sends ``shutdown`` or the process is
     signalled.  Chunks execute on a process pool of ``node_workers``
     (argument, else ``$REPRO_NODE_WORKERS``, else ``os.cpu_count()``)
-    local workers; shipped payloads live in a node-wide LRU cache of
-    ``cache_cap`` entries (argument, else ``$REPRO_NODE_CACHE``, else
-    256; 0 = unbounded) shared across connections, so a payload ships
-    to the node once per *node lifetime* however many runners use it —
-    or once per eviction, recovered transparently via the miss path.
+    local workers.
 
     On ``shutdown`` — the protocol message, or ``SIGTERM`` when
     serving from the main thread — the node drains: it stops accepting
@@ -882,10 +756,7 @@ def serve(
     """
     if not 0 <= port <= 65535:
         raise ValueError(f"port must be in [0, 65535], got {port}")
-    state = _NodeServer(
-        resolve("node_workers", node_workers),
-        resolve("node_cache", cache_cap),
-    )
+    state = _NodeServer(resolve("node_workers", node_workers))
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     interrupted = False
@@ -1125,18 +996,17 @@ def spawn_local_nodes(
     *,
     extra_paths: Iterable[str] = (),
     node_workers: int | None = None,
-    cache_cap: int | None = None,
     spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
 ) -> list[LocalNode]:
     """Spawn ``count`` localhost worker nodes on ephemeral ports.
 
     ``extra_paths`` adds directories to each node's import path
     (``repro worker serve --path``), for work units whose kernels live
-    outside the installed package.  ``node_workers``/``cache_cap``
-    set each node's execution-pool size and workload-cache cap (None
-    leaves the node's own env/default resolution in charge).  A node
-    that fails to announce its address within ``spawn_timeout``
-    seconds is reaped and reported with its captured output.  On any
+    outside the installed package.  ``node_workers`` sets each node's
+    execution-pool size (None leaves the node's own env/default
+    resolution in charge).  A node that fails to announce its address
+    within ``spawn_timeout`` seconds is reaped and reported with its
+    captured output.  On any
     spawn failure every already-started node is reaped before the
     error propagates.
     """
@@ -1146,8 +1016,6 @@ def spawn_local_nodes(
                "--host", "127.0.0.1", "--port", "0"]
     if node_workers is not None:
         command += ["--node-workers", str(node_workers)]
-    if cache_cap is not None:
-        command += ["--cache-cap", str(cache_cap)]
     for path in extra_paths:
         command += ["--path", str(path)]
     env = _worker_env(extra_paths)
@@ -1215,16 +1083,14 @@ class ChunkBoard:
 
 
 class _Task:
-    """One chunk in flight, with its retry and shipping history."""
+    """One chunk in flight, with its retry count."""
 
-    __slots__ = ("start", "chunk", "attempts", "shipped", "miss_rounds")
+    __slots__ = ("start", "chunk", "attempts")
 
     def __init__(self, start: int, chunk: list) -> None:
         self.start = start
         self.chunk = chunk
         self.attempts = 0  # requeues consumed so far
-        self.shipped: set[str] = set()  # ids this chunk reported missing
-        self.miss_rounds = 0  # miss/resubmit rounds consumed so far
 
     def describe(self) -> str:
         first, last = self.chunk[0].key, self.chunk[-1].key
@@ -1301,7 +1167,6 @@ class _Node:
     def __init__(self, address: tuple[str, int]) -> None:
         self.address = address
         self.stream: MessageStream | None = None
-        self.known_ids: set[str] = set()  # payloads this node has cached
         self.alive = False
         self.local: LocalNode | None = None  # backing self-managed proc
         # Healing backoff: a node that keeps refusing to come back is
@@ -1322,29 +1187,40 @@ class _Node:
         # forever on a wedged node.
         self.stream = MessageStream(sock, send_timeout=timeout)
         try:
+            self._handshake(timeout)
+        except BaseException:
+            # Peer accepted then hung up or answered garbage (port
+            # squatter, restarting node): close explicitly rather than
+            # leave the fd to GC.
+            self.stream.close()
+            raise
+        self.alive = True
+
+    def _handshake(self, timeout: float) -> None:
+        try:
             self.stream.send(("hello", {"version": PROTOCOL_VERSION}))
             reply = self.stream.recv(timeout=timeout)
         except socket.timeout:  # the hello send timed out
             reply = None
-        except (OSError, ProtocolError):
-            # Peer accepted then hung up (port squatter, restarting
-            # node): close explicitly rather than leave the fd to GC.
-            self.stream.close()
-            raise
         if reply is None:
-            self.stream.close()
             raise ProtocolError(
-                f"handshake with {self.label()} "
-                f"timed out after {timeout}s"
-            ) from None
+                f"handshake with {self.label()} timed out after {timeout}s"
+            )
+        if not (
+            isinstance(reply, tuple)
+            and len(reply) == 2
+            and isinstance(reply[1], dict)
+        ):
+            raise ProtocolError(
+                f"handshake with {self.label()} got a malformed reply "
+                f"{reply!r:.80}"
+            )
         kind, body = reply
         if kind != "welcome" or body.get("version") != PROTOCOL_VERSION:
             detail = body.get("detail", f"unexpected {kind!r} reply")
-            self.stream.close()
             raise ProtocolError(
                 f"handshake with {self.label()} failed: {detail}"
             )
-        self.alive = True
 
     def close(self) -> None:
         self.alive = False
@@ -1489,9 +1365,7 @@ class ClusterRunner(TrialRunner):
         """Best-effort recovery of nodes lost in an earlier batch.
 
         External nodes are reconnected at their address (an operator
-        may have restarted them; the fresh connection assumes an empty
-        payload cache, which at worst re-ships — content addressing
-        makes that redundant, never wrong).  Self-managed processes are
+        may have restarted them).  Self-managed processes are
         respawned.  A node that stays down just stays out of the pool;
         survivors carry the batch, and repeated failures back off
         exponentially so a permanently-dead address is not re-dialed
@@ -1621,7 +1495,6 @@ class ClusterRunner(TrialRunner):
             # node) — so every non-empty batch ships, however small.
             return execute_specs(specs)
         nodes = self._ensure_nodes()
-        payload_table = batch_payloads(specs)
         board = ChunkBoard(len(specs))
         tasks: queue.Queue = queue.Queue()
         for start, chunk in chunks:
@@ -1634,7 +1507,7 @@ class ClusterRunner(TrialRunner):
         threads = [
             threading.Thread(
                 target=self._node_loop,
-                args=(node, tasks, board, state, payload_table),
+                args=(node, tasks, board, state),
                 daemon=True,
                 name=f"repro-cluster-{node.label()}",
             )
@@ -1688,19 +1561,16 @@ class ClusterRunner(TrialRunner):
         tasks.put(task)
         return True
 
-    def _node_loop(self, node, tasks, board, state, payload_table) -> None:
+    def _node_loop(self, node, tasks, board, state) -> None:
         """One thread per node: pipeline chunks, collect, supervise."""
         inflight: dict[int, _Task] = {}
         try:
             try:
-                self._pump_node(
-                    node, tasks, board, state, payload_table, inflight
-                )
+                self._pump_node(node, tasks, board, state, inflight)
             except TrialExecutionError as exc:
-                # Parent-side resolution failure (ownership bug), a
-                # poison chunk, or a protocol non-convergence: the run
-                # is wrong, not the node.  The connection may hold a
-                # half-written frame, so drop it too.
+                # A poison chunk: the run is wrong, not the node.  The
+                # connection may hold a half-written frame, so drop it
+                # too.
                 node.close()
                 state.fail(exc)
             except Exception as exc:
@@ -1718,9 +1588,7 @@ class ClusterRunner(TrialRunner):
         finally:
             state.node_exit()
 
-    def _pump_node(
-        self, node, tasks, board, state, payload_table, inflight
-    ) -> None:
+    def _pump_node(self, node, tasks, board, state, inflight) -> None:
         """Drive one node until the batch finishes or the node fails.
 
         Keeps up to ``pipeline_depth`` chunks in flight, polls the
@@ -1734,9 +1602,9 @@ class ClusterRunner(TrialRunner):
         now = time.monotonic()
         # Start of the silence window the node is held accountable
         # for: reset on every frame received AND after every
-        # potentially-long blocking send (shipping a chunk or re-shipped
-        # payload), during which this thread was not listening —
-        # silence while *we* were busy must not condemn the node.
+        # potentially-long blocking chunk send, during which this
+        # thread was not listening — silence while *we* were busy must
+        # not condemn the node.
         # Deliberately NOT reset on ping sends: a tiny ping to a wedged
         # node still lands in kernel buffers, so resetting there would
         # let a wedged node evade the deadline forever.
@@ -1767,7 +1635,7 @@ class ClusterRunner(TrialRunner):
                     tasks.put(task)
                     return
                 try:
-                    self._ship_task(node, task, payload_table)
+                    self._ship_task(node, task)
                 except (ConnectionError, ProtocolError, OSError):
                     # Transport: count the chunk with this node's
                     # losses so the outer handler requeues it.
@@ -1833,10 +1701,6 @@ class ClusterRunner(TrialRunner):
                 del inflight[task.start]
                 board.place(task.start, results)
                 state.chunk_done()
-            elif kind == "miss":
-                self._answer_miss(node, task, body, payload_table)
-                # The payload re-ship is a blocking send too.
-                quiet_since = time.monotonic()
             elif kind == "lost":
                 del inflight[task.start]
                 if body.get("draining"):
@@ -1858,73 +1722,11 @@ class ClusterRunner(TrialRunner):
                     f"unexpected reply kind {kind!r} from {node.label()}"
                 )
 
-    def _answer_miss(self, node, task, body, payload_table) -> None:
-        """Re-ship the payloads a node reported missing.
-
-        Ids the ledger says were already shipped mean the node's LRU
-        cache evicted them — amend the ledger and ship again (content
-        addressing makes the re-ship redundant, never wrong).  A chunk
-        that keeps missing past :data:`MISS_ROUND_CAP` is looping on a
-        runtime bug, not a staged reveal, and fails the run.
-        """
-        missing = tuple(body["workload_ids"])
-        task.miss_rounds += 1
-        if task.miss_rounds > MISS_ROUND_CAP:
-            raise TrialExecutionError(
-                ("<cluster>",),
-                f"workload shipping did not converge for chunk at "
-                f"{task.describe()}: {task.miss_rounds} miss rounds "
-                f"(last ids {missing}) against node {node.label()}; "
-                "this is a runtime bug",
-            )
-        node.known_ids.difference_update(missing)  # evicted or stale
-        task.shipped.update(missing)
-        extra = {
-            workload_id: resolve_miss_payload(
-                workload_id, payload_table, scheduler="<cluster>"
-            )
-            for workload_id in sorted(missing)
-        }
-        self._ship_chunk(node, task, extra)
-
-    @staticmethod
-    def _ship_chunk(node: _Node, task: _Task, payloads: dict) -> None:
-        """Send one chunk message; record what the node now caches."""
+    def _ship_task(self, node: _Node, task: _Task) -> None:
+        """Send one chunk; its pickle carries the chunk's workloads."""
         node.stream.send(
-            (
-                "chunk",
-                {
-                    "chunk": task.start,
-                    "specs": task.chunk,
-                    "payloads": payloads,
-                },
-            )
+            ("chunk", {"chunk": task.start, "specs": task.chunk})
         )
-        node.known_ids.update(payloads)
-
-    def _ship_task(self, node, task, payload_table) -> None:
-        """First shipment of a chunk to a node: attach every payload
-        the node is not known to hold."""
-        payloads = {}
-        for spec in task.chunk:
-            workload = spec.workload
-            if (
-                isinstance(workload, Workload)
-                and workload.workload_id not in node.known_ids
-            ):
-                payloads[workload.workload_id] = workload
-        for workload_id in sorted(task.shipped):
-            # Ids an earlier node reported missing: pre-ship them to a
-            # node that has not seen them rather than waiting for the
-            # same miss again.
-            if (
-                workload_id not in node.known_ids
-                and workload_id not in payloads
-            ):
-                payloads[workload_id] = resolve_miss_payload(
-                    workload_id, payload_table, scheduler="<cluster>"
-                )
-        self._ship_chunk(node, task, payloads)
 
     def __repr__(self) -> str:
         if self._addresses is not None:

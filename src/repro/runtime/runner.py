@@ -11,13 +11,13 @@ determinism contract).
 The pool is **persistent**: it spins up on the first batch that needs
 parallelism and is reused by every later ``run``/``run_grouped`` call
 on the same runner, so consecutive batches stop paying process
-start-up.  Shared payloads (:mod:`repro.runtime.workload`) ship to each
-worker at most once — via the pool initializer for workloads known when
-the pool spawns, and via a first-touch miss/resubmit round-trip for
-workloads that appear later.  Call :meth:`ProcessPoolRunner.close` (or
-use the runner as a context manager) to reap the workers; an unclosed
-pool is torn down when the runner is garbage-collected or the
-interpreter exits.
+start-up.  A chunk travels as one pickle carrying its own workloads
+(:mod:`repro.runtime.workload`), and a worker keeps one live copy per
+recently used workload, so a graph's cached index serves its next
+chunk too.
+Call :meth:`ProcessPoolRunner.close` (or use the runner as a context
+manager) to reap the workers; an unclosed pool is torn down when the
+runner is garbage-collected or the interpreter exits.
 
 Experiments whose sweeps consist of many independent measurements use
 :meth:`TrialRunner.run_grouped` to flatten all their per-trial specs
@@ -27,9 +27,8 @@ the point boundary.
 
 Runner *construction* lives in :mod:`repro.runtime.backends` (the
 backend registry behind ``make_runner``); this module provides the
-in-process runners plus the chunking/payload helpers every batch
-scheduler shares — :func:`pick_chunksize`, :func:`split_chunks`,
-:func:`batch_payloads` and :func:`resolve_miss_payload` are also what
+in-process runners plus the chunking helpers every batch scheduler
+shares — :func:`pick_chunksize` and :func:`split_chunks` are also what
 the socket executor in :mod:`repro.runtime.cluster` builds on.
 """
 
@@ -37,33 +36,20 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait,
-)
+from collections.abc import Iterable, Sequence
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.runtime.chunkexec import execute_specs
 from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
-from repro.runtime.workload import (
-    Workload,
-    WorkloadMissError,
-    WorkloadRef,
-    install_workloads,
-    resolve_workload,
-)
 from repro.settings import resolve
 
 __all__ = [
     "ProcessPoolRunner",
     "SerialRunner",
     "TrialRunner",
-    "batch_payloads",
     "pick_chunksize",
-    "resolve_miss_payload",
     "split_chunks",
 ]
 
@@ -99,44 +85,6 @@ def split_chunks(
         (start, list(specs[start : start + size]))
         for start in range(0, len(specs), size)
     ]
-
-
-def batch_payloads(specs: Sequence[TrialSpec]) -> dict[str, Workload]:
-    """The workload table of a batch: every payload, by content id."""
-    return {
-        spec.workload.workload_id: spec.workload
-        for spec in specs
-        if isinstance(spec.workload, Workload)
-    }
-
-
-def resolve_miss_payload(
-    workload_id: str,
-    batch: Mapping[str, Workload],
-    scheduler: str = "<pool>",
-) -> Workload:
-    """Find the payload for a worker-reported miss, scheduler-side.
-
-    The batch table covers every directly-referenced workload; the
-    constructed-workload registry covers specs nested inside other
-    specs.  Failing both means the emitter dropped the workload
-    while its specs were still running — an ownership-contract bug,
-    reported as such (keyed by ``scheduler`` so the error names the
-    runner that actually hit it).
-    """
-    workload = batch.get(workload_id)
-    if workload is not None:
-        return workload
-    try:
-        return resolve_workload(workload_id)
-    except WorkloadMissError:
-        raise TrialExecutionError(
-            (scheduler,),
-            f"worker requested workload {workload_id} but no live "
-            "Workload with that id exists in the parent; the "
-            "emitting code must keep workloads alive while their "
-            "specs run (see repro.runtime.workload)",
-        ) from None
 
 
 class TrialRunner(ABC):
@@ -210,46 +158,6 @@ class SerialRunner(TrialRunner):
         return "SerialRunner()"
 
 
-def _execute_chunk(
-    chunk: Sequence[TrialSpec],
-    payloads: Mapping[str, Workload] | None = None,
-) -> list[TrialResult]:
-    """Worker entry point: execute one chunk of consecutive specs.
-
-    ``payloads`` carries workloads this worker reported missing (the
-    first-touch resubmission); they are cached for the rest of the
-    worker's life.  A chunk whose workload ids are still unresolved
-    raises :class:`WorkloadMissError` *before* executing anything, so a
-    resubmitted chunk always recomputes from scratch — trials are pure,
-    making the retry invisible in the results.
-
-    This is the one executable shape of a chunk everywhere: the
-    process pool submits it directly, and a cluster node's execution
-    pool (:mod:`repro.runtime.cluster`) submits the same function to
-    its own workers, answering their misses out of the node-wide
-    payload cache before falling back to the coordinator.
-
-    Execution itself goes through the batch-kernel seam
-    (:func:`repro.runtime.chunkexec.execute_specs`): runs of
-    consecutive specs sharing a kernel-capable workload execute as one
-    vectorized chunk, everything else per trial — so every backend
-    (serial, process pool, cluster nodes) gets the kernels from this
-    single wiring point.
-    """
-    if payloads:
-        install_workloads(payloads)
-    missing = set()
-    for spec in chunk:
-        if isinstance(spec.workload, WorkloadRef):
-            try:
-                resolve_workload(spec.workload.workload_id)
-            except WorkloadMissError:
-                missing.add(spec.workload.workload_id)
-    if missing:
-        raise WorkloadMissError(tuple(sorted(missing)))
-    return execute_specs(chunk)
-
-
 class ProcessPoolRunner(TrialRunner):
     """Run trials on a persistent pool of worker processes.
 
@@ -284,31 +192,14 @@ class ProcessPoolRunner(TrialRunner):
         self.chunksize = resolve("chunksize", chunksize)
         self.mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
-        # The worker initializer's payload table.  The dict *instance*
-        # is fixed for the pool's lifetime (it is what initargs
-        # references); run() fills it for the duration of a batch and
-        # empties it afterwards, so a worker spawning mid-batch starts
-        # with the batch's workloads cached, while the runner retains
-        # no payload between batches (the emitter owns payload
-        # lifetime, not the pool).
-        self._init_payloads: dict[str, Workload] = {}
 
     # -- pool lifecycle ---------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Return the live pool, creating it on first parallel batch.
-
-        Workers read ``_init_payloads`` as they spawn (fork snapshots
-        it; spawn pickles it per worker), so the batch in hand pays no
-        first-touch round-trips.  Workloads of *later* batches reach
-        the already-running workers via first-touch instead.
-        """
+        """Return the live pool, creating it on first parallel batch."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self.mp_context,
-                initializer=install_workloads,
-                initargs=(self._init_payloads,),
+                max_workers=self.workers, mp_context=self.mp_context
             )
         return self._pool
 
@@ -341,57 +232,17 @@ class ProcessPoolRunner(TrialRunner):
             # no parallelism to extract, so skip the pool entirely
             # rather than shipping the lone chunk to a worker.
             return execute_specs(specs)
-        payloads = batch_payloads(specs)
         results: list[TrialResult | None] = [None] * len(specs)
-        # Per chunk offset: ids already shipped with a resubmission.
-        # Retries are cumulative — a retry carries every id its chunk
-        # has ever reported missing — so the worker that executes it
-        # (whichever one) installs them all, and a repeat report of a
-        # shipped id is impossible.  Each miss therefore names at
-        # least one *new* id (nested specs can reveal them in stages),
-        # which bounds retries by the chunk's distinct workloads.
-        shipped: dict[int, set[str]] = {}
-        pending: dict = {}
         try:
-            self._init_payloads.update(payloads)
             pool = self._ensure_pool()
-            for start, chunk in chunks:
-                pending[pool.submit(_execute_chunk, chunk)] = (start, chunk)
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    start, chunk = pending.pop(future)
-                    try:
-                        chunk_results = future.result()
-                    except WorkloadMissError as miss:
-                        already = shipped.setdefault(start, set())
-                        if already and not (
-                            set(miss.workload_ids) - already
-                        ):
-                            raise TrialExecutionError(
-                                ("<pool>",),
-                                "workload shipping did not converge "
-                                f"for chunk at offset {start} (ids "
-                                f"{miss.workload_ids} were already "
-                                "shipped); this is a runtime bug",
-                            ) from miss
-                        already.update(miss.workload_ids)
-                        # Ship only what this chunk is known to need —
-                        # never the whole batch table, which would
-                        # re-pickle every payload once per missing
-                        # chunk on a warm pool.
-                        needed = {
-                            workload_id: resolve_miss_payload(
-                                workload_id, payloads
-                            )
-                            for workload_id in sorted(already)
-                        }
-                        pending[
-                            pool.submit(_execute_chunk, chunk, needed)
-                        ] = (start, chunk)
-                    else:
-                        for offset, result in enumerate(chunk_results):
-                            results[start + offset] = result
+            futures = {
+                pool.submit(execute_specs, chunk): start
+                for start, chunk in chunks
+            }
+            for future in as_completed(futures):
+                start = futures[future]
+                for offset, result in enumerate(future.result()):
+                    results[start + offset] = result
         except BrokenProcessPool as exc:
             self._discard_pool()
             raise TrialExecutionError(
@@ -405,8 +256,6 @@ class ProcessPoolRunner(TrialRunner):
             # finishing a long sweep before surfacing the error.
             self._discard_pool()
             raise
-        finally:
-            self._init_payloads.clear()
         return results  # type: ignore[return-value]
 
     def __repr__(self) -> str:

@@ -20,12 +20,11 @@ import time
 from contextlib import contextmanager
 
 from repro.runtime.trial import TrialSpec
-from repro.runtime.workload import Workload, installed_workload_ids
+from repro.runtime.workload import Workload
 from repro.util.rng import uniform_for
 
 __all__ = [
     "boom",
-    "cached_workload_ids",
     "exit_hard",
     "exit_once_then",
     "kill_node",
@@ -156,11 +155,6 @@ def wedge_node_once(value, latch_path):
     os._exit(0)  # pragma: no cover - the stopped node never reaps this
 
 
-def cached_workload_ids(*_args):
-    """Report which workload payloads this process has been shipped."""
-    return sorted(installed_workload_ids())
-
-
 def process_id(*_args):
     """Report the executing process — proves where a trial really ran."""
     return os.getpid()
@@ -188,7 +182,7 @@ def seeded_specs(count, label="x"):
 
 
 def make_workload(label, size=2048):
-    """A content-addressed payload big enough that shipping matters."""
+    """A content-addressed workload with a list payload of ``size``."""
     return Workload(fn=shared_uniform, args=(list(range(size)), label))
 
 
@@ -203,22 +197,19 @@ def workload_specs(workload, count, tag="w"):
 
 
 @contextmanager
-def local_nodes(count=2, extra_paths=(), node_workers=None, cache_cap=None):
+def local_nodes(count=2, extra_paths=(), node_workers=None):
     """Spawn localhost ``repro worker serve`` nodes; yield addresses.
 
     Yields ``["host:port", ...]`` ready for ``ClusterRunner(nodes=...)``
     or ``$REPRO_CLUSTER_NODES``; the node processes are terminated on
-    exit however the block ends.  ``node_workers``/``cache_cap`` pin
-    each node's execution-pool size and workload-cache cap (None: the
-    node's own env/default resolution decides).
+    exit however the block ends.  ``node_workers`` pins each node's
+    execution-pool size (None: the node's own env/default resolution
+    decides).
     """
     from repro.runtime.cluster import spawn_local_nodes
 
     nodes = spawn_local_nodes(
-        count,
-        extra_paths=extra_paths,
-        node_workers=node_workers,
-        cache_cap=cache_cap,
+        count, extra_paths=extra_paths, node_workers=node_workers
     )
     try:
         yield [node.address for node in nodes]

@@ -16,10 +16,10 @@ Specs come in two shapes:
   percolation factory, conditioning config) lives in one frozen
   :class:`~repro.runtime.workload.Workload` common to the whole group,
   and the spec carries only its per-trial tail
-  (``key``, ``args=(trial, trial_seed)``).  Crossing a process boundary
-  the spec pickles the workload down to its content id — see
-  :mod:`repro.runtime.workload` — so the payload ships to each worker
-  once, not once per trial.
+  (``key``, ``args=(trial, trial_seed)``).  A spec pickles its workload
+  by value; pickle writes each workload once per chunk, and a worker
+  resolves it to one live copy per content id — see
+  :mod:`repro.runtime.workload`.
 
 Either way ``fn`` must be a module-level callable and all arguments
 plain picklable data (ints, floats, strings, tuples, instances of
@@ -35,12 +35,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.runtime.workload import (
-    Workload,
-    WorkloadMissError,
-    WorkloadRef,
-    resolve_workload,
-)
+from repro.runtime.workload import Workload
 
 __all__ = ["TrialExecutionError", "TrialResult", "TrialSpec"]
 
@@ -79,7 +74,7 @@ class TrialSpec:
     fn: Callable[..., Any] | None = None
     args: tuple = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    workload: Workload | WorkloadRef | None = None
+    workload: Workload | None = None
 
     def __post_init__(self) -> None:
         if (self.fn is None) == (self.workload is None):
@@ -92,29 +87,15 @@ class TrialSpec:
         """The referenced workload's content id (None if self-contained)."""
         return None if self.workload is None else self.workload.workload_id
 
-    def __getstate__(self) -> dict:
-        # The wire form: a full Workload payload collapses to its
-        # content-addressed ref, so a pickled spec costs bytes
-        # proportional to its per-trial tail, never to the graph.
-        state = dict(self.__dict__)
-        if isinstance(state.get("workload"), Workload):
-            state["workload"] = state["workload"].ref()
-        return state
-
     def execute(self) -> TrialResult:
         """Run the unit, wrapping any failure in TrialExecutionError."""
         try:
             if self.workload is not None:
-                workload = self.workload
-                if isinstance(workload, WorkloadRef):
-                    workload = resolve_workload(workload.workload_id)
-                value = workload.call(*self.args, **dict(self.kwargs))
+                value = self.workload.call(*self.args, **dict(self.kwargs))
             else:
                 value = self.fn(*self.args, **dict(self.kwargs))
-        except (TrialExecutionError, WorkloadMissError):
-            # A miss is the pool's business (resubmit with payload),
-            # not a trial failure; an already-wrapped error keeps its
-            # original key.
+        except TrialExecutionError:
+            # An already-wrapped error keeps its original key.
             raise
         except Exception as exc:
             raise TrialExecutionError(

@@ -1,127 +1,53 @@
-"""Shared-payload workloads: ship the graph once per worker, not per trial.
+"""Content-addressed workloads: one frozen context per group of trials.
 
-A per-trial :class:`~repro.runtime.trial.TrialSpec` used to inline its
-whole measurement context — graph, router, percolation factory,
-conditioning config — into ``args``.  For explicit topologies (a
-``RandomMatchingCycle`` stores its matching, a ``TablePercolation``-
-backed mesh its open-edge table) that payload dwarfs the per-trial
-parameters, so pickling it once per spec makes IPC, not routing, the
-parallel bottleneck.
+A per-trial :class:`~repro.runtime.trial.TrialSpec` carries only its
+``(trial, seed)`` tail; the measurement context every trial of a sweep
+point shares — graph, router, percolation factory, conditioning config
+— lives in one frozen :class:`Workload`, **content-addressed** by a
+stable :attr:`~Workload.workload_id` (a BLAKE2b digest of the pickled
+contents).  The id keys the compiled chunk kernels
+(:mod:`repro.runtime.chunkexec`) and the result cache's point digests
+(:mod:`repro.serve.digest`): equal content is an equal id in any
+process, and a changed context is a different id.
 
-A :class:`Workload` factors that shared context out.  It is a frozen
-bundle ``fn(*args, ..., **kwargs)`` of everything common to a group of
-trials, **content-addressed** by a stable :attr:`~Workload.workload_id`
-(a BLAKE2b digest of the pickled contents).  Specs reference the
-workload; crossing a process boundary they pickle down to a
-:class:`WorkloadRef` — the id plus nothing else — and the payload
-itself travels to each worker process at most once:
+Wire form
+---------
 
-* **initializer** — a pool created while a batch is in hand ships the
-  batch's payload table to every worker as it spawns;
-* **first-touch** — a worker that meets an id it has not cached raises
-  :class:`WorkloadMissError`; the scheduler answers by resubmitting the
-  chunk with the payload attached, and the worker caches it for the
-  rest of its life.
+A spec pickles its workload by value, so a pickled chunk is the whole
+wire form of its work on every backend.  Pickle's memo writes each
+workload once per chunk, and the paper's networks are implicit (the
+hypercube, the d-mesh, the double tree, G(n,p)), so a context pickles
+to a few hundred bytes to a few kilobytes.
 
-Content addressing makes invalidation trivial: a workload is immutable,
-so a changed payload *is* a different id, and worker caches can only
-ever grow stale entries, never wrong ones.
+One live copy per process
+-------------------------
 
-Ownership contract
-------------------
+:meth:`Workload.__reduce__` rebuilds an unpickled workload through
+:func:`_live_copy`, which returns this process's live copy for the
+content id the workload carries, from one LRU of :data:`_LIVE_CAP`
+entries.  Chunks of one workload therefore resolve to one object in a
+worker, and the graph's cached edge index and adjacency, built by one
+chunk, serve the next.  A serial run never unpickles a workload, so
+the in-process path does no extra work.
 
-The emitting side (e.g. :func:`repro.core.complexity.complexity_specs`)
-owns the workload object and must keep it — via the specs that
-reference it — alive for as long as its specs may run.  Runners never
-deep-copy payloads: the parent resolves ids against the live batch (and
-a weak registry of every workload ever constructed, for specs nested
-inside other specs); workers resolve against their local cache.  Two
-workloads with equal ids must therefore be interchangeable — guaranteed
-by construction, since the id is a digest of the pickled content.
+The id travels with the content instead of being recomputed:
+unpickled content need not re-pickle to the same bytes (a dict key and
+an attribute name that were one interned string come back as two
+objects, which changes pickle's memo), so a recomputed digest could
+differ from the sender's.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-import weakref
+import threading
+from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = [
-    "Workload",
-    "WorkloadMissError",
-    "WorkloadRef",
-]
-
-
-class WorkloadMissError(LookupError):
-    """A workload id could not be resolved in this process.
-
-    Raised worker-side when a chunk references payloads the worker has
-    not cached yet; the pool answers by resubmitting the chunk with the
-    payloads attached (the first-touch half of the shipping protocol).
-    Reaching user code means a spec escaped its emitting scope after
-    the emitter dropped the workload — an ownership bug.
-    """
-
-    def __init__(self, workload_ids: tuple[str, ...]) -> None:
-        super().__init__(tuple(workload_ids))
-        self.workload_ids = tuple(workload_ids)
-
-    def __str__(self) -> str:
-        return f"unresolved workload id(s): {', '.join(self.workload_ids)}"
-
-
-@dataclass(frozen=True)
-class WorkloadRef:
-    """The wire form of a workload: its content id, nothing else."""
-
-    workload_id: str
-
-
-#: Every workload constructed in this process, by id, weakly held — the
-#: fallback the parent uses to resolve misses for specs nested inside
-#: other specs (where the batch scan cannot see the payload).  Equal
-#: content can be constructed more than once with different lifetimes,
-#: so each id keeps a list of weakrefs rather than a single slot.
-_constructed: dict[str, list[weakref.ref]] = {}
-
-
-def _register_constructed(workload: "Workload") -> None:
-    workload_id = workload.workload_id
-
-    def _prune(ref: weakref.ref, workload_id: str = workload_id) -> None:
-        # Dead entries are removed the moment their workload is
-        # collected, so the registry never accumulates tombstones over
-        # a long-lived parent's many sweeps.
-        refs = _constructed.get(workload_id)
-        if refs is None:
-            return
-        try:
-            refs.remove(ref)
-        except ValueError:
-            pass
-        if not refs:
-            _constructed.pop(workload_id, None)
-
-    refs = _constructed.setdefault(workload_id, [])
-    refs.append(weakref.ref(workload, _prune))
-
-
-def _lookup_constructed(workload_id: str) -> "Workload | None":
-    for ref in _constructed.get(workload_id, ()):
-        workload = ref()
-        if workload is not None:
-            return workload
-    return None
-
-#: Payloads shipped to *this* process by a pool (initializer or
-#: first-touch retry).  Strongly held: a worker keeps every workload it
-#: ever received for the rest of its life — content addressing means
-#: entries can become unused, never wrong.
-_installed: dict[str, "Workload"] = {}
+__all__ = ["Workload"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +86,6 @@ class Workload:
             ) from exc
         digest = hashlib.blake2b(blob, digest_size=16).hexdigest()
         object.__setattr__(self, "workload_id", digest)
-        _register_constructed(self)
 
     def call(self, *trial_args: Any, **trial_kwargs: Any) -> Any:
         """Run the kernel for one trial's arguments."""
@@ -168,36 +93,36 @@ class Workload:
             *self.args, *trial_args, **{**self.kwargs, **trial_kwargs}
         )
 
-    def ref(self) -> WorkloadRef:
-        """Return the slim wire form of this workload."""
-        return WorkloadRef(self.workload_id)
+    def __reduce__(self):
+        return _live_copy, (
+            self.workload_id, self.fn, self.args, dict(self.kwargs)
+        )
 
     def __repr__(self) -> str:
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"Workload({name}, id={self.workload_id[:8]}...)"
 
 
-def install_workloads(payloads: Mapping[str, Workload]) -> None:
-    """Cache shipped payloads in this (worker) process, keyed by id."""
-    _installed.update(payloads)
+#: Unpickled workloads this process holds, by content id, most recently
+#: used last; the same bound as the compiled-kernel cache.
+_LIVE: OrderedDict[str, Workload] = OrderedDict()
+_LIVE_CAP = 64
+_LIVE_LOCK = threading.Lock()  # a node unpickles on many threads
 
 
-def installed_workload_ids() -> frozenset[str]:
-    """Return the ids cached in this process (introspection/tests)."""
-    return frozenset(_installed)
-
-
-def resolve_workload(workload_id: str) -> Workload:
-    """Return the live workload for ``workload_id`` in this process.
-
-    Looks in the shipped-payload cache first, then among workloads
-    constructed locally (which covers the serial/in-process path and
-    fork-inherited state).  Raises :class:`WorkloadMissError` when
-    neither knows the id.
-    """
-    workload = _installed.get(workload_id)
-    if workload is None:
-        workload = _lookup_constructed(workload_id)
-    if workload is None:
-        raise WorkloadMissError((workload_id,))
-    return workload
+def _live_copy(workload_id, fn, args, kwargs) -> Workload:
+    """Resolve an unpickled workload to this process's live copy."""
+    workload = object.__new__(Workload)  # keep the sender's id as is
+    for name, value in (
+        ("fn", fn),
+        ("args", args),
+        ("kwargs", kwargs),
+        ("workload_id", workload_id),
+    ):
+        object.__setattr__(workload, name, value)
+    with _LIVE_LOCK:
+        live = _LIVE.setdefault(workload_id, workload)
+        _LIVE.move_to_end(workload_id)
+        while len(_LIVE) > _LIVE_CAP:
+            _LIVE.popitem(last=False)
+    return live

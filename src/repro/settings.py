@@ -208,12 +208,6 @@ KNOBS: dict[str, Knob] = {
             "0 disables",
         ),
         Knob(
-            "node_cache", "REPRO_NODE_CACHE", _integer(0), 256,
-            "LRU cap (entries) on a node's workload-payload cache; "
-            "0 = unbounded; evicted payloads are re-shipped "
-            "transparently",
-        ),
-        Knob(
             "kernel", "REPRO_KERNEL", _switch, True,
             "the vectorized chunk kernels; off runs every trial on its "
             "own, with the same results",

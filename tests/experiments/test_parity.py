@@ -15,14 +15,15 @@ emits :class:`TrialSpec` work units (there is no legacy ``run(scale,
 seed)`` path left), so a new experiment registered without honouring
 the seed-derivation contract fails here immediately.  The spawn-context
 case re-runs a registry sample on a pool that inherits *nothing* from
-the parent, so every shared payload must travel through the workload
-shipping protocol — fork-masked cache bugs fail there.
+the parent, so every workload must arrive inside its chunk's pickle —
+fork-masked state bugs fail there.
 """
 
 import importlib
 import multiprocessing
 import os
 import pickle
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -31,10 +32,21 @@ from repro.core.complexity import complexity_specs, run_trial
 from repro.experiments.registry import all_experiments, get_experiment
 from repro.graphs.hypercube import Hypercube
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import ProcessPoolRunner, SerialRunner, TrialSpec
+from repro.runtime import (
+    ProcessPoolRunner,
+    SerialRunner,
+    TrialRunner,
+    TrialSpec,
+)
+from repro.runtime import workload as workload_module
+from repro.runtime.chunkexec import execute_specs
+from repro.runtime.runner import pick_chunksize, split_chunks
 from repro.util.rng import derive_seed
 
 ALL_IDS = [spec.experiment_id for spec in all_experiments()]
+
+#: Defs whose tiny-scale batches are plain ``fn`` specs, no workloads.
+PLAIN_SPEC_IDS = {"E11", "E13"}
 
 
 def test_every_def_module_is_registered():
@@ -91,8 +103,7 @@ def test_kernel_off_matches_kernel_on(experiment_id, monkeypatch):
 @pytest.mark.parametrize("experiment_id", ["E1", "E6", "E12"])
 def test_spawn_context_matches_serial(experiment_id):
     # A spawn pool starts each worker from a blank interpreter: no
-    # fork-inherited globals, so the workload cache must be populated
-    # purely by the shipping protocol (initializer + first-touch).
+    # fork-inherited globals, so every workload comes from the chunks.
     # E1 covers complexity_specs emission, E6/E12 the defs that build
     # their own workloads (E12 carries the explicit RandomMatchingCycle,
     # the fattest payload in the registry).
@@ -108,6 +119,61 @@ def test_spawn_context_matches_serial(experiment_id):
     assert serial.render() == spawned.render()
     assert repr(serial.rows) == repr(spawned.rows)
     assert serial.notes == spawned.notes
+
+
+class _WireRunner(TrialRunner):
+    """Split each batch as a 2-worker pool does, then round-trip every
+    chunk through pickle in this process before executing it — the
+    wire form a worker receives, minus the process boundary."""
+
+    workers = 2
+
+    def __init__(self) -> None:
+        self.workload_chunks = 0
+
+    def run(self, specs):
+        specs = list(specs)
+        results = []
+        live = {}  # workload id -> the object this batch resolved to
+        size = pick_chunksize(len(specs), self.workers)
+        for _, chunk in split_chunks(specs, size):
+            clones = pickle.loads(pickle.dumps(chunk))
+            for original, clone in zip(chunk, clones):
+                assert clone.workload_id == original.workload_id
+                if clone.workload is None:
+                    continue
+                assert clone.workload is not original.workload
+                assert (
+                    workload_module._LIVE[clone.workload_id]
+                    is clone.workload
+                )
+                assert (
+                    live.setdefault(clone.workload_id, clone.workload)
+                    is clone.workload
+                )
+            self.workload_chunks += any(
+                clone.workload is not None for clone in clones
+            )
+            results.extend(execute_specs(clones))
+        return results
+
+
+@pytest.mark.parametrize("experiment_id", ALL_IDS)
+def test_chunk_pickle_carries_its_workloads(experiment_id, monkeypatch):
+    # A chunk's pickle is the whole wire form of its work: unpickled
+    # in a fresh process state it must run to the serial tables, and
+    # every spec of one workload — within a chunk and across the
+    # batch's chunks — must resolve to the process's one live copy.
+    monkeypatch.setattr(workload_module, "_LIVE", OrderedDict())
+    spec = get_experiment(experiment_id)
+    serial = spec(scale="tiny", seed=11, runner=SerialRunner())
+    runner = _WireRunner()
+    shipped = spec(scale="tiny", seed=11, runner=runner)
+    assert serial.render() == shipped.render()
+    assert repr(serial.rows) == repr(shipped.rows)
+    assert serial.notes == shipped.notes
+    if experiment_id not in PLAIN_SPEC_IDS:
+        assert runner.workload_chunks > 0
 
 
 def _pid_stamped(spec: TrialSpec):
@@ -129,18 +195,19 @@ def _point_specs():
 
 def test_specs_reference_one_shared_workload():
     # The emission API: one Workload per sweep point, slim per-trial
-    # tails.  A spec's wire form must cost bytes independent of the
-    # graph — the payload travels separately, once per worker.
+    # tails.  A chunk's pickle writes the workload once, and the
+    # unpickled specs share one Workload object again.
     specs = _point_specs()
     assert len(specs) == 14
     assert all(spec.fn is None for spec in specs)
     assert all(spec.workload.fn is run_trial for spec in specs)
-    ids = {spec.workload_id for spec in specs}
-    assert len(ids) == 1
-    slim = len(pickle.dumps(specs[0]))
+    assert len({id(spec.workload) for spec in specs}) == 1
     payload = len(pickle.dumps(specs[0].workload))
-    assert slim < 512  # key + (trial, seed) + a 32-hex-char content id
-    assert payload > slim  # the context is the heavy part, and it moved
+    chunk = pickle.dumps(specs)
+    assert len(chunk) < payload + len(specs) * 100  # key + (trial, seed)
+    clones = pickle.loads(chunk)
+    assert len({id(clone.workload) for clone in clones}) == 1
+    assert clones[0].workload_id == specs[0].workload_id
 
 
 def test_single_sweep_point_distributes_across_workers():
@@ -149,8 +216,7 @@ def test_single_sweep_point_distributes_across_workers():
     # itself must spread over the pool — the per-trial migration's whole
     # point.  Wrap each trial to record the executing pid.  The wrapped
     # specs nest a workload-referencing spec inside a plain one, which
-    # also exercises the nested first-touch path (the payload is
-    # invisible to the pool's batch scan).
+    # also exercises a workload carried as a plain spec's argument.
     specs = _point_specs()
     wrapped = [
         TrialSpec(key=spec.key, fn=_pid_stamped, args=(spec,))

@@ -5,8 +5,8 @@ parameters come straight from :func:`repro.runtime.available_backends`,
 so registering a backend subjects it to these tests automatically (the
 ``auto`` alias is skipped; it constructs one of the others).  Covered:
 determinism versus ``SerialRunner``, ``run_grouped`` flattening,
-workload first-touch shipping (batch-scanned and nested), crash and
-traceback propagation, and the chunking edge cases (empty batch,
+workloads that first appear in a later batch, crash and traceback
+propagation, and the chunking edge cases (empty batch,
 chunk > batch, single spec).
 
 The cluster backend runs against a session-scoped pair of localhost
@@ -117,10 +117,10 @@ class TestConformance:
         specs = kit.workload_specs(workload, 10)
         assert new_runner(chunksize=1).run(specs) == SerialRunner().run(specs)
 
-    def test_second_batch_workload_first_touch(self, new_runner):
-        # Batch 1 establishes the workers/nodes; batch 2's payload
-        # appears only afterwards, so it must travel by first-touch
-        # (or per-node shipping) rather than any start-up snapshot.
+    def test_second_batch_workload_runs(self, new_runner):
+        # Batch 1 establishes the workers/nodes; batch 2's workload
+        # appears only afterwards, so it must arrive with its chunks
+        # rather than with any start-up snapshot.
         runner = new_runner(chunksize=1)
         first = kit.make_workload("conf-first")
         second = kit.make_workload("conf-second")
@@ -160,7 +160,7 @@ class TestClusterExperimentParity:
     Every registered def, so every record type the registry produces
     (pair trials, demand-matrix trials, plain-``fn`` sweeps) crosses
     the wire as the pickled ``TrialResult`` list of a ``done`` reply,
-    and every workload payload ships to the nodes.  ``chunksize=1``
+    and every workload crosses inside the chunks that use it.  ``chunksize=1``
     maximises interleaving across the two nodes — the adversarial
     schedule.
     """
@@ -180,43 +180,6 @@ class TestClusterExperimentParity:
 
 class TestClusterSpecifics:
     """Cluster behaviours beyond the shared conformance bar."""
-
-    def test_payload_ships_to_each_node_once(self, cluster_addresses):
-        workload = kit.make_workload("ship-once")
-        with ClusterRunner(nodes=cluster_addresses, chunksize=1) as runner:
-            runner.run(kit.workload_specs(workload, 6, tag="a"))
-            shipped = {
-                node.address: set(node.known_ids) for node in runner._nodes
-            }
-            # Whichever node(s) took chunks got the payload (under a
-            # loaded scheduler one node can drain the whole queue, so
-            # only the union is guaranteed)...
-            assert workload.workload_id in set().union(*shipped.values())
-            # ...and the same payload again reships nothing to anyone.
-            runner.run(kit.workload_specs(workload, 6, tag="b"))
-            assert {
-                node.address: set(node.known_ids) for node in runner._nodes
-            } == shipped
-
-    def test_nodes_cache_payloads_for_their_lifetime(self):
-        # A *new* runner against the same node: the node-side cache
-        # (ship once per node, not once per runner) must answer, which
-        # the worker reports via the installed-ids kernel.  One node
-        # with a pool of one, so neither queue scheduling nor pool
-        # routing can carry the assertion to a fresh process.
-        workload = kit.make_workload("cache-live")
-        with kit.local_nodes(1, node_workers=1) as one_node:
-            with ClusterRunner(nodes=one_node, chunksize=1) as first:
-                first.run(kit.workload_specs(workload, 4))
-            probes = [
-                TrialSpec(
-                    key=("ids", i), fn=kit.cached_workload_ids, args=(i,)
-                )
-                for i in range(4)
-            ]
-            with ClusterRunner(nodes=one_node, chunksize=1) as second:
-                for ids in second.run_values(probes):
-                    assert workload.workload_id in ids
 
     def test_close_leaves_external_nodes_serving(self, cluster_addresses):
         specs = kit.square_specs(6)

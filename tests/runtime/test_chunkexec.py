@@ -31,6 +31,9 @@ def _other(x):
 
 @pytest.fixture(autouse=True)
 def _isolated_registry():
+    # Register the built-in compilers first: loading them mid-test
+    # would drop them at restore while the module stays marked loaded.
+    chunkexec._ensure_kernels()
     compilers = dict(chunkexec._COMPILERS)
     chunkexec._COMPILED.clear()
     yield

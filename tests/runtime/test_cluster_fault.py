@@ -42,7 +42,9 @@ from repro.runtime.cluster import (
     PROTOCOL_VERSION,
     MessageStream,
     ProtocolError,
+    _Node,
     _read_ready_line,
+    encode_frame,
     spawn_local_nodes,
 )
 from repro.runtime.trial import TrialResult
@@ -51,7 +53,6 @@ NODES_ENV = "REPRO_CLUSTER_NODES"
 NODE_WORKERS_ENV = "REPRO_NODE_WORKERS"
 PIPELINE_ENV = "REPRO_PIPELINE_DEPTH"
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
-NODE_CACHE_ENV = "REPRO_NODE_CACHE"
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +64,6 @@ def _self_managed_only(monkeypatch):
         NODE_WORKERS_ENV,
         PIPELINE_ENV,
         HEARTBEAT_ENV,
-        NODE_CACHE_ENV,
     ):
         monkeypatch.delenv(var, raising=False)
 
@@ -89,9 +89,8 @@ def test_node_death_mid_batch_completes_on_survivor(tmp_path):
 
 
 def test_workload_batch_survives_node_death(tmp_path):
-    # Same requeue, but with a shared payload in play: the surviving
-    # node must already have (or be reshipped) the workload for the
-    # requeued chunk.
+    # Same requeue, but with a shared workload in play: the requeued
+    # chunk carries it to the surviving node.
     latch = tmp_path / "latch"
     workload = kit.make_workload("fault-payload")
     specs = kit.workload_specs(workload, 8)
@@ -246,8 +245,8 @@ def test_wedged_node_detected_and_chunks_requeued(tmp_path):
 
 
 def test_wedged_node_with_workloads_still_byte_identical(tmp_path):
-    # Same wedge with shared payloads in play: requeued chunks must
-    # re-resolve their workloads on the survivor.
+    # Same wedge with shared workloads in play: requeued chunks carry
+    # their workloads to the survivor.
     latch = tmp_path / "latch"
     workload = kit.make_workload("wedge-payload")
     specs = kit.workload_specs(workload, 8)
@@ -331,8 +330,8 @@ def test_slow_shipment_does_not_trip_heartbeat(monkeypatch):
 
     real_ship = ClusterRunner._ship_task
 
-    def slow_ship(self, node, task, payload_table):
-        real_ship(self, node, task, payload_table)
+    def slow_ship(self, node, task):
+        real_ship(self, node, task)
         time.sleep(2.25)  # > the 1.5s heartbeat deadline below
 
     monkeypatch.setattr(ClusterRunner, "_ship_task", slow_ship)
@@ -390,28 +389,6 @@ def test_pipelining_keeps_flat_node_busy():
             assert runner.run(specs) == SerialRunner().run(specs)
 
 
-# -- node-side workload-cache eviction -------------------------------------
-
-
-def test_evicted_workload_is_reshipped_transparently():
-    # cache-cap 1: shipping workload B evicts A node-side, while the
-    # coordinator's ledger still says A was shipped.  Running A again
-    # must recover via the miss path (re-ship, amended ledger), not
-    # fail as non-convergent — and results stay serial-identical.
-    first = kit.make_workload("evict-a")
-    second = kit.make_workload("evict-b")
-    with kit.local_nodes(1, cache_cap=1) as addresses:
-        with ClusterRunner(nodes=addresses, chunksize=1) as runner:
-            for workload, tag in (
-                (first, "a1"),
-                (second, "b1"),
-                (first, "a2"),
-                (second, "b2"),
-            ):
-                specs = kit.workload_specs(workload, 4, tag=tag)
-                assert runner.run(specs) == SerialRunner().run(specs)
-
-
 # -- shutdown drain --------------------------------------------------------
 
 
@@ -436,7 +413,6 @@ def test_done_reply_is_exactly_the_result_list():
     from repro.routers.bfs import LocalBFSRouter
     from repro.routers.waypoint import WaypointRouter
     from repro.runtime.chunkexec import execute_specs
-    from repro.runtime.runner import batch_payloads
 
     chunks = [
         complexity_specs(
@@ -456,16 +432,7 @@ def test_done_reply_is_exactly_the_result_list():
         stream = _handshake(addresses[0])
         try:
             for chunk_id, specs in enumerate(chunks):
-                stream.send(
-                    (
-                        "chunk",
-                        {
-                            "chunk": chunk_id,
-                            "specs": specs,
-                            "payloads": batch_payloads(specs),
-                        },
-                    )
-                )
+                stream.send(("chunk", {"chunk": chunk_id, "specs": specs}))
                 message = stream.recv(timeout=30)
                 assert message is not None, "node went silent"
                 kind, body = message
@@ -488,7 +455,7 @@ def test_shutdown_drains_inflight_chunks_before_exit():
         slow = [
             TrialSpec(key=("slow",), fn=kit.sleep_return, args=(1.2, "ok"))
         ]
-        work.send(("chunk", {"chunk": 0, "specs": slow, "payloads": {}}))
+        work.send(("chunk", {"chunk": 0, "specs": slow}))
         time.sleep(0.3)  # let the chunk reach the pool
         control = _handshake(node.address)
         control.send(("shutdown", {}))
@@ -497,7 +464,7 @@ def test_shutdown_drains_inflight_chunks_before_exit():
         time.sleep(0.2)  # let the stop flag settle
         # New work is refused while draining...
         late = [TrialSpec(key=("late",), fn=kit.square, args=(3,))]
-        work.send(("chunk", {"chunk": 1, "specs": late, "payloads": {}}))
+        work.send(("chunk", {"chunk": 1, "specs": late}))
         replies = {}
         while len(replies) < 2:
             message = work.recv(timeout=15)
@@ -634,7 +601,7 @@ def test_sigterm_drains_inflight_chunks_before_exit():
         slow = [
             TrialSpec(key=("slow",), fn=kit.sleep_return, args=(1.2, "ok"))
         ]
-        work.send(("chunk", {"chunk": 0, "specs": slow, "payloads": {}}))
+        work.send(("chunk", {"chunk": 0, "specs": slow}))
         time.sleep(0.3)  # let the chunk reach the pool
         node.proc.send_signal(signal.SIGTERM)
         message = work.recv(timeout=15)
@@ -844,6 +811,177 @@ def test_malformed_reply_drops_the_node_instead_of_hanging(shape):
     finally:
         rogue_server.close()
         honest_server.close()
+
+
+#: Handshake replies no node sends: each must be refused as a
+#: ProtocolError, with the coordinator's socket closed.
+BAD_WELCOMES = {
+    "bare-string": encode_frame("ab"),
+    "bare-int": encode_frame(5),
+    "welcome-without-body": encode_frame(("welcome", None)),
+    "undecodable-frame": b"RPRO" + (2).to_bytes(4, "big") + b"zz",
+}
+
+
+def _answer_hello_with(server, reply: bytes, saw_hello=None, saw_close=None):
+    """Accept one connection, read its hello and answer the raw frame
+    ``reply``; then wait for the coordinator to hang up."""
+    try:
+        conn, _ = server.accept()
+    except OSError:
+        return
+    stream = MessageStream(conn)
+    try:
+        stream.recv(timeout=10)
+        if saw_hello is not None:
+            saw_hello.set()
+        conn.sendall(reply)
+        stream.recv(timeout=10)
+    except ConnectionError:
+        if saw_close is not None:
+            saw_close.set()
+    except (ProtocolError, OSError):
+        pass
+    finally:
+        stream.close()
+
+
+def _listener():
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen()
+    return server, server.getsockname()[1]
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_WELCOMES))
+def test_malformed_handshake_reply_is_a_protocol_error(shape):
+    # ProtocolError is what the heal path catches to keep a peer out
+    # under backoff; any other error would fail the batch instead.
+    server, port = _listener()
+    saw_close = threading.Event()
+    threading.Thread(
+        target=_answer_hello_with,
+        args=(server, BAD_WELCOMES[shape]),
+        kwargs={"saw_close": saw_close},
+        daemon=True,
+    ).start()
+    node = _Node(("127.0.0.1", port))
+    try:
+        with pytest.raises(ProtocolError):
+            node.connect(timeout=5.0)
+        assert not node.alive
+        assert node.stream._sock.fileno() == -1
+        assert saw_close.wait(5), "the peer never saw the socket close"
+    finally:
+        server.close()
+
+
+#: Versions a v5 peer must refuse: the v4 payload protocol, a newer
+#: one, and a hello or welcome that names none.
+OTHER_VERSIONS = [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, None]
+
+
+@pytest.mark.parametrize("version", OTHER_VERSIONS)
+def test_handshake_refuses_a_node_of_another_version(version):
+    server, port = _listener()
+    welcome = encode_frame(("welcome", {"version": version, "pid": 0}))
+    threading.Thread(
+        target=_answer_hello_with, args=(server, welcome), daemon=True
+    ).start()
+    node = _Node(("127.0.0.1", port))
+    try:
+        with pytest.raises(ProtocolError, match="handshake .* failed"):
+            node.connect(timeout=5.0)
+        assert not node.alive
+        assert node.stream._sock.fileno() == -1
+    finally:
+        server.close()
+
+
+def test_handshake_reports_why_a_node_refused():
+    # A node of another version answers the hello with an `error`;
+    # the coordinator's ProtocolError must carry the node's reason.
+    server, port = _listener()
+    refusal = encode_frame(
+        ("error", {"detail": "protocol version mismatch: node speaks 4"})
+    )
+    threading.Thread(
+        target=_answer_hello_with, args=(server, refusal), daemon=True
+    ).start()
+    node = _Node(("127.0.0.1", port))
+    try:
+        with pytest.raises(ProtocolError, match="node speaks 4"):
+            node.connect(timeout=5.0)
+        assert not node.alive
+    finally:
+        server.close()
+
+
+def test_node_refuses_a_hello_of_another_version():
+    # Each refusal is an `error` naming the mismatch, then a hang-up;
+    # the node itself stays up and still welcomes a current peer.
+    with kit.local_nodes(1) as (address,):
+        host, port = address.split(":")
+        for version in OTHER_VERSIONS:
+            sock = socket.create_connection((host, int(port)), timeout=10)
+            stream = MessageStream(sock)
+            try:
+                stream.send(("hello", {"version": version}))
+                kind, body = stream.recv(timeout=10)
+                assert kind == "error"
+                assert "protocol version mismatch" in body["detail"]
+                assert f"sent {version!r}" in body["detail"]
+                with pytest.raises(ConnectionError):
+                    stream.recv(timeout=10)
+            finally:
+                stream.close()
+        _handshake(address).close()
+
+
+def test_heal_keeps_out_a_node_that_answers_garbage():
+    # A fake node welcomes the runner, then hangs up on its first
+    # chunk; when the next batch tries to heal it, it answers the
+    # hello with garbage.  The heal must treat that like a refused
+    # connection (backoff), and the batch must finish on the real node.
+    server, port = _listener()
+    fake_address = f"127.0.0.1:{port}"
+    saw_heal = threading.Event()
+
+    def fake():
+        try:
+            conn, _ = server.accept()
+        except OSError:
+            return
+        stream = MessageStream(conn)
+        try:
+            stream.recv(timeout=10)
+            stream.send(("welcome", {"version": PROTOCOL_VERSION, "pid": 0}))
+            while stream.recv(timeout=10)[0] != "chunk":
+                pass
+        except (ConnectionError, ProtocolError, OSError, TypeError):
+            pass
+        finally:
+            stream.close()
+        _answer_hello_with(server, encode_frame("ab"), saw_hello=saw_heal)
+
+    threading.Thread(target=fake, daemon=True).start()
+    squares = [i * i for i in range(6)]
+    try:
+        with kit.local_nodes(1) as addresses:
+            with ClusterRunner(
+                nodes=[*addresses, fake_address],
+                chunksize=1,
+                connect_timeout=2.0,
+            ) as runner:
+                assert runner.run_values(kit.square_specs(6)) == squares
+                assert [n.alive for n in runner._nodes] == [True, False]
+                assert runner.run_values(kit.square_specs(6)) == squares
+                assert saw_heal.wait(5), "the heal never re-dialed"
+                healed = runner._nodes[1]
+                assert not healed.alive
+                assert healed.heal_backoff > 0  # a failed heal, backing off
+    finally:
+        server.close()
 
 
 def test_close_is_idempotent_and_runner_reusable():

@@ -13,9 +13,7 @@ The pipelined protocol adds two concurrency surfaces, tested here over
 real socketpairs: :class:`MessageStream` sends racing from many
 threads (node-pool callbacks versus pong replies) must never
 interleave bytes mid-frame, and heartbeat ``pong`` frames interleaved
-between pipelined chunk replies must decode in stream order.  The
-node-side :class:`WorkloadCache` LRU is property-tested for its cap
-and recency invariants.
+between pipelined chunk replies must decode in stream order.
 """
 
 import socket
@@ -31,12 +29,10 @@ from repro.runtime.cluster import (
     FrameReader,
     MessageStream,
     ProtocolError,
-    WorkloadCache,
     encode_frame,
     parse_nodes,
 )
 from repro.runtime.runner import pick_chunksize, split_chunks
-from repro.runtime.testing import make_workload
 
 # Arbitrary picklable message payloads (no NaN: equality-checked).
 payloads = st.recursive(
@@ -100,6 +96,18 @@ class TestFraming:
         header = b"RPRO" + (0xFFFFFFFF).to_bytes(4, "big")
         with pytest.raises(ProtocolError, match="cap"):
             FrameReader().feed(header)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"zz", b"\x80\x05N", b""],
+        ids=["bad-opcode", "truncated", "empty"],
+    )
+    def test_undecodable_payload_rejected(self, payload):
+        # A well-framed payload that does not unpickle is a protocol
+        # fault, not whatever pickle happened to raise.
+        header = b"RPRO" + len(payload).to_bytes(4, "big")
+        with pytest.raises(ProtocolError, match="undecodable"):
+            FrameReader().feed(header + payload)
 
 
 @st.composite
@@ -287,44 +295,6 @@ class TestMessageStreamConcurrency:
             right.close()
 
 
-class TestWorkloadCache:
-    def test_cap_evicts_least_recently_used(self):
-        cache = WorkloadCache(cap=2)
-        a = make_workload("lru-a", size=4)
-        b = make_workload("lru-b", size=4)
-        c = make_workload("lru-c", size=4)
-        cache.install({a.workload_id: a})
-        cache.install({b.workload_id: b})
-        cache.lookup([a.workload_id])  # touch a: b is now LRU
-        cache.install({c.workload_id: c})
-        assert cache.ids() == {a.workload_id, c.workload_id}
-        found, missing = cache.lookup([b.workload_id])
-        assert found == {} and missing == (b.workload_id,)
-
-    def test_zero_cap_is_unbounded(self):
-        cache = WorkloadCache(cap=0)
-        workloads = [make_workload(f"unb-{i}", size=4) for i in range(16)]
-        for workload in workloads:
-            cache.install({workload.workload_id: workload})
-        assert len(cache) == 16
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        cap=st.integers(min_value=1, max_value=5),
-        ops=st.lists(st.integers(min_value=0, max_value=9), max_size=40),
-    )
-    def test_cap_never_exceeded_and_hits_are_exact(self, cap, ops):
-        workloads = [make_workload(f"prop-{i}", size=4) for i in range(10)]
-        cache = WorkloadCache(cap=cap)
-        for op in ops:
-            workload = workloads[op]
-            cache.install({workload.workload_id: workload})
-            assert len(cache) <= cap
-            found, missing = cache.lookup([workload.workload_id])
-            assert found[workload.workload_id] is workload
-            assert missing == ()
-
-
 class TestParseNodes:
     def test_env_string_form(self):
         assert parse_nodes(" 127.0.0.1:7101 ,localhost:7102") == (
@@ -363,8 +333,8 @@ class TestParseNodes:
         ],
     )
     def test_duplicate_addresses_rejected(self, dup):
-        # Two handles on one physical node would double-ship payloads
-        # and skew the once-per-node ledgers.
+        # Two handles on one physical node would give it two
+        # connections and twice its share of chunks.
         with pytest.raises(ValueError, match="duplicate"):
             parse_nodes(dup)
 

@@ -1,26 +1,30 @@
-"""Tests for the shared-payload workload protocol.
+"""Tests for content-addressed workloads and their wire form.
 
-Covers the content-addressed :class:`Workload`, the slim wire form of
-workload-referencing specs, worker-side cache population (initializer
-and first-touch, fork and spawn), pool persistence across batches, and
-the ownership contract's failure mode.
+Covers the content-addressed :class:`Workload`, the chunk wire form
+(each workload pickled by value, once per chunk), the one live copy a
+process keeps per content id, workloads that first appear in a later
+batch or nested inside another spec (fork and spawn), and pool
+persistence across batches.
 """
 
 import multiprocessing
 import pickle
+import sys
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import pytest
 
+from repro.graphs.hypercube import Hypercube
+from repro.kernels.topology import edge_index_for
 from repro.runtime import (
     ProcessPoolRunner,
     SerialRunner,
-    TrialExecutionError,
     TrialSpec,
     Workload,
-    WorkloadMissError,
-    WorkloadRef,
 )
-from repro.runtime.workload import resolve_workload
+from repro.runtime import workload as workload_module
 
 SPAWN = multiprocessing.get_context("spawn")
 
@@ -30,12 +34,25 @@ def _tagged(payload, tag, t, seed):
     return (len(payload), tag, t, seed)
 
 
+def _graph_size(graph, t, seed):
+    return (graph.num_vertices(), t, seed)
+
+
+@dataclass(frozen=True)
+class _Budget:
+    budget: int
+
+
+def _budgeted(limit, budget):
+    return (limit.budget, budget)
+
+
 def _nested_execute(spec):
     return spec.execute().value
 
 
 def _heavy(n=4096):
-    """A payload big enough that fat-vs-slim is unmistakable."""
+    """A payload big enough to dwarf a spec's per-trial tail."""
     return list(range(n))
 
 
@@ -82,45 +99,103 @@ class TestWorkload:
         with pytest.raises(ValueError):
             TrialSpec(key=("k",), fn=_tagged, workload=w)
 
-    def test_resolve_falls_back_to_constructed_registry(self):
-        w = Workload(fn=_tagged, args=(_heavy(16), "z"))
-        assert resolve_workload(w.workload_id) is w
-
-    def test_resolve_unknown_id_raises_miss(self):
-        with pytest.raises(WorkloadMissError):
-            resolve_workload("no-such-id")
-
 
 def _remote_id(tag):
     return Workload(fn=_tagged, args=(_heavy(), tag)).workload_id
 
 
 class TestWireForm:
-    def test_spec_pickles_slim(self):
+    def test_chunk_pickles_each_workload_once(self):
+        # Pickle's memo writes the shared workload once per chunk, so a
+        # chunk costs one payload plus a small tail per spec.
         w = Workload(fn=_tagged, args=(_heavy(), "x"))
-        spec = _specs(w, 1)[0]
-        slim = len(pickle.dumps(spec))
-        fat = len(
-            pickle.dumps(
-                TrialSpec(key=spec.key, fn=_tagged, args=(_heavy(), "x", 0, 0))
-            )
-        )
-        assert slim < 512
-        assert fat > 10 * slim  # the whole point of the protocol
+        specs = _specs(w, 20)
+        payload = len(pickle.dumps(w))
+        assert payload > 10_000
+        assert len(pickle.dumps(specs)) < payload + 20 * 100
 
-    def test_roundtrip_resolves_against_live_workload(self):
+    def test_unpickled_chunk_specs_share_one_workload(self):
         w = Workload(fn=_tagged, args=(_heavy(8), "x"))
-        spec = _specs(w, 1)[0]
-        clone = pickle.loads(pickle.dumps(spec))
-        assert isinstance(clone.workload, WorkloadRef)
-        assert clone.workload_id == w.workload_id
-        assert clone.execute().value == spec.execute().value
+        specs = _specs(w, 6)
+        clones = pickle.loads(pickle.dumps(specs))
+        assert all(type(clone.workload) is Workload for clone in clones)
+        assert len({id(clone.workload) for clone in clones}) == 1
+        assert clones[0].workload_id == w.workload_id
+        assert [c.execute() for c in clones] == [s.execute() for s in specs]
 
-    def test_roundtrip_without_live_workload_misses(self):
-        ref = WorkloadRef("0123456789abcdef0123456789abcdef")
-        spec = TrialSpec(key=("orphan",), workload=ref)
-        with pytest.raises(WorkloadMissError):
-            spec.execute()
+    def test_two_chunks_resolve_to_one_live_workload(self):
+        # Chunks of one workload unpickled in one process (a worker
+        # taking chunk after chunk) resolve to the same live copy, so
+        # its graph's cached edge index survives between them.
+        w = Workload(fn=_graph_size, args=(Hypercube(5),))
+        first = pickle.loads(pickle.dumps(_specs(w, 3, tag="c1")))
+        live = first[0].workload
+        assert live is not w
+        index = edge_index_for(live.args[0])
+        second = pickle.loads(pickle.dumps(_specs(w, 3, tag="c2")))
+        assert second[0].workload is live
+        assert edge_index_for(second[0].workload.args[0]) is index
+
+    def test_unpickled_workload_keeps_the_senders_id(self):
+        # The kwarg key "budget" and the argument's attribute name are
+        # one interned string here; unpickled, they come back as two
+        # objects, so the content re-pickles to other bytes.  The id
+        # must still be the sender's: it keys the compile cache and
+        # the result digests in every process.
+        w = Workload(fn=_budgeted, args=(_Budget(1),), kwargs={"budget": 2})
+        clone = pickle.loads(pickle.dumps(w))
+        assert clone.workload_id == w.workload_id
+        assert clone.call() == w.call() == (1, 2)
+
+    def test_live_copies_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(workload_module, "_LIVE", OrderedDict())
+        cap = workload_module._LIVE_CAP
+        assert cap == 64
+        workloads = [
+            Workload(fn=_tagged, args=((), f"lru-{i}"))
+            for i in range(cap + 1)
+        ]
+        for w in workloads:
+            pickle.loads(pickle.dumps(w))
+        live = workload_module._LIVE
+        assert len(live) == cap
+        assert workloads[0].workload_id not in live
+        assert workloads[-1].workload_id in live
+
+    def test_concurrent_unpickling_keeps_the_bound(self, monkeypatch):
+        # A cluster node unpickles chunks on one thread per connection;
+        # evictions racing lookups must neither raise nor overfill.
+        monkeypatch.setattr(workload_module, "_LIVE", OrderedDict())
+        blobs = [
+            pickle.dumps(Workload(fn=_tagged, args=((), f"race-{i}")))
+            for i in range(workload_module._LIVE_CAP + 16)
+        ]
+        errors = []
+
+        def unpickle_all(offset):
+            try:
+                for i in range(300):
+                    blob = blobs[(offset + i) % len(blobs)]
+                    assert pickle.loads(blob).args[1].startswith("race-")
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=unpickle_all, args=(7 * k,))
+                for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(workload_module._LIVE) <= workload_module._LIVE_CAP
 
 
 class TestShipping:
@@ -136,10 +211,9 @@ class TestShipping:
 
     @pytest.mark.parametrize("mp_context", [None, SPAWN])
     def test_persistent_pool_survives_new_workloads(self, mp_context):
-        # Batch 1's payloads ship via the pool initializer; batch 2
-        # arrives after the workers exist, so its payload must travel
-        # first-touch — on spawn nothing is inherited, making this the
-        # sharpest test of the miss/resubmit half of the protocol.
+        # Batch 2's workload appears only after the workers exist, so
+        # it must arrive inside its chunks — on spawn nothing is
+        # inherited, making this the sharpest test of that.
         with ProcessPoolRunner(
             workers=2, chunksize=1, mp_context=mp_context
         ) as runner:
@@ -153,12 +227,9 @@ class TestShipping:
         assert out1 == SerialRunner().run_values(_specs(first, 6, tag="f"))
         assert out2 == SerialRunner().run_values(_specs(second, 6, tag="s"))
 
-    def test_many_distinct_nested_workloads_converge(self):
-        # Regression: each spec nests a *different* workload, all
-        # invisible to the batch scan, so every payload must travel by
-        # execute-time first-touch.  Retries are cumulative per chunk,
-        # which is what guarantees convergence however the chunks
-        # bounce between workers.
+    def test_many_distinct_nested_workloads_run(self):
+        # Each spec nests a *different* workload inside a plain spec's
+        # arguments; every one must travel inside its chunk.
         workloads = [
             Workload(fn=_tagged, args=(_heavy(64), f"w{i}"))
             for i in range(8)
@@ -177,10 +248,9 @@ class TestShipping:
         ) as runner:
             assert runner.run_values(outer) == expected
 
-    def test_nested_spec_first_touch_under_spawn(self):
-        # A workload-referencing spec nested inside a plain spec is
-        # invisible to the pool's batch scan; the miss surfaces at
-        # execute time and must still be answered by resubmission.
+    def test_nested_spec_runs_under_spawn(self):
+        # A workload-referencing spec nested inside a plain spec must
+        # run on a spawned worker that inherited nothing.
         w = Workload(fn=_tagged, args=(_heavy(), "nested"))
         inner = _specs(w, 6, tag="n")
         outer = [
@@ -211,21 +281,6 @@ class TestShipping:
         serial = SerialRunner().run(specs)
         with ProcessPoolRunner(workers=2, chunksize=3) as runner:
             assert runner.run(specs) == serial
-
-    def test_dropped_workload_is_an_ownership_error(self):
-        # The emitter must keep workloads alive while specs run: a
-        # bare ref whose payload no longer exists anywhere is reported
-        # as the contract violation it is, not a crash or a hang.
-        ref = WorkloadRef("feedfacefeedfacefeedfacefeedface")
-        specs = [
-            TrialSpec(key=("orphan", t), args=(t,), workload=ref)
-            for t in range(4)
-        ]
-        with ProcessPoolRunner(
-            workers=2, chunksize=1, mp_context=SPAWN
-        ) as runner:
-            with pytest.raises(TrialExecutionError, match="ownership|alive"):
-                runner.run(specs)
 
 
 class TestPoolLifecycle:

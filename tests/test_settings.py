@@ -89,13 +89,6 @@ SAMPLES = {
         "bad_env": ["soon", "-1", "nan", "inf"],
         "bad_arg": [-1.0, float("nan"), float("inf"), True, "3"],
     },
-    "node_cache": {
-        "default": 256,
-        "env": [("12", 12), ("0", 0)],
-        "arg": [(7, 7), (0, 0)],
-        "bad_env": ["x", "-1"],
-        "bad_arg": [-1, 1.5, True],
-    },
     "kernel": {
         "default": True,
         "env": [
@@ -150,7 +143,6 @@ FLAGS = {
     "pipeline_depth": ["run", "A1", "--pipeline-depth"],
     "heartbeat": ["report", "--heartbeat"],
     "node_workers": ["worker", "serve", "--node-workers"],
-    "node_cache": ["worker", "serve", "--cache-cap"],
     "cache_dir": ["serve", "--cache-dir"],
     "cache_cap": ["serve", "--cache-cap"],
     "cache_cap_bytes": ["serve", "--cache-cap-bytes"],
@@ -187,7 +179,7 @@ def test_every_row_has_samples():
 
 def test_every_env_name_is_repro_prefixed_and_unique():
     envs = [knob.env for knob in KNOBS.values()]
-    assert len(set(envs)) == len(envs) == 13
+    assert len(set(envs)) == len(envs) == 12
     assert all(env.startswith("REPRO_") for env in envs)
 
 
