@@ -72,23 +72,31 @@ def scaling_exponent(
 ) -> dict[str, float]:
     """Fit ``q ≈ C · n^k``; return exponent, r² and a bootstrap 95% CI.
 
+    The exponent and r² are :func:`~repro.util.stats.loglog_slope`'s.
     The bootstrap resamples (n, q) pairs, which is appropriate when each
-    pair is an independent aggregate.
+    pair is an independent aggregate.  All ``n_boot`` resamples are
+    drawn as one ``(n_boot, m)`` index matrix from a generator seeded
+    with ``derive_seed(seed, "scaling-exponent")``; row ``b`` is the
+    ``b``-th of ``n_boot`` successive ``size=m`` draws from that
+    generator.  Each row's least-squares slope in log–log space is
+    taken in closed form, ``Σ(x−x̄)(y−ȳ) / Σ(x−x̄)²``, for every row
+    at once.  A row whose ``n`` values are all equal has no slope and
+    is dropped; the CI is the 2.5% and 97.5% quantiles of the kept
+    slopes, or ``(k, k)`` when none is kept.
     """
     k, r2 = loglog_slope(ns, qs)
-    pairs = np.array(list(zip(ns, qs)), dtype=float)
+    x = np.log(np.asarray(ns, dtype=float))
+    y = np.log(np.asarray(qs, dtype=float))
     rng = np.random.default_rng(derive_seed(seed, "scaling-exponent"))
-    slopes = []
-    for _ in range(n_boot):
-        idx = rng.integers(0, len(pairs), size=len(pairs))
-        sample = pairs[idx]
-        xs, ys = sample[:, 0], sample[:, 1]
-        if len(set(xs.tolist())) < 2:
-            continue
-        slopes.append(loglog_slope(xs, ys)[0])
+    idx = rng.integers(0, len(x), size=(n_boot, len(x)))
+    xs, ys = x[idx], y[idx]
+    kept = (xs != xs[:, :1]).any(axis=1)
+    dx = xs[kept] - xs[kept].mean(axis=1, keepdims=True)
+    dy = ys[kept] - ys[kept].mean(axis=1, keepdims=True)
+    slopes = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
     lo, hi = (
         (float(np.quantile(slopes, 0.025)), float(np.quantile(slopes, 0.975)))
-        if slopes
+        if slopes.size
         else (k, k)
     )
     return {"exponent": k, "r2": r2, "ci_lo": lo, "ci_hi": hi}

@@ -12,7 +12,9 @@ defect — missing file, short header, checksum mismatch, unpicklable
 payload — degrades to a miss: the corrupt file is deleted (counted as
 a ``repair``) and the caller recomputes and rewrites it.  Writes go
 through a temp file + :func:`os.replace`, so a crash mid-write leaves
-either the old entry or none, never a torn one.
+either the old entry or none, never a torn one.  Only a write makes
+anything on disk: :meth:`put` creates the directory and its shard, so
+opening, reading or counting a store never written to creates nothing.
 
 The cap is an LRU over mtimes: reads touch their entry's mtime, and a
 store that pushes past either limit — ``cap`` entries, ``cap_bytes``
@@ -56,7 +58,6 @@ class ResultCache:
         self.directory = resolve("cache_dir", directory or None)
         self.cap = resolve("cache_cap", cap)
         self.cap_bytes = resolve("cache_cap_bytes", cap_bytes)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._stats = {
             "hits": 0,
@@ -154,9 +155,10 @@ class ResultCache:
     def put(self, digest: str, values) -> bool:
         """Store ``values`` under ``digest``; returns whether it stored.
 
-        Unpicklable values are declined (counted, not raised): caching
-        is an optimisation and must never fail a job that the uncached
-        path would finish.
+        Unpicklable values, and a write the filesystem refuses (say, a
+        file where the shard directory goes), are declined (counted,
+        not raised): caching is an optimisation and must never fail a
+        job that the uncached path would finish.
         """
         try:
             payload = pickle.dumps(values, protocol=4)
@@ -164,21 +166,23 @@ class ResultCache:
             self._count("declined")
             return False
         path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{digest[:8]}-", suffix=".tmp"
-        )
+        tmp = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=f".{digest[:8]}-", suffix=".tmp"
+            )
             with os.fdopen(fd, "wb") as handle:
                 handle.write(_MAGIC)
                 handle.write(_checksum(payload))
                 handle.write(payload)
             os.replace(tmp, path)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             self._count("declined")
             return False
         self._count("stores")

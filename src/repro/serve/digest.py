@@ -76,6 +76,11 @@ def _source_version() -> str:
     return cached
 
 
+#: Types :func:`_canonical` returns unchanged, matched exactly: a
+#: subclass (a numpy scalar, a namedtuple) takes the recursive path.
+_ATOMS = frozenset({int, float, str, bytes, bool, type(None)})
+
+
 def _canonical(value):
     """Recursively order-normalise mappings so equal content fingerprints
     equally however a dict was built (insertion order is not content).
@@ -88,6 +93,12 @@ def _canonical(value):
             ),
         )
     if isinstance(value, (list, tuple)):
+        if _ATOMS.issuperset(map(type, value)):
+            # A new tuple even for a tuple, as the recursive path
+            # builds: pickle writes a tuple object met twice as a memo
+            # reference, so handing back ``value`` itself could change
+            # the digest bytes.
+            return (*value,)
         return tuple(_canonical(item) for item in value)
     if isinstance(value, (set, frozenset)):
         return ("__set__", tuple(sorted(repr(item) for item in value)))

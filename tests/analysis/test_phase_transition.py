@@ -4,13 +4,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import repro.analysis.phase_transition as phase_transition
+import repro.util.stats as stats
 from repro.analysis.phase_transition import (
     crossing_point,
     exponential_tail_rate,
     scaling_exponent,
     sharpest_rise,
 )
+from repro.experiments.registry import get_experiment
+from repro.util.rng import derive_seed
+from repro.util.stats import loglog_slope
+
+
+def _loop_scaling_exponent(ns, qs, n_boot=500, seed=0):
+    """The reference: one ``size=m`` draw and one ``polyfit`` per resample."""
+    k, r2 = loglog_slope(ns, qs)
+    pairs = np.array(list(zip(ns, qs)), dtype=float)
+    rng = np.random.default_rng(derive_seed(seed, "scaling-exponent"))
+    slopes = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, len(pairs), size=len(pairs))
+        sample = pairs[idx]
+        xs, ys = sample[:, 0], sample[:, 1]
+        if len(set(xs.tolist())) < 2:
+            continue
+        slopes.append(loglog_slope(xs, ys)[0])
+    lo, hi = (
+        (float(np.quantile(slopes, 0.025)), float(np.quantile(slopes, 0.975)))
+        if slopes
+        else (k, k)
+    )
+    return {"exponent": k, "r2": r2, "ci_lo": lo, "ci_hi": hi}
 
 
 class TestCrossingPoint:
@@ -68,6 +96,88 @@ class TestScalingExponent:
         assert scaling_exponent(ns, qs, seed=4) == scaling_exponent(
             ns, qs, seed=4
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=4096),
+                st.floats(min_value=1e-3, max_value=1e6),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+        n_boot=st.integers(min_value=0, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(points=[(4, 3.0), (8, 5.0)], n_boot=0, seed=0)
+    @example(points=[(4, 3.0), (8, 5.0)], n_boot=1, seed=0)
+    @example(points=[(4, 3.0), (8, 5.0)], n_boot=500, seed=7)
+    @example(points=[(4, 3.0), (4, 4.0), (8, 5.0)], n_boot=500, seed=1)
+    def test_matches_the_per_resample_loop(self, points, n_boot, seed):
+        ns = [n for n, _ in points]
+        qs = [q for _, q in points]
+        assume(len(set(ns)) >= 2)
+        got = scaling_exponent(ns, qs, n_boot=n_boot, seed=seed)
+        want = _loop_scaling_exponent(ns, qs, n_boot=n_boot, seed=seed)
+        assert got.keys() == want.keys()
+        assert (got["exponent"], got["r2"]) == (want["exponent"], want["r2"])
+        # The closed-form slope sums in another order than polyfit; an
+        # exponent near 0 has no relative scale, hence the 1e-9 floor.
+        for key in ("ci_lo", "ci_hi"):
+            assert math.isclose(
+                got[key], want[key], rel_tol=1e-9, abs_tol=1e-9
+            ), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=8),
+        n_boot=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_index_matrix_is_the_sequential_draws(self, m, n_boot, seed):
+        # The closed form keeps the loop's resamples only while one
+        # (n_boot, m) draw equals n_boot successive size=m draws.
+        matrix = np.random.default_rng(seed).integers(0, m, size=(n_boot, m))
+        rng = np.random.default_rng(seed)
+        rows = [rng.integers(0, m, size=m) for _ in range(n_boot)]
+        assert np.array_equal(
+            matrix, np.array(rows, dtype=matrix.dtype).reshape(n_boot, m)
+        )
+
+    def test_fits_one_line_per_call(self, monkeypatch):
+        # Only the point estimate is a least-squares fit; a fit per
+        # resample would bring back the cost of the bootstrap loop.
+        fits, polyfits = [], []
+        real_fit, real_polyfit = stats.linear_fit, np.polyfit
+
+        def counted_fit(*args, **kwargs):
+            fits.append(args)
+            return real_fit(*args, **kwargs)
+
+        def counted_polyfit(*args, **kwargs):
+            polyfits.append(args)
+            return real_polyfit(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "linear_fit", counted_fit)
+        monkeypatch.setattr(phase_transition, "linear_fit", counted_fit)
+        monkeypatch.setattr(np, "polyfit", counted_polyfit)
+        scaling_exponent([16, 32, 64, 128, 256], [3.0, 7.0, 15.0, 33.0, 70.0])
+        assert (len(fits), len(polyfits)) == (1, 1)
+
+
+class TestDefScalingFits:
+    def test_e3_small_exponent_notes_are_pinned(self):
+        table = get_experiment("E3")(scale="small", seed=0)
+        suffix = (
+            " — polynomial, as Theorem 3(ii) predicts (k = O((1-2a)^-1))"
+        )
+        assert [n for n in table.notes if n.startswith("alpha=")] == [
+            "alpha=0.1: queries ~ n^3.29 (r²=0.861)" + suffix,
+            "alpha=0.2: queries ~ n^2.73 (r²=0.992)" + suffix,
+            "alpha=0.3: queries ~ n^4.10 (r²=0.999)" + suffix,
+            "alpha=0.4: queries ~ n^4.75 (r²=0.997)" + suffix,
+        ]
 
 
 class TestExponentialTailRate:

@@ -256,6 +256,17 @@ class TestCLI:
         assert rows["cache_cap"][2:] == ["9", "(environment)"]
         assert rows["cache_dir"][2:] == [str(tmp_path), "(environment)"]
 
+    def test_info_creates_no_cache_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments.cli import main
+
+        missing = tmp_path / "absent" / "results"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(missing))
+        assert main(["info"]) == 0
+        assert "cache entries: 0" in capsys.readouterr().out.splitlines()
+        assert not (tmp_path / "absent").exists()
+
     def test_info_rejects_an_invalid_knob(self, capsys, tmp_path, monkeypatch):
         from repro.experiments.cli import main
 

@@ -10,15 +10,21 @@ wastes recomputation — so sensitivity tests are the safety-critical
 half.
 """
 
+import pickle
 import string
+from collections import namedtuple
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import TrialSpec, Workload
-from repro.serve.digest import job_key, point_digest, sweep_digest
+from repro.serve.digest import _canonical, job_key, point_digest, sweep_digest
+from repro.util.rng import derive_seed
 
 VERSION = "test-code-version"
+
+Pair = namedtuple("Pair", "source target")
 
 
 # Module-level kernels so workloads content-address by qualified name.
@@ -154,6 +160,84 @@ class TestSensitivity:
     def test_job_key_experiment_id_is_case_insensitive(self):
         assert job_key("e1", "tiny", 0, version=VERSION) == job_key(
             "E1", "tiny", 0, version=VERSION
+        )
+
+
+def _recursive_canonical(value):
+    """The reference: every container item canonicalised one by one."""
+    if isinstance(value, dict):
+        return (
+            "__dict__",
+            tuple(
+                (key, _recursive_canonical(value[key]))
+                for key in sorted(value)
+            ),
+        )
+    if isinstance(value, (list, tuple)):
+        return tuple(_recursive_canonical(item) for item in value)
+    if isinstance(value, (set, frozenset)):
+        return ("__set__", tuple(sorted(repr(item) for item in value)))
+    return value
+
+
+_atoms = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+)
+_leaves = st.one_of(
+    _atoms,
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.builds(Pair, _atoms, _atoms),
+)
+_nested = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(
+            st.text(alphabet=string.ascii_lowercase, max_size=3),
+            children,
+            max_size=3,
+        ),
+        st.sets(_atoms, max_size=3),
+        st.frozensets(_atoms, max_size=3),
+        # One object twice: pickle writes the second as a memo reference.
+        children.map(lambda child: [child, child]),
+    ),
+    max_leaves=16,
+)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(_nested)
+    def test_pickles_as_the_recursive_form(self, value):
+        assert pickle.dumps(_canonical(value), protocol=4) == pickle.dumps(
+            _recursive_canonical(value), protocol=4
+        )
+
+    def test_golden_point_digest(self):
+        specs = [
+            TrialSpec(
+                key=("E1", 0.25, 64, trial),
+                fn=derive_seed,
+                args=(trial, 1000 + trial, [0.5, None, True, b"\x00"]),
+                kwargs={
+                    "pair": Pair(0, 63),
+                    "levels": [(1, 2.5), ("x", False)],
+                    "tags": {"b", "a"},
+                    "nested": {"z": [1, [2, (3,)]], "a": ()},
+                },
+            )
+            for trial in range(3)
+        ]
+        assert point_digest(specs, version="v") == (
+            "983bfbc9eec11ca2c3ea5f92c6e5f8f6"
         )
 
 

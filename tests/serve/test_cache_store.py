@@ -24,9 +24,12 @@ class TestRoundTrip:
         assert cache.get(DIGEST) == values
 
     def test_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        # Only a write makes anything on disk.
+        cache = ResultCache(tmp_path / "never" / "written")
         assert cache.get(DIGEST) is None
         assert cache.stats()["misses"] == 1
+        assert cache.entry_count() == cache.total_bytes() == 0
+        assert not (tmp_path / "never").exists()
 
     def test_entries_are_sharded_files(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -37,6 +40,15 @@ class TestRoundTrip:
     def test_second_instance_reads_first_instances_entries(self, tmp_path):
         ResultCache(tmp_path).put(DIGEST, [1, 2])
         assert ResultCache(tmp_path).get(DIGEST) == [1, 2]
+
+    def test_file_at_the_shard_path_declined_not_raised(self, tmp_path):
+        (tmp_path / DIGEST[:2]).write_text("not a shard")
+        cache = ResultCache(tmp_path)
+        assert not cache.put(DIGEST, [1])
+        assert cache.stats()["declined"] == 1
+        assert cache.get(DIGEST) is None
+        assert cache.put(OTHER, [2]) and cache.entry_count() == 1
+        assert not list(tmp_path.glob("*/*.tmp"))
 
     def test_unpicklable_values_declined_not_raised(self, tmp_path):
         cache = ResultCache(tmp_path)
