@@ -87,9 +87,11 @@ class ProbeOracle:
         """Probe the edge ``{u, v}``; return whether it is open.
 
         Counts one query the first time this edge is probed; repeats are
-        free.  Raises :class:`ValueError` for non-edges and
-        :class:`ProbeBudgetExceeded` when a new probe would exceed the
-        budget.
+        free.  A new probe is checked in a fixed order: locality (the
+        local subclass's :class:`LocalityViolation`), then the budget
+        (:class:`ProbeBudgetExceeded`), then the edge itself — one
+        :meth:`~repro.percolation.models.PercolationModel.edge_state`
+        call answers it, and a non-edge raises :class:`ValueError`.
         """
         key = self.graph.edge_key(u, v)
         cached = self._results.get(key)
@@ -98,9 +100,9 @@ class ProbeOracle:
         self._check_allowed(u, v)
         if self.budget is not None and len(self._results) >= self.budget:
             raise ProbeBudgetExceeded(self.budget)
-        if not self.graph.is_edge(u, v):
+        result = self.model.edge_state(u, v)
+        if result is None:
             raise ValueError(f"{u!r}-{v!r} is not an edge of {self.graph.name}")
-        result = self.model.is_open(u, v)
         self._results[key] = result
         self._note_result(u, v, result)
         return result

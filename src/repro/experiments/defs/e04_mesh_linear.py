@@ -67,15 +67,19 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         columns=COLUMNS,
     )
 
-    def geometry(d: int, n: int):
-        graph = Mesh(d, n // d + margin)
-        return graph, graph.centered_pair_at_distance(n)
+    # One mesh per (d, n): every p level of a point shares its edge
+    # index and adjacency.
+    geometry = {}
+    for d in dims:
+        for n in distances:
+            graph = Mesh(d, n // d + margin)
+            geometry[d, n] = graph, graph.centered_pair_at_distance(n)
 
     groups = []
     for d in dims:
         for p in _p_levels(scale, d):
             for n in distances:
-                graph, pair = geometry(d, n)
+                graph, pair = geometry[d, n]
                 groups.append(
                     (
                         (d, p, n),
@@ -96,7 +100,7 @@ def run(scale: str, seed: int, runner=None) -> ResultTable:
         for p in _p_levels(scale, d):
             points = []
             for n in distances:
-                graph, pair = geometry(d, n)
+                graph, pair = geometry[d, n]
                 m = assemble_measurement(
                     graph,
                     p,

@@ -66,12 +66,15 @@ def _alpha_point(n: int, alpha: float, trials: int, master_seed: int):
         if len(giant) > 1:
             anchor = next(iter(giant))
             diameters.append(approx_cluster_diameter(model, anchor, sweeps=2))
+    # A serial runner compiles both measurements to the chunk kernel
+    # (replay engines, batched conditioning) inside this one spec.
     m = measure_complexity(
         graph,
         p=p,
         router=WaypointRouter(),
         trials=trials,
         seed=derive_seed(master_seed, "e13-route", alpha),
+        runner=SerialRunner(),
     )
     frac_probed = (
         m.query_summary().median / edges
@@ -86,6 +89,7 @@ def _alpha_point(n: int, alpha: float, trials: int, master_seed: int):
         router=BidirectionalBFSRouter(),
         trials=trials,
         seed=derive_seed(master_seed, "e13-route", alpha),  # same draws
+        runner=SerialRunner(),
     )
     oracle_frac = (
         m_oracle.query_summary().median / edges

@@ -38,6 +38,10 @@ Edge = tuple
 #: (:func:`repro.kernels.topology.edge_index_for`) — process-local
 #: state, left out of pickles by :meth:`Graph.__getstate__`.
 EDGE_INDEX_ATTR = "_edge_index"
+#: Instance attribute holding the routers' per-target neighbour orders
+#: (:func:`repro.routers.orders.target_orders`) — process-local too.
+TARGET_ORDERS_ATTR = "_target_orders"
+_PROCESS_LOCAL = (EDGE_INDEX_ATTR, TARGET_ORDERS_ATTR)
 
 
 class Graph(ABC):
@@ -167,11 +171,14 @@ class Graph(ABC):
             raise ValueError(f"{v!r} is not a vertex of {self.name}")
 
     def __getstate__(self) -> dict | None:
-        # Pickle exactly what a graph without a compiled index pickles
-        # (no state at all for an empty __dict__), so workload ids and
-        # serve cache keys never depend on what this process has run.
+        # Pickle exactly what a graph without a compiled index or
+        # router memo pickles (no state at all for an empty __dict__),
+        # so workload ids and serve cache keys never depend on what
+        # this process has run.
         state = {
-            k: v for k, v in self.__dict__.items() if k != EDGE_INDEX_ATTR
+            k: v
+            for k, v in self.__dict__.items()
+            if k not in _PROCESS_LOCAL
         }
         return state or None
 

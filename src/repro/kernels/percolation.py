@@ -29,9 +29,10 @@ or order demands it — laziness is invisible in the records.
 
 :class:`MaskEdgePercolation` wraps one row back into the
 :class:`~repro.percolation.models.PercolationModel` interface, so the
-routers (which only ever see ``is_open``/``open_neighbors`` answers)
-cannot distinguish it from the model it replaces — the parity tests in
-``tests/kernels/`` and ``tests/percolation/`` assert exactly that.
+routers (which only ever see ``edge_state``/``is_open``/
+``open_neighbors`` answers) cannot distinguish it from the model it
+replaces — the parity tests in ``tests/kernels/`` and
+``tests/percolation/`` assert exactly that.
 """
 
 from __future__ import annotations
@@ -379,7 +380,8 @@ class MaskEdgePercolation(PercolationModel):
     Answers exactly like the per-trial model it replaces: an edge of
     the graph is open iff its mask bit is set; a non-edge pair is
     closed (the per-trial models answer via membership of the
-    canonical key, which a non-edge never has).
+    canonical key, which a non-edge never has), and its
+    ``edge_state`` is ``None`` — one edge-id lookup either way.
     """
 
     def __init__(
@@ -388,19 +390,22 @@ class MaskEdgePercolation(PercolationModel):
         super().__init__(index.graph, p)
         self._index = index
         self._mask = mask
-        # Probe-path cache: a Python list answers single-edge lookups
-        # ~2x faster than numpy scalar indexing.  Materialised on the
-        # first probe, so unrouted trials never pay for it.
-        self._open_list: list[bool] | None = None
+        # Probe-path copy of the row, one byte per edge id: byte reads
+        # beat numpy scalar indexing.  Read on the first probe, so
+        # unrouted trials never pay for it.
+        self._open_bytes: bytes | None = None
 
-    def is_open(self, u: Vertex, v: Vertex) -> bool:
+    def edge_state(self, u: Vertex, v: Vertex) -> bool | None:
         eid = self._index.eid.get(self.graph.edge_key(u, v))
         if eid is None:
-            return False
-        open_list = self._open_list
-        if open_list is None:
-            open_list = self._open_list = self._mask.tolist()
-        return open_list[eid]
+            return None
+        row = self._open_bytes
+        if row is None:
+            row = self._open_bytes = self._mask.tobytes()
+        return row[eid] != 0
+
+    def is_open(self, u: Vertex, v: Vertex) -> bool:
+        return bool(self.edge_state(u, v))
 
     def open_neighbors(self, v: Vertex) -> list[Vertex]:
         index = self._index

@@ -102,6 +102,9 @@ class _DrawnRow(PercolationModel):
     def is_open(self, u: Vertex, v: Vertex) -> bool:
         return self._row.is_open(u, v)
 
+    def edge_state(self, u: Vertex, v: Vertex) -> bool | None:
+        return self._row.edge_state(u, v)
+
     def open_neighbors(self, v: Vertex) -> list[Vertex]:
         return self._row.open_neighbors(v)
 

@@ -18,8 +18,10 @@ the paper's needs:
   of Theorems 10 and 11.
 
 All models answer :meth:`~PercolationModel.is_open` for any vertex pair
-of the graph; states are functions of the *canonical* edge key, so both
-orientations agree.  A model with a batched counterpart returns it from
+of the graph, and :meth:`~PercolationModel.edge_state` (the probe
+oracle's one call per probe) tells an edge's state from a non-edge;
+states are functions of the *canonical* edge key, so both orientations
+agree.  A model with a batched counterpart returns it from
 :meth:`~PercolationModel.chunk_draw` — the one hook the chunk kernel
 reads (``TablePercolation`` has one; the lazy and sparse models do
 not).
@@ -62,6 +64,17 @@ class PercolationModel(ABC):
     @abstractmethod
     def is_open(self, u: Vertex, v: Vertex) -> bool:
         """Return whether the edge ``{u, v}`` is open."""
+
+    def edge_state(self, u: Vertex, v: Vertex) -> bool | None:
+        """Return :meth:`is_open` for an edge, ``None`` for a non-edge.
+
+        The probe oracle's one model call per new probe.  Default:
+        ``graph.is_edge``, then :meth:`is_open`; a model that finds the
+        edge while answering overrides it with one lookup.
+        """
+        if not self.graph.is_edge(u, v):
+            return None
+        return self.is_open(u, v)
 
     def open_neighbors(self, v: Vertex) -> list[Vertex]:
         """Return neighbours of ``v`` reachable through open edges.

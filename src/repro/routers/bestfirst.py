@@ -20,6 +20,7 @@ import itertools
 from repro.core.probe import ProbeOracle
 from repro.core.router import Router
 from repro.graphs.base import Vertex
+from repro.routers.orders import target_orders
 
 __all__ = ["BestFirstRouter"]
 
@@ -42,6 +43,7 @@ class BestFirstRouter(Router):
         if source == target:
             return [source]
         graph = oracle.graph
+        distance = target_orders(graph, target).distance
         counter = itertools.count()  # FIFO tie-break, deterministic
         parent: dict[Vertex, Vertex | None] = {source: None}
         heap: list[tuple[int, int, Vertex, Vertex]] = []
@@ -50,7 +52,7 @@ class BestFirstRouter(Router):
             for y in graph.neighbors(x):
                 if y not in parent:
                     heapq.heappush(
-                        heap, (graph.distance(y, target), next(counter), x, y)
+                        heap, (distance(graph, y), next(counter), x, y)
                     )
 
         push_candidates(source)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from repro.core.probe import ProbeOracle
 from repro.core.router import Router
-from repro.graphs.base import Graph, Vertex
+from repro.graphs.base import Vertex
+from repro.routers.orders import target_orders
 
 __all__ = ["DirectedDFSRouter", "GreedyRouter"]
 
@@ -33,24 +34,17 @@ class DirectedDFSRouter(Router):
     is_local = True
     is_complete = True
 
-    def _ordered_neighbors(
-        self, graph: Graph, v: Vertex, target: Vertex
-    ) -> list[Vertex]:
-        """Neighbours sorted by (metric distance to target, canonical)."""
-        return sorted(
-            graph.neighbors(v),
-            key=lambda w: (graph.distance(w, target), repr(w)),
-        )
-
     def _route(
         self, oracle: ProbeOracle, source: Vertex, target: Vertex
     ) -> list[Vertex] | None:
         if source == target:
             return [source]
         graph = oracle.graph
+        # Neighbours by (metric distance to target, canonical repr).
+        ordered = target_orders(graph, target).nearest_first
         visited = {source}
         path = [source]
-        stack = [iter(self._ordered_neighbors(graph, source, target))]
+        stack = [iter(ordered(graph, source))]
         while stack:
             advanced = False
             for y in stack[-1]:
@@ -63,7 +57,7 @@ class DirectedDFSRouter(Router):
                 path.append(y)
                 if y == target:
                     return path
-                stack.append(iter(self._ordered_neighbors(graph, y, target)))
+                stack.append(iter(ordered(graph, y)))
                 advanced = True
                 break
             if not advanced:
@@ -84,24 +78,16 @@ class GreedyRouter(Router):
     is_local = True
     is_complete = False
 
-    def _descending(
-        self, graph: Graph, v: Vertex, target: Vertex
-    ) -> list[Vertex]:
-        here = graph.distance(v, target)
-        return sorted(
-            (w for w in graph.neighbors(v) if graph.distance(w, target) < here),
-            key=repr,
-        )
-
     def _route(
         self, oracle: ProbeOracle, source: Vertex, target: Vertex
     ) -> list[Vertex] | None:
         if source == target:
             return [source]
         graph = oracle.graph
+        descending = target_orders(graph, target).descending
         visited = {source}
         path = [source]
-        stack = [iter(self._descending(graph, source, target))]
+        stack = [iter(descending(graph, source))]
         while stack:
             advanced = False
             for y in stack[-1]:
@@ -114,7 +100,7 @@ class GreedyRouter(Router):
                 path.append(y)
                 if y == target:
                     return path
-                stack.append(iter(self._descending(graph, y, target)))
+                stack.append(iter(descending(graph, y)))
                 advanced = True
                 break
             if not advanced:

@@ -21,7 +21,8 @@ import itertools
 
 from repro.core.probe import ProbeOracle
 from repro.core.router import Router
-from repro.graphs.base import Graph, Vertex
+from repro.graphs.base import Vertex
+from repro.routers.orders import target_orders
 
 __all__ = ["HybridGreedyRouter"]
 
@@ -46,13 +47,15 @@ class HybridGreedyRouter(Router):
         if source == target:
             return [source]
         graph = oracle.graph
+        orders = target_orders(graph, target)
+        distance, descending = orders.distance, orders.descending
         # Phase 1: greedy monotone DFS while far from the target.
         parent: dict[Vertex, Vertex | None] = {source: None}
         path = [source]
-        stack = [iter(self._descending(graph, source, target))]
+        stack = [iter(descending(graph, source))]
         while stack:
             x = path[-1]
-            if graph.distance(x, target) <= self.switch_distance:
+            if distance(graph, x) <= self.switch_distance:
                 break  # close enough; switch to exhaustive search
             advanced = False
             for y in stack[-1]:
@@ -64,7 +67,7 @@ class HybridGreedyRouter(Router):
                 path.append(y)
                 if y == target:
                     return path
-                stack.append(iter(self._descending(graph, y, target)))
+                stack.append(iter(descending(graph, y)))
                 advanced = True
                 break
             if not advanced:
@@ -81,8 +84,7 @@ class HybridGreedyRouter(Router):
             for y in graph.neighbors(x):
                 if y not in parent:
                     heapq.heappush(
-                        heap,
-                        (graph.distance(y, target), next(counter), x, y),
+                        heap, (distance(graph, y), next(counter), x, y)
                     )
 
         for x in list(parent):
@@ -98,18 +100,6 @@ class HybridGreedyRouter(Router):
                 return self._backtrack(parent, y)
             push_candidates(y)
         return None
-
-    @staticmethod
-    def _descending(graph: Graph, v: Vertex, target: Vertex) -> list[Vertex]:
-        here = graph.distance(v, target)
-        return sorted(
-            (
-                w
-                for w in graph.neighbors(v)
-                if graph.distance(w, target) < here
-            ),
-            key=repr,
-        )
 
     @staticmethod
     def _backtrack(parent: dict, v: Vertex) -> list[Vertex]:

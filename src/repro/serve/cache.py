@@ -20,9 +20,13 @@ The cap is an LRU over mtimes: reads touch their entry's mtime, and a
 store that pushes past either limit — ``cap`` entries, ``cap_bytes``
 total payload on disk — evicts the stalest entries until both hold.
 ``0`` means unbounded on either axis (mirroring the node-side workload
-cache).  The directory and both caps resolve through
-:mod:`repro.settings` (argument, else ``$REPRO_CACHE_DIR`` /
-``$REPRO_CACHE_CAP`` / ``$REPRO_CACHE_CAP_BYTES``, else the default).
+cache).  A capped store keeps a running entry count and byte tally,
+seeded by one scan of the directory and adjusted by every store,
+replacement, eviction and repair, so only a store that pushes the
+tally past a cap scans for the stalest entries (and resyncs it).
+The directory and both caps resolve through :mod:`repro.settings`
+(argument, else ``$REPRO_CACHE_DIR`` / ``$REPRO_CACHE_CAP`` /
+``$REPRO_CACHE_CAP_BYTES``, else the default).
 All counters are thread-safe; the store itself is safe for concurrent
 readers with one writer (the service's job executor).
 """
@@ -59,6 +63,8 @@ class ResultCache:
         self.cap = resolve("cache_cap", cap)
         self.cap_bytes = resolve("cache_cap_bytes", cap_bytes)
         self._lock = threading.Lock()
+        # (entries, bytes) on disk once a capped put has seeded it.
+        self._tally: tuple[int, int] | None = None
         self._stats = {
             "hits": 0,
             "misses": 0,
@@ -95,6 +101,12 @@ class ResultCache:
     def _count(self, what: str, n: int = 1) -> None:
         with self._lock:
             self._stats[what] += n
+
+    def _adjust_tally(self, entries: int, size: int) -> None:
+        with self._lock:
+            if self._tally is not None:
+                count, total = self._tally
+                self._tally = (count + entries, total + size)
 
     def stats(self) -> dict:
         """A snapshot of the counters plus the on-disk entry count."""
@@ -142,6 +154,8 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
+            else:
+                self._adjust_tally(-1, -len(blob))
             self._count("repairs")
             self._count("misses")
             return None
@@ -166,6 +180,9 @@ class ResultCache:
             self._count("declined")
             return False
         path = self._path(digest)
+        capped = bool(self.cap or self.cap_bytes)
+        # The entry this store replaces, if any, for the tally.
+        old_size = _size_on_disk(path) if capped else None
         tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -186,11 +203,26 @@ class ResultCache:
             self._count("declined")
             return False
         self._count("stores")
-        if self.cap or self.cap_bytes:
-            self._evict_over_cap()
+        if capped:
+            size = len(_MAGIC) + _CHECKSUM_SIZE + len(payload)
+            if old_size is None:
+                self._adjust_tally(1, size)
+            else:
+                self._adjust_tally(0, size - old_size)
+            tally = self._tally
+            if tally is None or self._over_cap(*tally):
+                self._evict_over_cap()
         return True
 
+    def _over_cap(self, count: int, total: int) -> bool:
+        return bool(
+            (self.cap and count > self.cap)
+            or (self.cap_bytes and total > self.cap_bytes)
+        )
+
     def _evict_over_cap(self) -> None:
+        """Scan every entry, evict the stalest while over a cap, and
+        reset the tally to what the scan left on disk."""
         entries = []
         for path in self._entries():
             try:
@@ -202,10 +234,8 @@ class ResultCache:
         count = len(entries)
         total = sum(size for *_, size in entries)
         for _, _, path, size in entries:
-            over_count = self.cap and count > self.cap
-            over_bytes = self.cap_bytes and total > self.cap_bytes
-            if not over_count and not over_bytes:
-                return
+            if not self._over_cap(count, total):
+                break
             try:
                 path.unlink()
             except OSError:
@@ -213,12 +243,22 @@ class ResultCache:
             self._count("evictions")
             count -= 1
             total -= size
+        with self._lock:
+            self._tally = (count, total)
 
     def __repr__(self) -> str:
         return (
             f"ResultCache({str(self.directory)!r}, cap={self.cap}, "
             f"cap_bytes={self.cap_bytes}, entries={self.entry_count()})"
         )
+
+
+def _size_on_disk(path: Path) -> int | None:
+    """The size of the entry at ``path``, or ``None`` if there is none."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return None
 
 
 def _checksum(payload: bytes) -> bytes:

@@ -7,7 +7,7 @@ import pytest
 from repro.core.complexity import measure_complexity
 from repro.graphs.explicit import ExplicitGraph, path_graph
 from repro.graphs.hypercube import Hypercube
-from repro.percolation.models import TablePercolation
+from repro.percolation.models import PercolationModel
 from repro.routers.bfs import LocalBFSRouter
 from repro.routers.waypoint import WaypointRouter
 
@@ -65,20 +65,13 @@ class TestExactConditioning:
         exact_total = 0.0
         exact_weight = 0.0
 
-        class FixedModel:
+        class FixedModel(PercolationModel):
             def __init__(self, states):
-                self.graph = g
-                self.p = p
+                super().__init__(g, p)
                 self._states = states
 
             def is_open(self, u, v):
                 return self._states[g.edge_key(u, v)]
-
-            def open_neighbors(self, v):
-                return [w for w in g.neighbors(v) if self.is_open(v, w)]
-
-            def path_is_open(self, path):
-                return all(self.is_open(a, b) for a, b in zip(path, path[1:]))
 
         for states in itertools.product([False, True], repeat=4):
             assignment = dict(zip([g.edge_key(*e) for e in edges], states))

@@ -10,6 +10,7 @@ from repro.core.probe import (
 )
 from repro.graphs.explicit import ExplicitGraph, cycle_graph, path_graph
 from repro.graphs.hypercube import Hypercube
+from repro.kernels.topology import edge_index_for
 from repro.percolation.models import HashPercolation, TablePercolation
 
 
@@ -166,3 +167,59 @@ class TestLocalProbeOracle:
         assert oracle.is_reached(3)
         oracle.probe(2, 3)
         assert oracle.reached == frozenset({0, 1, 2, 3})
+
+
+class TestOneModelCallPerProbe:
+    """A new probe is one ``edge_state`` call, checked after locality
+    and the budget; the ``is_edge``/``is_open`` pair is never asked."""
+
+    @staticmethod
+    def _row_model(graph):
+        index = edge_index_for(graph)
+        model = TablePercolation(graph, 0.6, 0).chunk_draw(index, [4]).model(0)
+        calls = []
+        edge_state = model.edge_state
+
+        def counting(u, v):
+            calls.append((u, v))
+            return edge_state(u, v)
+
+        def refuse(*args):
+            raise AssertionError("probe must not call this")
+
+        model.edge_state = counting
+        model.is_open = refuse
+        graph.is_edge = refuse
+        return model, edge_state, calls
+
+    def test_each_new_probe_is_one_edge_state_call(self):
+        graph = Hypercube(4)
+        model, edge_state, calls = self._row_model(graph)
+        oracle = ProbeOracle(model)
+        for u, v in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (0, 1)]:
+            assert oracle.probe(u, v) is edge_state(u, v)
+        assert calls == [(0, 1), (0, 2), (1, 3)]
+        assert oracle.queries == 3
+
+    def test_errors_keep_their_order(self):
+        # path 0-1-2-3-4, one probe of budget: reached {0, 1}.
+        oracle = LocalProbeOracle(_model(path_graph(5)), source=0, budget=1)
+        oracle.probe(0, 1)
+        # A non-edge touching nothing reached, budget spent: locality.
+        with pytest.raises(LocalityViolation):
+            oracle.probe(2, 4)
+        # A non-edge touching the reached set, budget spent: budget.
+        with pytest.raises(ProbeBudgetExceeded):
+            oracle.probe(1, 3)
+        # With budget left, the same non-edge: not an edge.
+        oracle = LocalProbeOracle(_model(path_graph(5)), source=0, budget=2)
+        oracle.probe(0, 1)
+        with pytest.raises(ValueError, match="not an edge"):
+            oracle.probe(1, 3)
+        assert oracle.queries == 1
+
+    def test_oracle_model_checks_budget_before_the_edge(self):
+        oracle = ProbeOracle(_model(path_graph(5)), budget=1)
+        oracle.probe(2, 3)
+        with pytest.raises(ProbeBudgetExceeded):
+            oracle.probe(0, 4)

@@ -7,7 +7,7 @@ from repro.graphs.explicit import ExplicitGraph, path_graph
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh
 from repro.percolation.cluster import connected
-from repro.percolation.models import TablePercolation
+from repro.percolation.models import PercolationModel, TablePercolation
 from repro.routers.dfs import DirectedDFSRouter, GreedyRouter
 from tests.routers.conftest import route_and_check
 
@@ -48,20 +48,11 @@ class TestDirectedDFS:
         g = ExplicitGraph([(0, 1), (0, 2), (2, 3), (1, 9), (9, 3)])
         model = TablePercolation(g, 1.0, seed=0)
 
-        class RiggedModel:
-            graph = g
-            p = 1.0
-
+        class RiggedModel(PercolationModel):
             def is_open(self, u, v):
                 return g.edge_key(u, v) != g.edge_key(9, 3)
 
-            def open_neighbors(self, v):
-                return [w for w in g.neighbors(v) if self.is_open(v, w)]
-
-            def path_is_open(self, path):
-                return all(self.is_open(a, b) for a, b in zip(path, path[1:]))
-
-        result = DirectedDFSRouter().route(RiggedModel(), 0, 3)
+        result = DirectedDFSRouter().route(RiggedModel(g, 1.0), 0, 3)
         assert result.success
         assert result.path == [0, 2, 3]
 
@@ -90,20 +81,11 @@ class TestGreedy:
 
         g = cycle_graph(6)
 
-        class RiggedModel:
-            graph = g
-            p = 1.0
-
+        class RiggedModel(PercolationModel):
             def is_open(self, u, v):
                 return g.edge_key(u, v) not in {(2, 3), (3, 4)}
 
-            def open_neighbors(self, v):
-                return [w for w in g.neighbors(v) if self.is_open(v, w)]
-
-            def path_is_open(self, path):
-                return all(self.is_open(a, b) for a, b in zip(path, path[1:]))
-
-        model = RiggedModel()
+        model = RiggedModel(g, 1.0)
         result = GreedyRouter().route(model, 0, 3)
         assert not result.success  # target unreachable monotonically
 

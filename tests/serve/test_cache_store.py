@@ -1,14 +1,19 @@
 """Tests for the on-disk result store (repro.serve.cache).
 
 Round-trips, the corruption → recompute-and-repair contract, atomic
-writes and LRU eviction under a cap.  The cache's directory and caps
+writes and LRU eviction under a cap, kept by a running tally whose
+survivors must equal a scan after every put (the reference below).  The cache's directory and caps
 are rows of the settings table; their resolver cases live in
 tests/test_settings.py.
 """
 
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.cache import ResultCache
 
@@ -214,3 +219,133 @@ class TestSettings:
         target.write_text("not a directory")
         with pytest.raises(ValueError, match="not a directory"):
             ResultCache(target)
+
+
+def _scan_evict(cache):
+    """The scan every capped put ran before the running tally: glob and
+    stat every entry, then evict the stalest while over either cap."""
+    entries = []
+    for path in cache.directory.glob("*/*.rpc"):
+        try:
+            stat = path.stat()
+            entries.append((stat.st_mtime, str(path), path, stat.st_size))
+        except OSError:
+            entries.append((0.0, str(path), path, 0))
+    entries.sort(key=lambda e: e[:2])
+    count = len(entries)
+    total = sum(size for *_, size in entries)
+    for _, _, path, size in entries:
+        over_count = cache.cap and count > cache.cap
+        over_bytes = cache.cap_bytes and total > cache.cap_bytes
+        if not over_count and not over_bytes:
+            return
+        path.unlink()
+        count -= 1
+        total -= size
+
+
+class _ScanPerPut(ResultCache):
+    """Reference store: every stored put is followed by a full scan."""
+
+    def put(self, digest, values):
+        caps = self.cap, self.cap_bytes
+        self.cap = self.cap_bytes = 0
+        try:
+            stored = super().put(digest, values)
+        finally:
+            self.cap, self.cap_bytes = caps
+        if stored:
+            _scan_evict(self)
+        return stored
+
+
+class TestRunningTally:
+    """A capped store scans its directory only when its tally passes a
+    cap, and keeps exactly the entries a scan after every put keeps."""
+
+    @staticmethod
+    def _count_scans(cache, monkeypatch):
+        scans = []
+        entries = ResultCache._entries
+
+        def counting(self):
+            scans.append(1)
+            return entries(self)
+
+        monkeypatch.setattr(ResultCache, "_entries", counting)
+        return scans
+
+    @pytest.mark.parametrize(
+        "caps", [(1000, 0), (0, 1 << 20), (1000, 1 << 20)],
+        ids=["entries", "bytes", "both"],
+    )
+    def test_puts_under_the_cap_scan_at_most_once(
+        self, tmp_path, monkeypatch, caps
+    ):
+        cache = ResultCache(tmp_path, cap=caps[0], cap_bytes=caps[1])
+        scans = self._count_scans(cache, monkeypatch)
+        for i in range(50):
+            assert cache.put(f"{i:02x}" + "c" * 30, [i])
+            cache.put(f"{i:02x}" + "c" * 30, [i, i])  # a replacement
+        assert len(scans) <= 1
+        assert cache.entry_count() == 50
+
+    def test_tally_counts_stores_replacements_and_repairs(self, tmp_path):
+        cache = ResultCache(tmp_path, cap=10)
+        digests = [f"{i:02x}" + "d" * 30 for i in range(4)]
+        for i, digest in enumerate(digests):
+            cache.put(digest, ["x" * (10 * i)])
+        cache.put(digests[0], ["y" * 500])  # replacement, new size
+        assert cache._tally == (4, cache.total_bytes())
+        path = tmp_path / digests[1][:2] / f"{digests[1]}.rpc"
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))  # bit flip
+        assert cache.get(digests[1]) is None  # repaired: one entry less
+        assert cache._tally == (3, cache.total_bytes())
+
+    def test_eviction_resyncs_the_tally(self, tmp_path):
+        cache = ResultCache(tmp_path, cap=4)
+        for i in range(6):
+            cache.put(f"{i:02x}" + "d" * 30, ["x" * (10 * i)])
+        assert cache.stats()["evictions"] == 2
+        assert cache._tally == (4, cache.total_bytes())
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["put", "put", "get", "corrupt"]),
+                st.integers(0, 11),
+                st.integers(0, 400),
+            ),
+            max_size=40,
+        ),
+        caps=st.sampled_from([(3, 0), (0, 1500), (5, 2500), (1, 0)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_survivors_as_a_scan_after_every_put(self, ops, caps):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            stores = [
+                ResultCache(root / "tally", cap=caps[0], cap_bytes=caps[1]),
+                _ScanPerPut(root / "scan", cap=caps[0], cap_bytes=caps[1]),
+            ]
+            for clock, (op, key, size) in enumerate(ops, start=10_000):
+                digest = f"{key:02x}" + "e" * 30
+                for store in stores:
+                    path = store._path(digest)
+                    if op == "put":
+                        store.put(digest, ["x" * size])
+                    elif op == "get":
+                        store.get(digest)
+                    elif path.exists():
+                        path.write_bytes(b"corrupt")
+                        assert store.get(digest) is None
+                    # Logical ages: what each op touched is the newest,
+                    # identically in both stores.
+                    if path.exists():
+                        os.utime(path, (clock, clock))
+                survivors = [
+                    sorted(p.name for p in store.directory.glob("*/*.rpc"))
+                    for store in stores
+                ]
+                assert survivors[0] == survivors[1]
