@@ -1,9 +1,9 @@
 """Shared infrastructure for the benchmark suite.
 
 Each benchmark regenerates one experiment from the registry in
-``repro.experiments.registry`` — the experiment index that EXPERIMENTS.md
-records claim by claim (the paper has no numbered tables/figures; the
-experiments stand in for them).  Results are printed and persisted under
+``repro.experiments.registry`` — the experiment index that ``repro
+list`` prints claim by claim (the paper has no numbered tables/figures;
+the experiments stand in for them).  Results are printed and persisted under
 ``results/`` so the series survive pytest's output capture.
 
 Environment knobs:

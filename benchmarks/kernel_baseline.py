@@ -46,8 +46,7 @@ from repro.graphs.mesh import Mesh
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.tree import MirrorPairOracleRouter
 from repro.routers.waypoint import MeshWaypointRouter, WaypointRouter
-from repro.runtime import supports_run_chunk
-from repro.runtime.chunkexec import execute_specs
+from repro.runtime.chunkexec import chunk_runner, execute_specs
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -112,7 +111,7 @@ def record(scale: str = "small", seed: int = 0, out: Path | None = None):
     entries = []
     for label, specs in _scenarios(scale, seed):
         workload = specs[0].workload
-        if not supports_run_chunk(workload):  # also warms the compile
+        if chunk_runner(workload) is None:  # also warms the compile
             raise AssertionError(f"{label}: workload has no chunk kernel")
         # Best of three interleaved passes: the first kernel pass pays
         # one-time costs (adjacency build, key-blob serialisation)

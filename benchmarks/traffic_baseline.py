@@ -40,8 +40,7 @@ from repro.graphs.clos import FatTree
 from repro.graphs.hypercube import Hypercube
 from repro.routers.bfs import LocalBFSRouter
 from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
-from repro.runtime import supports_run_chunk
-from repro.runtime.chunkexec import execute_specs
+from repro.runtime.chunkexec import chunk_runner, execute_specs
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -90,7 +89,7 @@ def record(scale: str = "small", seed: int = 0, out: Path | None = None):
     entries = []
     for label, specs in _scenarios(scale, seed):
         workload = specs[0].workload
-        if not supports_run_chunk(workload):  # also warms the compile
+        if chunk_runner(workload) is None:  # also warms the compile
             raise AssertionError(f"{label}: workload has no chunk kernel")
         # Best of three interleaved passes, as in kernel_baseline: the
         # first kernel pass pays one-time compile/index costs that are

@@ -1,7 +1,7 @@
 """Experiment harness: specs, registry, result tables, CLI.
 
-One experiment per theorem-derived claim — see DESIGN.md §4 for the
-index and EXPERIMENTS.md for recorded results.  Typical use::
+One experiment per theorem-derived claim — ``repro list`` prints the
+index and ``repro report`` writes the results.  Typical use::
 
     from repro.experiments import get_experiment
     table = get_experiment("E7")(scale="small", seed=0)

@@ -340,76 +340,45 @@ def _cmd_thresholds() -> int:
     return 0
 
 
-def _make_kernel_audit_runner():
-    """A serial runner that also tallies the kernel/fallback split.
+def _kernel_audit_line(spec) -> str:
+    """Run ``spec`` at tiny scale and report what ran on the kernel.
 
-    Counts, for every batch the experiment submits, how many specs
-    would execute through a vectorized chunk kernel versus the
-    per-trial fallback — the same eligibility decision
-    ``execute_specs`` makes at run time — then runs them normally.
+    The counts are the difference of the process-wide execution tally
+    over the run, so specs of nested runners and batches an engine
+    declined at run time count as they executed.
     """
     from repro.runtime import SerialRunner
-    from repro.runtime.chunkexec import STAGES, kernel_split, stage_split
+    from repro.runtime.chunkexec import TALLY
 
-    class _KernelAuditRunner(SerialRunner):
-        def __init__(self) -> None:
-            self.kernel = 0
-            self.fallback = 0
-            self.demand_specs = 0
-            self.stages = {
-                stage: {"kernel": 0, "per-trial": 0} for stage in STAGES
-            }
-
-        def run(self, specs):
-            specs = list(specs)
-            kernel, fallback = kernel_split(specs)
-            self.kernel += kernel
-            self.fallback += fallback
-            self.demand_specs += sum(
-                1 for spec in specs if _routes_demands(spec)
-            )
-            for stage, counts in stage_split(specs).items():
-                for mode, n in counts.items():
-                    self.stages[stage][mode] += n
-            return super().run(specs)
-
-    return _KernelAuditRunner()
-
-
-def _routes_demands(spec) -> bool:
-    """Whether a spec's trial unit is a demand matrix (traffic trial)."""
-    fn = getattr(spec.workload, "fn", None)
-    return getattr(fn, "__qualname__", None) == "run_traffic_trial"
-
-
-def _kernel_audit_line(spec) -> str:
-    audit = _make_kernel_audit_runner()
-    spec(scale="tiny", seed=0, runner=audit)
-    total = audit.kernel + audit.fallback
-    if audit.kernel and not audit.fallback:
+    before = TALLY.copy()
+    spec(scale="tiny", seed=0, runner=SerialRunner())
+    ran = TALLY - before
+    kernel = ran["kernel"]
+    total = kernel + ran["per-trial"]
+    if kernel and not ran["per-trial"]:
         shape = "vectorized chunk kernel"
-    elif audit.kernel:
+    elif kernel:
         shape = "vectorized chunk kernel + per-trial fallback"
     else:
         shape = "per-trial fallback"
-    # A kernel-eligible spec can still run individual stages per trial
-    # (e.g. an unregistered router drops only the routing stage), so
-    # break the split down per pipeline stage underneath the headline.
-    # Demand-matrix trials route every commodity of a chunk through one
-    # engine call — name that explicitly on the routing stage.
-    def _label(stage: str) -> str:
-        if stage == "routing" and audit.demand_specs:
-            return "routing (commodity-batched)"
-        return stage
-
-    stages = "  ".join(
-        f"{_label(stage)} {counts['kernel']}/{total} kernel"
-        for stage, counts in audit.stages.items()
+    # A kernel spec can still run single stages per trial (a router
+    # without an engine drops only routing); demand trials whose
+    # commodities one engine call routed say so on the routing stage.
+    routing = "routing"
+    if ran["commodity-batched"]:
+        routing = "routing (commodity-batched)"
+    stages = {
+        "draw": kernel,
+        "conditioning": kernel - ran["conditioning per-trial"],
+        routing: kernel - ran["routing per-trial"],
+    }
+    split = "  ".join(
+        f"{stage} {n}/{total} kernel" for stage, n in stages.items()
     )
     return (
         f"execution: {shape} "
-        f"({audit.kernel}/{total} specs kernel-eligible at tiny scale)"
-        f"\nstages: {stages}"
+        f"({kernel}/{total} specs ran on the kernel at tiny scale)"
+        f"\nstages: {split}"
     )
 
 
@@ -526,8 +495,8 @@ def _cmd_report(
             )
     preamble = (
         "# Experiment report (generated)\n\n"
-        f"Scale: {scale}; master seed: {seed}.  See DESIGN.md for the "
-        "experiment index and EXPERIMENTS.md for the curated record."
+        f"Scale: {scale}; master seed: {seed}.  `repro list` prints the "
+        "experiment index."
     )
     Path(out).write_text(
         render_experiments_markdown(sections, preamble=preamble),

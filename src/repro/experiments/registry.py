@@ -1,4 +1,4 @@
-"""Registry of all experiments (DESIGN.md §4).
+"""Registry of all experiments (the index ``repro list`` prints).
 
 Experiment modules in :mod:`repro.experiments.defs` register themselves
 at import; :func:`all_experiments` triggers those imports lazily so that
@@ -15,7 +15,7 @@ __all__ = ["all_experiments", "get_experiment", "register"]
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
-#: Modules that define experiments (one per DESIGN.md index entry).
+#: Modules that define experiments (one per index entry).
 _DEF_MODULES = (
     "repro.experiments.defs.e01_hypercube_phase",
     "repro.experiments.defs.e02_hypercube_lower",

@@ -1,10 +1,8 @@
-"""Markdown report generation: the EXPERIMENTS.md machinery.
+"""Markdown report generation: what ``repro report`` writes.
 
 Given experiment specs and their result tables, render the
-paper-vs-measured record.  EXPERIMENTS.md in the repository root is
-produced by :func:`render_experiments_markdown` over a medium-scale run
-(plus hand-written conclusion lines per experiment); users can
-regenerate their own with::
+paper-vs-measured record, one section per experiment with its claim,
+reference and table::
 
     python -m repro report --scale small --out MY_RESULTS.md
 """

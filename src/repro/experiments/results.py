@@ -3,7 +3,7 @@
 A :class:`ResultTable` is the unit of output: one table per experiment
 run, with paper-style rows, free-form notes (fitted exponents, threshold
 estimates, theory overlays) and CSV export.  Benchmarks print
-``table.render()``; EXPERIMENTS.md records the rendered output next to
+``table.render()``; ``repro report`` writes the rendered output next to
 the paper's claims.
 """
 

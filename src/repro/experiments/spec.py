@@ -3,8 +3,8 @@
 Every experiment (see the registry in :mod:`repro.experiments.registry`
 for the index) is a pure function ``run(scale, seed, runner=...) →
 ResultTable`` plus metadata tying it back to the paper.  Scales keep one
-code path for tests (``tiny``), benchmarks (``small``) and the
-EXPERIMENTS.md record (``medium``).
+code path for tests (``tiny``), benchmarks (``small``) and full
+reports (``medium``).
 
 Every definition expresses its trial sweeps through
 :mod:`repro.runtime`: the spec threads the caller's

@@ -40,8 +40,9 @@ compiler builds it once (construction draws nothing) and asks it for a
 draw.  A model with none (the lazy :class:`~repro.percolation.models.
 HashPercolation`), a factory that raises, or an unenumerable graph
 make the compiler return ``None`` and the runners fall back to the
-per-trial loop.  The compiled runner reports its per-stage verdicts
-through ``stages()`` — what ``repro info``'s kernel audit prints.
+per-trial loop.  Each call counts the stages it ran trial by trial into
+:data:`~repro.runtime.chunkexec.TALLY` — what ``repro info``'s kernel
+audit prints.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from repro.kernels.percolation import table_edge_masks  # noqa: F401
 from repro.kernels.routing import PairRoutingUnsupported, router_kernel_for
 from repro.kernels.topology import EdgeIndex, edge_index_for
 from repro.percolation.models import PercolationModel
+from repro.runtime.chunkexec import TALLY
 from repro.runtime.trial import TrialExecutionError
 from repro.runtime.workload import Workload
 
@@ -112,25 +114,6 @@ class _TrialChunk:
         self._pair = pair
         self._demand_factory = demand_factory
 
-    def stages(self) -> dict[str, str]:
-        """Per-stage execution verdicts for the kernel audit.
-
-        ``conditioning`` under ``"router"``/``"none"`` *is* the routing
-        attempt, so it reports whatever the routing stage does; demand
-        trials attempt every commodity, so they compile as ``"none"``.
-        """
-        routing = (
-            "kernel" if self._router_kernel is not None else "per-trial"
-        )
-        conditioning = (
-            "kernel" if self._conditioning == "exact" else routing
-        )
-        return {
-            "draw": "kernel",
-            "conditioning": conditioning,
-            "routing": routing,
-        }
-
     def __call__(
         self, keys: Sequence[tuple], tails: Sequence[tuple]
     ) -> list:
@@ -173,10 +156,17 @@ class _TrialChunk:
             for source, target in trial_pairs
         ]
         results = None
-        if self._router_kernel is not None and rows:
-            results = self._route_kernel(keys, draw, rows)
+        if self._router_kernel is not None:
+            results = self._route_kernel(keys, draw, rows) if rows else []
         if results is None:
+            # No engine, or one that declined the batch.  Conditioning
+            # other than "exact" *is* the routing attempt.
+            TALLY["routing per-trial"] += len(tails)
+            if self._conditioning != "exact":
+                TALLY["conditioning per-trial"] += len(tails)
             results = self._route_per_trial(keys, draw, rows)
+        elif self._pair is None:
+            TALLY["commodity-batched"] += len(tails)
 
         records = []
         cursor = 0
@@ -267,7 +257,7 @@ def compile_trial_chunk(workload: Workload):
     declined, so the error surfaces through the unchanged per-trial
     code path.  A model with a chunk draw and an unregistered *router*
     still compiles: draw and conditioning vectorize, routing takes the
-    per-trial loop (the runner's ``stages()`` reports the split).
+    per-trial loop (and the runner tallies it).
     """
     from repro.core.complexity import _default_factory, run_trial
     from repro.core.traffic import run_traffic_trial

@@ -58,8 +58,8 @@ streams results back.  Nodes execute chunks on their own process pools
 (``$REPRO_HEARTBEAT``) requeues the chunks of a node that disconnects
 *or* silently wedges to the survivors.
 
-The batch-kernel seam (run_chunk)
----------------------------------
+The batch-kernel seam
+---------------------
 
 The schedulable unit is a trial; the *executable* unit on any worker is
 a chunk of consecutive specs.  :mod:`repro.runtime.chunkexec` lets a
@@ -71,8 +71,9 @@ frozen context into a chunk runner (or declines), and
 ``SerialRunner``, the process pool's workers and the cluster nodes'
 pools alike — batches each maximal run of kernel-eligible
 same-workload specs through it, falling back to ``spec.execute()`` for
-everything else.  :func:`supports_run_chunk` exposes the per-workload
-capability verdict; ``repro info <EXP>`` reports it per experiment.
+everything else.  It tallies which path each spec took
+(:data:`~repro.runtime.chunkexec.TALLY`); ``repro info <EXP>`` reports
+that split per experiment.
 
 The contract is **bit-identical records**: a kernel changes the wall
 clock, never a result — parallel parity, the golden trial-split
@@ -152,12 +153,7 @@ from repro.runtime.backends import (
     make_runner,
     register_backend,
 )
-from repro.runtime.chunkexec import (
-    execute_specs,
-    register_chunk_kernel,
-    run_chunk,
-    supports_run_chunk,
-)
+from repro.runtime.chunkexec import execute_specs, register_chunk_kernel
 from repro.runtime.runner import ProcessPoolRunner, SerialRunner, TrialRunner
 from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
 from repro.runtime.workload import Workload
@@ -176,8 +172,6 @@ __all__ = [
     "make_runner",
     "register_backend",
     "register_chunk_kernel",
-    "run_chunk",
-    "supports_run_chunk",
 ]
 
 

@@ -14,9 +14,9 @@ per-trial loop, so which path executed is unobservable in the results
 Capability is per *workload*: kernels register a compiler per workload
 ``fn`` (:func:`register_chunk_kernel`), the compiler inspects one
 workload's frozen context and returns a chunk runner or ``None``, and
-the verdict is cached by content id (:func:`supports_run_chunk` exposes
-it).  The built-in compilers live in :mod:`repro.kernels`, imported
-lazily on the first chunk so the serial import path stays light.
+the verdict is cached by content id (:func:`chunk_runner` returns it).
+The built-in compilers live in :mod:`repro.kernels`, imported lazily on
+the first chunk so the serial import path stays light.
 
 ``$REPRO_KERNEL=off`` (the ``kernel`` row of :mod:`repro.settings`)
 disables the seam entirely (every spec executes per trial) — the
@@ -24,28 +24,27 @@ escape hatch if a kernel is ever suspected of diverging; results must
 not change, only speed.  The compiled-runner cache keeps the
 :data:`_COMPILED_CAP` most recently used workloads.
 
-A chunk runner may expose a ``stages()`` method describing which
-pipeline stages (draw / conditioning / routing) execute vectorized and
-which drop to the per-trial algorithm; :func:`stage_split` aggregates
-that per spec for ``repro info``.
+:data:`TALLY` counts what executed in this process, in specs: the
+kernel/per-trial split as :func:`execute_specs` makes it, and the
+stages a chunk runner ran trial by trial.  ``repro info <EXP>`` prints
+its difference over a run, so a nested runner or a kernel that
+declines a batch at run time counts as it ran.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from collections.abc import Callable, Iterable, Sequence
+from collections import Counter, OrderedDict
+from collections.abc import Callable, Iterable
 
 from repro.runtime.trial import TrialResult, TrialSpec
 from repro.runtime.workload import Workload
 from repro.settings import resolve
 
 __all__ = [
+    "TALLY",
+    "chunk_runner",
     "execute_specs",
-    "kernel_split",
     "register_chunk_kernel",
-    "run_chunk",
-    "stage_split",
-    "supports_run_chunk",
 ]
 
 #: Workload ``fn`` -> compiler(workload) -> chunk runner | None.
@@ -58,6 +57,15 @@ _COMPILED: OrderedDict[str, Callable | None] = OrderedDict()
 _COMPILED_CAP = 64
 
 _kernels_loaded = False
+
+#: What executed in this process, in specs: ``"kernel"`` and
+#: ``"per-trial"`` as :func:`execute_specs` ran them; then, counted by
+#: the chunk runners for kernel specs, ``"conditioning per-trial"`` and
+#: ``"routing per-trial"`` where that stage took the per-trial loop,
+#: and ``"commodity-batched"`` where one engine routed the commodities
+#: of demand trials.  No lock: a process executes one batch at a time
+#: (runners are not safe for concurrent batches).
+TALLY: Counter[str] = Counter()
 
 
 def register_chunk_kernel(fn: Callable, compiler: Callable) -> None:
@@ -105,11 +113,6 @@ def chunk_runner(workload: Workload) -> Callable | None:
     return runner
 
 
-def supports_run_chunk(workload: Workload) -> bool:
-    """Whether chunks of this workload execute through a kernel."""
-    return chunk_runner(workload) is not None
-
-
 def _eligible_tail(spec: TrialSpec) -> bool:
     # The kernel tail contract: a slim `(trial, seed)` pair and nothing
     # else, the shape `complexity_specs`-style emitters produce.
@@ -129,29 +132,6 @@ def _spec_runner(spec: TrialSpec, enabled: bool) -> Callable | None:
     return None
 
 
-def run_chunk(
-    workload: Workload, specs: Sequence[TrialSpec]
-) -> list[TrialResult]:
-    """Execute a same-workload chunk through its kernel, explicitly.
-
-    Raises :class:`ValueError` if the workload has no kernel; use
-    :func:`supports_run_chunk` (or just :func:`execute_specs`, which
-    falls back silently) when support is not known.
-    """
-    runner = chunk_runner(workload)
-    if runner is None:
-        raise ValueError(
-            f"workload {workload.workload_id} does not support run_chunk"
-        )
-    keys = [spec.key for spec in specs]
-    tails = [tuple(spec.args) for spec in specs]
-    values = runner(keys, tails)
-    return [
-        TrialResult(key=key, value=value)
-        for key, value in zip(keys, values)
-    ]
-
-
 def execute_specs(specs: Iterable[TrialSpec]) -> list[TrialResult]:
     """Execute a chunk, batching kernel-eligible runs; order preserved.
 
@@ -168,6 +148,7 @@ def execute_specs(specs: Iterable[TrialSpec]) -> list[TrialResult]:
         spec = specs[i]
         runner = _spec_runner(spec, enabled)
         if runner is None:
+            TALLY["per-trial"] += 1
             results[i] = spec.execute()
             i += 1
             continue
@@ -180,6 +161,7 @@ def execute_specs(specs: Iterable[TrialSpec]) -> list[TrialResult]:
         ):
             j += 1
         group = specs[i:j]
+        TALLY["kernel"] += len(group)
         keys = [s.key for s in group]
         tails = [tuple(s.args) for s in group]
         values = runner(keys, tails)
@@ -187,49 +169,3 @@ def execute_specs(specs: Iterable[TrialSpec]) -> list[TrialResult]:
             results[i + offset] = TrialResult(key=key, value=value)
         i = j
     return results  # type: ignore[return-value]
-
-
-def kernel_split(specs: Iterable[TrialSpec]) -> tuple[int, int]:
-    """Count ``(kernel, fallback)`` specs under the current environment.
-
-    The same eligibility decision :func:`execute_specs` makes, without
-    executing anything — what ``repro info`` reports per experiment.
-    """
-    kernel = fallback = 0
-    enabled = resolve("kernel")
-    for spec in specs:
-        runner = _spec_runner(spec, enabled)
-        if runner is None:
-            fallback += 1
-        else:
-            kernel += 1
-    return kernel, fallback
-
-
-#: The pipeline stages a chunk runner may break down via ``stages()``.
-STAGES = ("draw", "conditioning", "routing")
-
-
-def stage_split(specs: Iterable[TrialSpec]) -> dict[str, dict[str, int]]:
-    """Count kernel vs per-trial specs for each pipeline stage.
-
-    Refines :func:`kernel_split`: a kernel-executed spec may still run
-    some stages per trial (e.g. an unregistered router drops only the
-    routing stage to the exact per-trial algorithm).  Runners report
-    their breakdown through ``stages()``; runners without one count as
-    all-kernel, fallback specs as per-trial in every stage.
-    """
-    split = {stage: {"kernel": 0, "per-trial": 0} for stage in STAGES}
-    enabled = resolve("kernel")
-    for spec in specs:
-        runner = _spec_runner(spec, enabled)
-        if runner is None:
-            for counts in split.values():
-                counts["per-trial"] += 1
-            continue
-        breakdown = getattr(runner, "stages", None)
-        per_stage = breakdown() if callable(breakdown) else {}
-        for stage, counts in split.items():
-            mode = per_stage.get(stage, "kernel")
-            counts["kernel" if mode == "kernel" else "per-trial"] += 1
-    return split

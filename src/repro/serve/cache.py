@@ -20,10 +20,12 @@ The cap is an LRU over mtimes: reads touch their entry's mtime, and a
 store that pushes past either limit — ``cap`` entries, ``cap_bytes``
 total payload on disk — evicts the stalest entries until both hold.
 ``0`` means unbounded on either axis (mirroring the node-side workload
-cache).  A capped store keeps a running entry count and byte tally,
-seeded by one scan of the directory and adjusted by every store,
-replacement, eviction and repair, so only a store that pushes the
-tally past a cap scans for the stalest entries (and resyncs it).
+cache).  Every store keeps a running entry count and byte tally
+(:meth:`tally`), seeded by one scan of the directory and adjusted by
+every store and replacement, so :meth:`stats` reads it without
+touching disk, and only a store that pushes it past a cap scans for
+the stalest entries.  Evictions and repairs resync it by a scan: a
+corrupt entry's size on disk need not be the size that was stored.
 The directory and both caps resolve through :mod:`repro.settings`
 (argument, else ``$REPRO_CACHE_DIR`` / ``$REPRO_CACHE_CAP`` /
 ``$REPRO_CACHE_CAP_BYTES``, else the default).
@@ -63,7 +65,7 @@ class ResultCache:
         self.cap = resolve("cache_cap", cap)
         self.cap_bytes = resolve("cache_cap_bytes", cap_bytes)
         self._lock = threading.Lock()
-        # (entries, bytes) on disk once a capped put has seeded it.
+        # (entries, bytes) on disk, once a scan has seeded it.
         self._tally: tuple[int, int] | None = None
         self._stats = {
             "hits": 0,
@@ -108,13 +110,22 @@ class ResultCache:
                 count, total = self._tally
                 self._tally = (count + entries, total + size)
 
+    def tally(self) -> tuple[int, int]:
+        """``(entries, bytes)`` on disk, from the running tally; the
+        first call on a store that has not yet scanned seeds it."""
+        if self._tally is None:
+            self._scan()
+        return self._tally
+
     def stats(self) -> dict:
-        """A snapshot of the counters plus the on-disk entry count."""
+        """A snapshot of the counters plus the tallied entries and
+        bytes."""
+        entries, size = self.tally()
         with self._lock:
             snapshot = dict(self._stats)
-        snapshot["entries"] = self.entry_count()
+        snapshot["entries"] = entries
         snapshot["cap"] = self.cap
-        snapshot["bytes"] = self.total_bytes()
+        snapshot["bytes"] = size
         snapshot["cap_bytes"] = self.cap_bytes
         return snapshot
 
@@ -155,7 +166,7 @@ class ResultCache:
             except OSError:
                 pass
             else:
-                self._adjust_tally(-1, -len(blob))
+                self._scan()
             self._count("repairs")
             self._count("misses")
             return None
@@ -180,9 +191,8 @@ class ResultCache:
             self._count("declined")
             return False
         path = self._path(digest)
-        capped = bool(self.cap or self.cap_bytes)
         # The entry this store replaces, if any, for the tally.
-        old_size = _size_on_disk(path) if capped else None
+        old_size = _size_on_disk(path)
         tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -203,15 +213,14 @@ class ResultCache:
             self._count("declined")
             return False
         self._count("stores")
-        if capped:
-            size = len(_MAGIC) + _CHECKSUM_SIZE + len(payload)
-            if old_size is None:
-                self._adjust_tally(1, size)
-            else:
-                self._adjust_tally(0, size - old_size)
-            tally = self._tally
-            if tally is None or self._over_cap(*tally):
-                self._evict_over_cap()
+        size = len(_MAGIC) + _CHECKSUM_SIZE + len(payload)
+        if old_size is None:
+            self._adjust_tally(1, size)
+        else:
+            self._adjust_tally(0, size - old_size)
+        tally = self._tally
+        if tally is None or self._over_cap(*tally):
+            self._evict_over_cap()
         return True
 
     def _over_cap(self, count: int, total: int) -> bool:
@@ -220,9 +229,8 @@ class ResultCache:
             or (self.cap_bytes and total > self.cap_bytes)
         )
 
-    def _evict_over_cap(self) -> None:
-        """Scan every entry, evict the stalest while over a cap, and
-        reset the tally to what the scan left on disk."""
+    def _scan(self) -> list[tuple[float, str, Path, int]]:
+        """Stat every entry, stalest first, and resync the tally."""
         entries = []
         for path in self._entries():
             try:
@@ -231,8 +239,15 @@ class ResultCache:
             except OSError:
                 entries.append((0.0, str(path), path, 0))
         entries.sort(key=lambda e: e[:2])
-        count = len(entries)
-        total = sum(size for *_, size in entries)
+        with self._lock:
+            self._tally = (len(entries), sum(e[3] for e in entries))
+        return entries
+
+    def _evict_over_cap(self) -> None:
+        """Scan every entry, evict the stalest while over a cap, and
+        reset the tally to what the scan left on disk."""
+        entries = self._scan()
+        count, total = self._tally
         for _, _, path, size in entries:
             if not self._over_cap(count, total):
                 break

@@ -104,6 +104,9 @@ class ExperimentService:
         self.port = port
         self.backend = resolve("backend", backend)
         self.cache = ResultCache(cache_dir, cache_cap, cache_cap_bytes)
+        # Scan the store once now, so /healthz and /cache/stats read the
+        # running tally instead of scanning on the event loop.
+        self.cache.tally()
         self.runner = make_runner(workers, chunksize, backend=self.backend)
         self.manager = JobManager(self.runner, self.cache, job_ttl=job_ttl)
         self._server: asyncio.base_events.Server | None = None
@@ -227,13 +230,14 @@ class ExperimentService:
     # -- endpoint bodies --------------------------------------------------
 
     def _health(self) -> dict:
+        cache = self.cache.stats()
         return {
             "status": "ok",
             "backend": self.backend,
             "runner": repr(self.runner),
             "cache_dir": str(self.cache.directory),
-            "cache_entries": self.cache.entry_count(),
-            "cache": self.cache.stats(),
+            "cache_entries": cache["entries"],
+            "cache": cache,
             "jobs": self.manager.counts(),
             "code_version": code_version(),
         }

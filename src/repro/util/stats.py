@@ -1,9 +1,9 @@
 """Summary statistics, confidence intervals and scaling fits.
 
 The experiment harness reduces raw per-trial measurements (query counts,
-success indicators, path lengths) to the summaries reported in
-EXPERIMENTS.md.  Everything here is deterministic given its inputs; the
-bootstrap takes an explicit seed.
+success indicators, path lengths) to the summaries that the result
+tables and their notes report.  Everything here is deterministic given
+its inputs; the bootstrap takes an explicit seed.
 """
 
 from __future__ import annotations

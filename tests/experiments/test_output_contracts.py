@@ -1,6 +1,6 @@
 """Output contracts of every experiment definition.
 
-EXPERIMENTS.md, the benchmarks and the CSV artifacts all rely on each
+``repro report``, the benchmarks and the CSV artifacts all rely on each
 experiment emitting a stable column schema, at least one explanatory
 note, and physically sensible values.  These tests pin those contracts
 at tiny scale.

@@ -27,7 +27,7 @@ from repro.kernels.topology import build_edge_index
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
 from repro.runtime import TrialExecutionError
-from repro.runtime.chunkexec import chunk_runner, execute_specs
+from repro.runtime.chunkexec import TALLY, execute_specs
 from tests.percolation.test_shared_index import GRAPHS, IDS
 
 
@@ -39,11 +39,13 @@ def _fresh_compile_cache():
 
 
 def _assert_parity(specs, *, routing="kernel"):
-    runner = chunk_runner(specs[0].workload)
-    assert runner is not None
-    assert runner.stages()["routing"] == routing
     reference = [spec.execute() for spec in specs]
+    before = TALLY.copy()
     got = execute_specs(specs)
+    ran = TALLY - before
+    assert ran["kernel"] == len(specs)
+    per_trial = len(specs) if routing == "per-trial" else 0
+    assert ran["routing per-trial"] == per_trial
     assert repr(got) == repr(reference)
     return got
 
@@ -169,7 +171,8 @@ def test_kernel_declines_budget_below_one():
 def test_waypoint_declines_on_disconnected_base_graph():
     # WaypointRouter needs a shortest path in the *base* graph; on a
     # disconnected pair that lookup fails.  The engine declines the
-    # batch and the per-trial error surfaces unchanged.
+    # batch at run time, so routing runs per trial, and the per-trial
+    # error surfaces unchanged.
     graph = ExplicitGraph(
         [(0, 1), (2, 3)], vertices=range(4), name="two-components"
     )
@@ -183,9 +186,12 @@ def test_waypoint_declines_on_disconnected_base_graph():
         conditioning="none",
         key=("disconnected-base",),
     )
-    assert chunk_runner(specs[0].workload).stages()["routing"] == "kernel"
+    before = TALLY.copy()
     with pytest.raises(TrialExecutionError) as kernel_err:
         execute_specs(specs)
+    assert TALLY - before == {
+        "kernel": 2, "conditioning per-trial": 2, "routing per-trial": 2,
+    }
     with pytest.raises(TrialExecutionError) as fallback_err:
         specs[0].execute()
     assert kernel_err.value.key == fallback_err.value.key
@@ -286,8 +292,9 @@ def test_waypoint_engine_builds_a_pairs_vector_once(monkeypatch):
         graph, p=0.9, router=WaypointRouter(), trials=24, seed=3,
         conditioning="none", key=("one-vector",),
     )
-    assert chunk_runner(specs[0].workload).stages()["routing"] == "kernel"
+    before = TALLY.copy()
     got = execute_specs(specs[:12]) + execute_specs(specs[12:])
+    assert TALLY - before == {"kernel": 24}  # routed by the engine
     assert lookups == [graph.canonical_pair()]
     assert repr(got) == repr([spec.execute() for spec in specs])
 
@@ -356,9 +363,8 @@ def test_batched_routing_equals_per_trial_probe_for_probe(case):
         key=("property",),
     )
     chunkexec._COMPILED.clear()
-    runner = chunk_runner(specs[0].workload)
-    assert runner is not None
-    assert runner.stages()["routing"] == "kernel"
     reference = [spec.execute() for spec in specs]
+    before = TALLY.copy()
     got = execute_specs(specs)
+    assert TALLY - before == {"kernel": 5}  # routed by the engine
     assert repr(got) == repr(reference)

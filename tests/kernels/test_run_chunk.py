@@ -27,12 +27,8 @@ from repro.percolation.models import HashPercolation, TablePercolation
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.dfs import DirectedDFSRouter
 from repro.routers.waypoint import MeshWaypointRouter, WaypointRouter
-from repro.runtime import (
-    TrialExecutionError,
-    run_chunk,
-    supports_run_chunk,
-)
-from repro.runtime.chunkexec import chunk_runner, execute_specs
+from repro.runtime import TrialExecutionError
+from repro.runtime.chunkexec import TALLY, chunk_runner, execute_specs
 
 
 @pytest.fixture(autouse=True)
@@ -116,9 +112,10 @@ def test_kernel_records_match_per_trial_loop(
         conditioning=conditioning,
         key=("golden",),
     )
-    assert supports_run_chunk(specs[0].workload)
     reference = [spec.execute() for spec in specs]
+    before = TALLY.copy()
     got = execute_specs(specs)
+    assert (TALLY - before)["kernel"] == len(specs)
     assert repr(got) == repr(reference)
     # The connected flag must be a plain bool, not a numpy scalar —
     # repr parity above depends on it, but make the contract explicit.
@@ -127,28 +124,14 @@ def test_kernel_records_match_per_trial_loop(
     )
 
 
-def test_run_chunk_explicit_api():
+def test_kernel_chunk_is_tallied():
     specs = complexity_specs(
         Hypercube(4), p=0.5, router=WaypointRouter(), trials=6, seed=5
     )
-    workload = specs[0].workload
-    got = run_chunk(workload, specs)
+    before = TALLY.copy()
+    got = execute_specs(specs)
+    assert TALLY - before == {"kernel": 6}
     assert repr(got) == repr([spec.execute() for spec in specs])
-
-
-def test_run_chunk_rejects_unsupported_workload():
-    specs = complexity_specs(
-        Hypercube(4),
-        p=0.5,
-        router=WaypointRouter(),
-        trials=2,
-        seed=5,
-        model_factory=HashPercolation,
-    )
-    workload = specs[0].workload
-    assert not supports_run_chunk(workload)
-    with pytest.raises(ValueError, match="does not support run_chunk"):
-        run_chunk(workload, specs)
 
 
 def _hash_factory(graph, p, seed):
@@ -168,8 +151,10 @@ def test_unsupported_factory_falls_back_identically(factory):
         seed=17,
         model_factory=factory,
     )
-    assert not supports_run_chunk(specs[0].workload)
+    assert chunk_runner(specs[0].workload) is None
+    before = TALLY.copy()
     got = execute_specs(specs)
+    assert TALLY - before == {"per-trial": 6}
     assert repr(got) == repr([spec.execute() for spec in specs])
 
 
@@ -179,7 +164,7 @@ def test_kernel_env_off_disables_seam(monkeypatch):
     )
     on = execute_specs(specs)
     monkeypatch.setenv("REPRO_KERNEL", "off")
-    assert not supports_run_chunk(specs[0].workload)
+    assert chunk_runner(specs[0].workload) is None
     off = execute_specs(specs)
     assert repr(on) == repr(off)
 
@@ -203,7 +188,7 @@ def test_kernel_wraps_per_trial_errors_with_spec_key():
         seed=3,
         key=("boom-point",),
     )
-    assert supports_run_chunk(specs[0].workload)
+    assert chunk_runner(specs[0].workload) is not None
     with pytest.raises(TrialExecutionError) as kernel_err:
         execute_specs(specs)
     with pytest.raises(TrialExecutionError) as fallback_err:
@@ -300,7 +285,7 @@ def _blame_specs(kind, router, *, p=0.5, conditioning="none", **kw):
 
 
 def _kernel_error(specs):
-    assert supports_run_chunk(specs[0].workload)
+    assert chunk_runner(specs[0].workload) is not None
     with pytest.raises(TrialExecutionError) as err:
         execute_specs(specs)
     return err.value
@@ -349,9 +334,6 @@ def test_engine_error_blames_the_first_routed_trial(
 @pytest.mark.parametrize("kind", ["pair", "demand"])
 def test_per_trial_routing_error_blames_its_trial(kind):
     specs = _blame_specs(kind, _OpenFirstEdgeRouter())
-    assert chunk_runner(specs[0].workload).stages()["routing"] == (
-        "per-trial"
-    )
     expected = None
     for spec in specs:
         try:
@@ -360,6 +342,8 @@ def test_per_trial_routing_error_blames_its_trial(kind):
             expected = exc.key
             break
     assert expected not in (None, specs[0].key)
+    before = TALLY.copy()
     err = _kernel_error(specs)
+    assert (TALLY - before)["routing per-trial"] == len(specs)
     assert err.key == expected
     assert "RuntimeError: first edge open" in err.detail

@@ -30,7 +30,7 @@ from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.dfs import GreedyRouter
 from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
 from repro.runtime import TrialExecutionError
-from repro.runtime.chunkexec import chunk_runner, execute_specs
+from repro.runtime.chunkexec import TALLY, chunk_runner, execute_specs
 
 
 @pytest.fixture(autouse=True)
@@ -58,9 +58,12 @@ class _FailingDemands:
 
 
 def _parity(specs):
+    """Assert kernel/per-trial parity; return what the kernel ran."""
     sequential = [repr(s.execute().value) for s in specs]
+    before = TALLY.copy()
     kernel = [repr(r.value) for r in execute_specs(specs)]
     assert kernel == sequential
+    return TALLY - before
 
 
 class TestGoldenParity:
@@ -87,10 +90,7 @@ class TestGoldenParity:
         specs = traffic_specs(
             graph, 0.75, router, demands, trials=8, seed=13
         )
-        runner = chunk_runner(specs[0].workload)
-        assert runner is not None
-        assert runner.stages()["routing"] == "kernel"
-        _parity(specs)
+        assert _parity(specs) == {"kernel": 8, "commodity-batched": 8}
 
     def test_fattree_waypoint(self):
         graph = FatTree(4)
@@ -98,9 +98,7 @@ class TestGoldenParity:
             graph, 0.8, WaypointRouter(), PermutationTraffic(5),
             trials=8, seed=3,
         )
-        runner = chunk_runner(specs[0].workload)
-        assert runner is not None
-        _parity(specs)
+        assert _parity(specs) == {"kernel": 8, "commodity-batched": 8}
 
     def test_budget_parity(self):
         graph = Hypercube(4)
@@ -127,14 +125,13 @@ class TestFallbacks:
             graph, 0.7, GreedyRouter(), PermutationTraffic(4),
             trials=6, seed=3,
         )
-        runner = chunk_runner(specs[0].workload)
-        assert runner is not None
-        assert runner.stages() == {
-            "draw": "kernel",
-            "conditioning": "per-trial",
-            "routing": "per-trial",
+        # Draw on the kernel; routing, and with it the attempt that
+        # stands for conditioning, per trial.
+        assert _parity(specs) == {
+            "kernel": 6,
+            "conditioning per-trial": 6,
+            "routing per-trial": 6,
         }
-        _parity(specs)
 
     def test_demand_factory_error_blames_its_trial(self):
         graph = Hypercube(4)
@@ -160,19 +157,15 @@ class TestFallbacks:
             trials=3, seed=1, model_factory=_exotic_factory,
         )
         assert chunk_runner(specs[0].workload) is None
+        assert _parity(specs) == {"per-trial": 3}
 
-    def test_stage_split_reports_kernel_draw_and_routing(self):
+    def test_tally_reports_kernel_draw_and_routing(self):
         graph = Hypercube(4)
         specs = traffic_specs(
             graph, 0.7, LocalBFSRouter(), PermutationTraffic(3),
             trials=3, seed=1,
         )
-        runner = chunk_runner(specs[0].workload)
-        assert runner.stages() == {
-            "draw": "kernel",
-            "conditioning": "kernel",
-            "routing": "kernel",
-        }
+        assert _parity(specs) == {"kernel": 3, "commodity-batched": 3}
 
 
 class TestHypothesisParity:

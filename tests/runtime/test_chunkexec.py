@@ -2,8 +2,9 @@
 
 These tests drive :mod:`repro.runtime.chunkexec` with a synthetic
 kernel, so they check the *seam* — eligibility, maximal-run grouping,
-order preservation, the environment switch, the compile cache — rather
-than any real vectorized kernel (those live in ``tests/kernels/``).
+order preservation, the environment switch, the compile cache, the
+execution tally — rather than any real vectorized kernel (those live
+in ``tests/kernels/``).
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import pytest
 import repro.runtime.chunkexec as chunkexec
 from repro.runtime import TrialResult, TrialSpec, Workload
 from repro.runtime.chunkexec import (
+    TALLY,
+    chunk_runner,
     execute_specs,
-    kernel_split,
     register_chunk_kernel,
-    stage_split,
-    supports_run_chunk,
 )
 
 
@@ -115,7 +115,7 @@ def test_results_match_per_spec_execution():
 def test_declining_compiler_falls_back():
     register_chunk_kernel(_work, lambda workload: None)
     w = Workload(fn=_work, args=("a",))
-    assert not supports_run_chunk(w)
+    assert chunk_runner(w) is None
     results = execute_specs(_specs(w, 2))
     assert results[0].value == ("slow", "a", 0, 100)
 
@@ -128,7 +128,7 @@ def test_unregistered_fn_falls_back():
     # differently) and the normal execute machinery ran.
     results = execute_specs([TrialSpec(key=("y",), fn=_other, args=(7,))])
     assert results[0].value == ("plain", 7)
-    assert not supports_run_chunk(w)
+    assert chunk_runner(w) is None
     del spec
 
 
@@ -175,54 +175,6 @@ def test_cache_cap_defaults_to_module_attribute():
     assert recorder.compiles == cap + 2
 
 
-class _StagedRecorder(_Recorder):
-    """A compiler whose runners report a per-stage breakdown."""
-
-    def __init__(self, breakdown):
-        super().__init__()
-        self.breakdown = breakdown
-
-    def __call__(self, workload):
-        runner = super().__call__(workload)
-        runner.stages = lambda: dict(self.breakdown)
-        return runner
-
-
-def test_stage_split_reports_runner_breakdown():
-    register_chunk_kernel(
-        _work, _StagedRecorder({"routing": "per-trial"})
-    )
-    w = Workload(fn=_work, args=("a",))
-    plain = TrialSpec(key=("p",), fn=_other, args=(1,))
-    split = stage_split(_specs(w, 3) + [plain])
-    # Unreported stages count as kernel; the fallback spec is
-    # per-trial in every stage.
-    assert split == {
-        "draw": {"kernel": 3, "per-trial": 1},
-        "conditioning": {"kernel": 3, "per-trial": 1},
-        "routing": {"kernel": 0, "per-trial": 4},
-    }
-
-
-def test_stage_split_without_stages_counts_all_kernel():
-    register_chunk_kernel(_work, _Recorder())
-    split = stage_split(_specs(Workload(fn=_work, args=("a",)), 2))
-    assert all(
-        counts == {"kernel": 2, "per-trial": 0}
-        for counts in split.values()
-    )
-
-
-def test_stage_split_all_per_trial_when_disabled(monkeypatch):
-    register_chunk_kernel(_work, _Recorder())
-    monkeypatch.setenv("REPRO_KERNEL", "off")
-    split = stage_split(_specs(Workload(fn=_work, args=("a",)), 2))
-    assert all(
-        counts == {"kernel": 0, "per-trial": 2}
-        for counts in split.values()
-    )
-
-
 def test_env_switch(monkeypatch):
     # The switch's accepted spellings are resolver cases in
     # tests/test_settings.py; here, "off" must bypass the kernel.
@@ -233,7 +185,7 @@ def test_env_switch(monkeypatch):
     results = execute_specs(_specs(w, 2))
     assert recorder.calls == []
     assert results[0].value == ("slow", "a", 0, 100)
-    assert not supports_run_chunk(w)
+    assert chunk_runner(w) is None
 
 
 def test_env_switch_rejects_garbage(monkeypatch):
@@ -242,19 +194,38 @@ def test_env_switch_rejects_garbage(monkeypatch):
         execute_specs([])
 
 
-def test_kernel_split_counts_without_executing():
+def _ran(specs):
+    """Execute ``specs``; return what the tally counted doing it."""
+    before = TALLY.copy()
+    execute_specs(specs)
+    return TALLY - before
+
+
+def _run_inner(trials):
+    return execute_specs(_specs(Workload(fn=_work, args=("inner",)), trials))
+
+
+def test_tally_counts_what_executed():
     recorder = _Recorder()
     register_chunk_kernel(_work, recorder)
     w = Workload(fn=_work, args=("a",))
     plain = TrialSpec(key=("p",), fn=_other, args=(1,))
-    specs = _specs(w, 3) + [plain]
-    assert kernel_split(specs) == (3, 1)
-    assert recorder.calls == []  # counted, never executed
+    assert _ran(_specs(w, 3) + [plain]) == {"kernel": 3, "per-trial": 1}
+    assert len(recorder.calls) == 1
 
 
-def test_kernel_split_all_fallback_when_disabled(monkeypatch):
+def test_tally_counts_specs_a_nested_runner_executes():
+    # A spec whose body runs its own batch (as E13's points do) counts
+    # as one per-trial spec, and each inner spec where it ran.
+    register_chunk_kernel(_work, _Recorder())
+    nested = TrialSpec(key=("outer",), fn=_run_inner, args=(4,))
+    assert _ran([nested]) == {"kernel": 4, "per-trial": 1}
+
+
+def test_tally_all_per_trial_when_disabled(monkeypatch):
     recorder = _Recorder()
     register_chunk_kernel(_work, recorder)
-    w = Workload(fn=_work, args=("a",))
     monkeypatch.setenv("REPRO_KERNEL", "off")
-    assert kernel_split(_specs(w, 3)) == (0, 3)
+    w = Workload(fn=_work, args=("a",))
+    assert _ran(_specs(w, 3)) == {"per-trial": 3}
+    assert recorder.calls == []

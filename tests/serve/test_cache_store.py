@@ -2,9 +2,10 @@
 
 Round-trips, the corruption → recompute-and-repair contract, atomic
 writes and LRU eviction under a cap, kept by a running tally whose
-survivors must equal a scan after every put (the reference below).  The cache's directory and caps
-are rows of the settings table; their resolver cases live in
-tests/test_settings.py.
+survivors must equal a scan after every put (the reference below), and
+which must itself equal a scan after every operation, capped or not.
+The cache's directory and caps are rows of the settings table; their
+resolver cases live in tests/test_settings.py.
 """
 
 import os
@@ -260,8 +261,9 @@ class _ScanPerPut(ResultCache):
 
 
 class TestRunningTally:
-    """A capped store scans its directory only when its tally passes a
-    cap, and keeps exactly the entries a scan after every put keeps."""
+    """A store scans its directory once to seed its tally, then again
+    only when the tally passes a cap, and keeps exactly the entries a
+    scan after every put keeps."""
 
     @staticmethod
     def _count_scans(cache, monkeypatch):
@@ -276,8 +278,8 @@ class TestRunningTally:
         return scans
 
     @pytest.mark.parametrize(
-        "caps", [(1000, 0), (0, 1 << 20), (1000, 1 << 20)],
-        ids=["entries", "bytes", "both"],
+        "caps", [(1000, 0), (0, 1 << 20), (1000, 1 << 20), (0, 0)],
+        ids=["entries", "bytes", "both", "uncapped"],
     )
     def test_puts_under_the_cap_scan_at_most_once(
         self, tmp_path, monkeypatch, caps
@@ -287,6 +289,7 @@ class TestRunningTally:
         for i in range(50):
             assert cache.put(f"{i:02x}" + "c" * 30, [i])
             cache.put(f"{i:02x}" + "c" * 30, [i, i])  # a replacement
+        assert cache.stats()["entries"] == 50  # read off the tally
         assert len(scans) <= 1
         assert cache.entry_count() == 50
 
@@ -319,7 +322,9 @@ class TestRunningTally:
             ),
             max_size=40,
         ),
-        caps=st.sampled_from([(3, 0), (0, 1500), (5, 2500), (1, 0)]),
+        caps=st.sampled_from(
+            [(3, 0), (0, 1500), (5, 2500), (1, 0), (0, 0)]
+        ),
     )
     @settings(max_examples=60, deadline=None)
     def test_same_survivors_as_a_scan_after_every_put(self, ops, caps):
@@ -349,3 +354,7 @@ class TestRunningTally:
                     for store in stores
                 ]
                 assert survivors[0] == survivors[1]
+                tally = stores[0]
+                assert tally.tally() == (
+                    tally.entry_count(), tally.total_bytes()
+                )

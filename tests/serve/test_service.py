@@ -214,3 +214,33 @@ class TestEndpoints:
             request(service, "GET", "/jobs/j9999-missing/table")[0]
             == 404
         )
+
+
+class TestCacheStatsFromTheTally:
+    def test_healthz_and_stats_do_not_scan_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        # The service seeds the cache's tally at start-up; afterwards
+        # neither endpoint globs the store on the event loop.
+        from repro.serve.cache import ResultCache
+
+        store = ResultCache(tmp_path)
+        for i in range(3000):
+            assert store.put(f"{i:04x}" + "f" * 28, [i])
+        service = start_service(backend="serial", cache_dir=tmp_path)
+        scans = []
+        entries = ResultCache._entries
+
+        def counting(self):
+            scans.append(1)
+            return entries(self)
+
+        try:
+            monkeypatch.setattr(ResultCache, "_entries", counting)
+            health = get_json(service, "/healthz")
+            stats = get_json(service, "/cache/stats")
+        finally:
+            service.stop()
+        assert scans == []
+        assert health["cache_entries"] == stats["entries"] == 3000
+        assert stats["bytes"] == store.total_bytes()
