@@ -35,6 +35,7 @@ the same text, and its ``default:`` help comes from the row too.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -517,6 +518,21 @@ def _cmd_worker_serve(host: str, port: int, paths, node_workers) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        # Flush here, so a reader that exited early (`| head`) raises
+        # inside this block rather than at interpreter shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's documented SIGPIPE idiom: send the rest of stdout to
+        # devnull, so the flush at exit cannot raise again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "thresholds":

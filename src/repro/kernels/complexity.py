@@ -102,8 +102,9 @@ class _TrialChunk:
         pair: tuple[Vertex, Vertex] | None,
         demand_factory,
     ) -> None:
-        # Keeps the graph alive for as long as the runner is cached:
-        # its shared index refers back to it only weakly.
+        # Keeps the graph alive for as long as the runner lives (its
+        # workload holds it): the shared index refers back to the graph
+        # only weakly.
         self._graph = graph
         self._index = index
         self._model = model

@@ -36,15 +36,16 @@ every trial of a sweep point.  The runtime therefore splits the two:
 
 * a :class:`~repro.runtime.workload.Workload` freezes the shared
   context once per group, content-addressed by a stable id (a digest of
-  its pickled contents) that keys the compiled kernels and the result
-  cache;
+  its pickled contents) that keys the result cache, and keeps its
+  compiled chunk runner on itself;
 * each :class:`TrialSpec` references the workload and carries only its
   per-trial tail — ``key``, ``(trial, trial_seed)``.
 
 A chunk's pickle is the whole wire form of its work on every backend:
 specs pickle their workload by value, pickle's memo writes each one
 once per chunk, and a worker keeps one live copy per content id, so a
-graph's cached index built by one chunk serves the next.
+workload's compiled runner and its graph's cached index, built by one
+chunk, serve the next.
 
 **Pool reuse:** :class:`ProcessPoolRunner` keeps its pool alive across
 ``run``/``run_grouped`` calls, so consecutive batches do not pay

@@ -14,15 +14,19 @@ per-trial loop, so which path executed is unobservable in the results
 Capability is per *workload*: kernels register a compiler per workload
 ``fn`` (:func:`register_chunk_kernel`), the compiler inspects one
 workload's frozen context and returns a chunk runner or ``None``, and
-the verdict is cached by content id (:func:`chunk_runner` returns it).
-The built-in compilers live in :mod:`repro.kernels`, imported lazily on
+the verdict is kept on that workload object (:func:`chunk_runner`
+returns it), as :func:`~repro.kernels.topology.edge_index_for` keeps
+an index on its graph.  A runner therefore lives exactly as long as
+its workload: a serial run's specs, a serve job, or a worker's live
+copy (:mod:`repro.runtime.workload`).  No process-wide cache outlives
+them, so a finished experiment's graphs are freed with its specs.  The
+built-in compilers live in :mod:`repro.kernels`, imported lazily on
 the first chunk so the serial import path stays light.
 
 ``$REPRO_KERNEL=off`` (the ``kernel`` row of :mod:`repro.settings`)
 disables the seam entirely (every spec executes per trial) — the
 escape hatch if a kernel is ever suspected of diverging; results must
-not change, only speed.  The compiled-runner cache keeps the
-:data:`_COMPILED_CAP` most recently used workloads.
+not change, only speed.
 
 :data:`TALLY` counts what executed in this process, in specs: the
 kernel/per-trial split as :func:`execute_specs` makes it, and the
@@ -33,7 +37,7 @@ declines a batch at run time counts as it ran.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from collections.abc import Callable, Iterable
 
 from repro.runtime.trial import TrialResult, TrialSpec
@@ -50,11 +54,9 @@ __all__ = [
 #: Workload ``fn`` -> compiler(workload) -> chunk runner | None.
 _COMPILERS: dict[Callable, Callable] = {}
 
-#: Compiled chunk runners (or None verdicts), by workload content id.
-_COMPILED: OrderedDict[str, Callable | None] = OrderedDict()
-
-#: Compiled-runner cache bound, in workloads (least recently used go).
-_COMPILED_CAP = 64
+#: Workload instance attribute holding its compiled chunk runner (or
+#: the ``None`` verdict) — process-local, never pickled.
+_RUNNER_ATTR = "_chunk_runner"
 
 _kernels_loaded = False
 
@@ -94,23 +96,20 @@ def _ensure_kernels() -> None:
 def chunk_runner(workload: Workload) -> Callable | None:
     """Return the compiled chunk runner for ``workload``, or ``None``.
 
-    Compilation happens once per content id (LRU-cached): repeated
-    batches over the same workload — the shape of every sweep — reuse
-    the compiled topology index across chunks and runs.
+    Compilation happens once per workload object, on first use: the
+    runner is kept on the workload, so every chunk of a sweep point —
+    the shape of every sweep — reuses it, and it is freed with the
+    workload.  Two workloads with equal content compile separately;
+    their graphs' shared index is built once per graph either way.
     """
     if not resolve("kernel"):
         return None
-    _ensure_kernels()
-    workload_id = workload.workload_id
-    if workload_id in _COMPILED:
-        _COMPILED.move_to_end(workload_id)
-        return _COMPILED[workload_id]
-    compiler = _COMPILERS.get(workload.fn)
-    runner = None if compiler is None else compiler(workload)
-    _COMPILED[workload_id] = runner
-    while len(_COMPILED) > _COMPILED_CAP:
-        _COMPILED.popitem(last=False)
-    return runner
+    state = workload.__dict__
+    if _RUNNER_ATTR not in state:
+        _ensure_kernels()
+        compiler = _COMPILERS.get(workload.fn)
+        state[_RUNNER_ATTR] = None if compiler is None else compiler(workload)
+    return state[_RUNNER_ATTR]
 
 
 def _eligible_tail(spec: TrialSpec) -> bool:

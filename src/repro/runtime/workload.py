@@ -5,10 +5,10 @@ A per-trial :class:`~repro.runtime.trial.TrialSpec` carries only its
 point shares — graph, router, percolation factory, conditioning config
 — lives in one frozen :class:`Workload`, **content-addressed** by a
 stable :attr:`~Workload.workload_id` (a BLAKE2b digest of the pickled
-contents).  The id keys the compiled chunk kernels
-(:mod:`repro.runtime.chunkexec`) and the result cache's point digests
-(:mod:`repro.serve.digest`): equal content is an equal id in any
-process, and a changed context is a different id.
+contents).  The id keys the result cache's point digests
+(:mod:`repro.serve.digest`) and a worker's live copies (below): equal
+content is an equal id in any process, and a changed context is a
+different id.
 
 Wire form
 ---------
@@ -26,9 +26,11 @@ One live copy per process
 :func:`_live_copy`, which returns this process's live copy for the
 content id the workload carries, from one LRU of :data:`_LIVE_CAP`
 entries.  Chunks of one workload therefore resolve to one object in a
-worker, and the graph's cached edge index and adjacency, built by one
-chunk, serve the next.  A serial run never unpickles a workload, so
-the in-process path does no extra work.
+worker, and its compiled chunk runner and the graph's cached edge
+index and adjacency, built by one chunk, serve the next.  This LRU is
+the one process-wide cache of compiled work: a runner leaves with its
+live copy.  A serial run never unpickles a workload, so the in-process
+path does no extra work.
 
 The id travels with the content instead of being recomputed:
 unpickled content need not re-pickle to the same bytes (a dict key and
@@ -63,6 +65,12 @@ class Workload:
     Everything must be picklable; the content id is a digest of the
     pickled ``(fn, args, kwargs)``, so equal content hashes to an equal
     id in any process.
+
+    The first kernel chunk over a workload compiles its chunk runner
+    (:func:`~repro.runtime.chunkexec.chunk_runner`) and keeps it on the
+    instance.  The runner is process-local: never pickled (a workload
+    pickles as its id and contents alone), not part of the id, and
+    freed with the workload.
     """
 
     fn: Callable[..., Any]
@@ -104,7 +112,9 @@ class Workload:
 
 
 #: Unpickled workloads this process holds, by content id, most recently
-#: used last; the same bound as the compiled-kernel cache.
+#: used last.  Each keeps its compiled chunk runner, and the runner its
+#: graph, so this bound is also how many workloads' graphs a worker
+#: keeps compiled between chunks.
 _LIVE: OrderedDict[str, Workload] = OrderedDict()
 _LIVE_CAP = 64
 _LIVE_LOCK = threading.Lock()  # a node unpickles on many threads

@@ -280,6 +280,41 @@ class TestCLI:
             assert f"invalid: ${variable}: " in out, variable
         assert "pipeline_depth" in out  # valid rows still print
 
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
+        # `repro info | head -1`: the reader is gone before the command
+        # writes.  The command exits 1 quietly; with the reader there,
+        # the same command exits 0.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["REPRO_CACHE_DIR"] = str(tmp_path)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        command = [sys.executable, "-m", "repro", "info"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            closed = subprocess.run(
+                command, stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in closed.stderr
+        assert "BrokenPipeError" not in closed.stderr
+        assert closed.returncode == 1
+        served = subprocess.run(
+            command, capture_output=True, text=True, env=env, timeout=120
+        )
+        assert served.returncode == 0
+        assert served.stdout.startswith("backend: ")
+
     def test_thresholds_command(self, capsys):
         from repro.experiments.cli import main
 

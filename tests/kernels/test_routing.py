@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.runtime.chunkexec as chunkexec
 from repro.core.complexity import complexity_specs
 from repro.core.traffic import FixedTraffic, traffic_specs
 from repro.graphs.explicit import ExplicitGraph
@@ -29,13 +28,6 @@ from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
 from repro.runtime import TrialExecutionError
 from repro.runtime.chunkexec import TALLY, execute_specs
 from tests.percolation.test_shared_index import GRAPHS, IDS
-
-
-@pytest.fixture(autouse=True)
-def _fresh_compile_cache():
-    chunkexec._COMPILED.clear()
-    yield
-    chunkexec._COMPILED.clear()
 
 
 def _assert_parity(specs, *, routing="kernel"):
@@ -362,7 +354,6 @@ def test_batched_routing_equals_per_trial_probe_for_probe(case):
         conditioning="none",
         key=("property",),
     )
-    chunkexec._COMPILED.clear()
     reference = [spec.execute() for spec in specs]
     before = TALLY.copy()
     got = execute_specs(specs)

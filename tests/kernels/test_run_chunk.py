@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.runtime.chunkexec as chunkexec
 from repro.core.complexity import complexity_specs
 from repro.core.router import Router
 from repro.core.traffic import FixedTraffic, traffic_specs
@@ -29,15 +28,6 @@ from repro.routers.dfs import DirectedDFSRouter
 from repro.routers.waypoint import MeshWaypointRouter, WaypointRouter
 from repro.runtime import TrialExecutionError
 from repro.runtime.chunkexec import TALLY, chunk_runner, execute_specs
-
-
-@pytest.fixture(autouse=True)
-def _fresh_compile_cache():
-    # Compiled verdicts are cached by workload content id; start each
-    # test from a cold cache so support checks compile for real.
-    chunkexec._COMPILED.clear()
-    yield
-    chunkexec._COMPILED.clear()
 
 
 CASES = [

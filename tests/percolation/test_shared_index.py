@@ -228,8 +228,9 @@ def test_index_is_freed_with_its_graph():
 
 
 def test_compiled_runner_keeps_its_graph():
-    # A compiled chunk runner outlives its workload in the compile
-    # cache, and the shared index holds the graph only weakly, so the
+    # Whoever holds a compiled chunk runner (its workload, or a caller
+    # such as this test) may outlive every other reference to the
+    # graph, and the shared index holds the graph only weakly, so the
     # runner itself must keep the graph alive.  GreedyRouter has no
     # routing kernel: each trial routes on a mask-backed model built
     # from the index's graph at run time.
@@ -268,11 +269,11 @@ def test_index_is_built_once_per_graph(monkeypatch):
 
 def test_e1_builds_one_index_per_cube(monkeypatch):
     # E1's (alpha, router) points at one n share one Hypercube, so the
-    # compiled runners cached for them share one index and adjacency.
-    # Serial on purpose: a pool or cluster worker unpickles its own
-    # graph per workload, out of this process's sight.
+    # runners compiled for their workloads share one index and
+    # adjacency.  Serial on purpose: a pool or cluster worker unpickles
+    # its own graph per workload, out of this process's sight.
     from repro.experiments.registry import get_experiment
-    from repro.runtime import SerialRunner, chunkexec
+    from repro.runtime import SerialRunner
 
     calls = []
     build = topology.build_edge_index
@@ -282,9 +283,5 @@ def test_e1_builds_one_index_per_cube(monkeypatch):
         return build(graph)
 
     monkeypatch.setattr(topology, "build_edge_index", counting_build)
-    chunkexec._COMPILED.clear()
-    try:
-        get_experiment("E1")(scale="tiny", seed=0, runner=SerialRunner())
-    finally:
-        chunkexec._COMPILED.clear()
+    get_experiment("E1")(scale="tiny", seed=0, runner=SerialRunner())
     assert len(calls) == 1

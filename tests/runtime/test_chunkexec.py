@@ -1,17 +1,24 @@
-"""Mechanics of the batch-kernel seam (grouping, caching, the switch).
+"""Mechanics of the batch-kernel seam (grouping, lifetime, the switch).
 
 These tests drive :mod:`repro.runtime.chunkexec` with a synthetic
 kernel, so they check the *seam* — eligibility, maximal-run grouping,
-order preservation, the environment switch, the compile cache, the
-execution tally — rather than any real vectorized kernel (those live
-in ``tests/kernels/``).
+order preservation, the environment switch, where a compiled runner
+lives and when it goes, the execution tally — rather than any real
+vectorized kernel (those live in ``tests/kernels/``).
 """
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+from collections import OrderedDict
+
 import pytest
 
 import repro.runtime.chunkexec as chunkexec
+import repro.runtime.workload as workload_module
+from repro.graphs.hypercube import Hypercube
 from repro.runtime import TrialResult, TrialSpec, Workload
 from repro.runtime.chunkexec import (
     TALLY,
@@ -35,11 +42,9 @@ def _isolated_registry():
     # would drop them at restore while the module stays marked loaded.
     chunkexec._ensure_kernels()
     compilers = dict(chunkexec._COMPILERS)
-    chunkexec._COMPILED.clear()
     yield
     chunkexec._COMPILERS.clear()
     chunkexec._COMPILERS.update(compilers)
-    chunkexec._COMPILED.clear()
 
 
 class _Recorder:
@@ -132,47 +137,51 @@ def test_unregistered_fn_falls_back():
     del spec
 
 
-def test_compile_once_per_content_id():
+def test_workload_compiles_once_across_chunks():
     recorder = _Recorder()
     register_chunk_kernel(_work, recorder)
     w = Workload(fn=_work, args=("a",))
-    execute_specs(_specs(w, 2))
-    execute_specs(_specs(w, 3))
-    twin = Workload(fn=_work, args=("a",))  # same contents, same id
-    execute_specs(_specs(twin, 1))
+    for trials in (2, 3, 1, 4):
+        execute_specs(_specs(w, trials))
     assert recorder.compiles == 1
-    assert len(recorder.calls) == 3
+    assert len(recorder.calls) == 4
 
 
-def test_compile_cache_evicts_lru(monkeypatch):
+def test_dropped_specs_free_workload_runner_and_graph():
+    # The runner lives on its workload and pins the graph; nothing
+    # process-wide keeps any of them once the specs go.
+    def compiler(workload):
+        graph = workload.args[0]
+        return lambda keys, tails: [graph.num_vertices() for _ in tails]
+
+    register_chunk_kernel(_work, compiler)
+    graph = Hypercube(3)
+    specs = _specs(Workload(fn=_work, args=(graph,)), 3)
+    assert [r.value for r in execute_specs(specs)] == [8, 8, 8]
+    refs = [
+        weakref.ref(specs[0].workload),
+        weakref.ref(chunk_runner(specs[0].workload)),
+        weakref.ref(graph),
+    ]
+    del specs, graph
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_unpickled_copies_compile_once(monkeypatch):
+    # Two chunks of one workload, unpickled in one process, resolve to
+    # one live copy (`_live_copy`), so its runner compiles once.
+    monkeypatch.setattr(workload_module, "_LIVE", OrderedDict())
     recorder = _Recorder()
     register_chunk_kernel(_work, recorder)
-    monkeypatch.setattr(chunkexec, "_COMPILED_CAP", 2)
-    w1 = Workload(fn=_work, args=("a",))
-    w2 = Workload(fn=_work, args=("b",))
-    w3 = Workload(fn=_work, args=("c",))
-    for w in (w1, w2, w3):
-        execute_specs(_specs(w, 1))
-    assert recorder.compiles == 3
-    assert len(chunkexec._COMPILED) == 2
-    execute_specs(_specs(w1, 1))  # evicted -> recompiles
-    assert recorder.compiles == 4
-
-
-def test_cache_cap_defaults_to_module_attribute():
-    # Unpatched, the cache holds exactly _COMPILED_CAP workloads.
-    assert chunkexec._COMPILED_CAP == 64
-    recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
-    cap = chunkexec._COMPILED_CAP
-    workloads = [Workload(fn=_work, args=(i,)) for i in range(cap + 1)]
-    for w in workloads:
-        execute_specs(_specs(w, 1))
-    assert len(chunkexec._COMPILED) == cap
-    execute_specs(_specs(workloads[1], 1))  # oldest kept -> cached
-    assert recorder.compiles == cap + 1
-    execute_specs(_specs(workloads[0], 1))  # evicted -> recompiles
-    assert recorder.compiles == cap + 2
+    w = Workload(fn=_work, args=("a",))
+    first = pickle.loads(pickle.dumps(_specs(w, 2)))
+    second = pickle.loads(pickle.dumps(_specs(w, 3, key="k2")))
+    assert first[0].workload is second[0].workload is not w
+    execute_specs(first)
+    execute_specs(second)
+    assert recorder.compiles == 1
+    assert len(recorder.calls) == 2
 
 
 def test_env_switch(monkeypatch):
