@@ -177,12 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_knob(
         service, "--cache-cap", "cache_cap", "N",
-        "LRU cap on cached sweep points, in entries; 0 = unbounded",
+        "LRU cap on cached sweep points and finished tables, in "
+        "entries; 0 = unbounded",
     )
     _add_knob(
         service, "--cache-cap-bytes", "cache_cap_bytes", "BYTES",
-        "LRU cap on cached sweep points, in total bytes on disk; "
-        "0 = unbounded",
+        "LRU cap on cached sweep points and finished tables, in total "
+        "bytes on disk; 0 = unbounded",
     )
     service.add_argument(
         "--job-ttl",
@@ -191,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "forget finished jobs this many seconds after completion "
-            "(their sweep points stay in the result cache); default: "
+            "(their sweep points and finished tables stay in the result "
+            "cache); default: "
             "keep every job for the life of the process"
         ),
     )

@@ -12,7 +12,8 @@ queries in O(lookup) instead of recomputing them.  Three pieces:
   the trial plan (count, per-trial seeds, spec keys/args) and the code
   version.  Granularity is the **sweep point**: a sweep that shares
   points with a cached sweep computes only the delta and stitches the
-  rest from cache.
+  rest from cache.  A finished job's table is filed too, under its job
+  key, so a repeated job is one read.
 * **caching runner** (:mod:`repro.serve.cached_runner`) — a
   :class:`~repro.runtime.runner.TrialRunner` wrapper that intercepts
   ``run_grouped`` (one group per sweep point in every registered

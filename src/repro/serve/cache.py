@@ -1,7 +1,12 @@
-"""Content-addressed result store: finished trial values, by digest.
+"""Content-addressed result store: finished results, by digest.
 
-One entry per sweep point, keyed by :func:`repro.serve.digest.
-point_digest` and stored as its own file under the cache directory
+Entries come in two kinds: a sweep point's trial values, keyed by
+:func:`repro.serve.digest.point_digest`, and a finished job's table
+(:class:`repro.serve.jobs.FiledTable`), keyed by
+:func:`repro.serve.digest.job_key`.  The store does not tell them
+apart: both kinds take the same checks, count towards the same cap and
+age by the same LRU, and a reader checks that a value has the shape it
+expects.  Each entry is its own file under the cache directory
 (``<dir>/<digest[:2]>/<digest>.rpc``), so entries are independently
 creatable, evictable and repairable.  The on-disk format is
 

@@ -20,7 +20,8 @@ result depends on.  For a sweep point that is exactly three things:
 :func:`sweep_digest` combines point digests order-insensitively (a
 sweep is a set of points); :func:`job_key` identifies a service job —
 (experiment, scale, seed, overrides, code version) — canonicalising
-the override dict so iteration order never leaks into the key.
+the override dict so iteration order never leaks into the key; the
+service files a finished job's table under it.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 from urllib.parse import parse_qs, urlsplit
 
@@ -52,8 +53,12 @@ __all__ = ["ExperimentService"]
 #: bytes; anything bigger is a client bug or abuse).
 MAX_BODY = 1 << 20
 
-#: Seconds between progress-stream polls of a job's snapshot.
-STREAM_POLL_SECONDS = 0.05
+#: A progress stream re-reads its job after 1/20 of the time it has
+#: waited so far, between these bounds (seconds): a job that finishes
+#: in a millisecond ends its stream about then, and a long job is read
+#: 20 times a second.
+STREAM_POLL_MIN_SECONDS = 0.001
+STREAM_POLL_MAX_SECONDS = 0.05
 
 #: Seconds a client may take to send its request before the
 #: connection is dropped (slowloris guard).
@@ -290,8 +295,14 @@ class ExperimentService:
         )
         writer.write(_json_line(last))
         await writer.drain()
+        waited = 0.0
         while last["state"] not in FINISHED:
-            await asyncio.sleep(STREAM_POLL_SECONDS)
+            delay = min(
+                max(STREAM_POLL_MIN_SECONDS, waited / 20),
+                STREAM_POLL_MAX_SECONDS,
+            )
+            await asyncio.sleep(delay)
+            waited += delay
             snapshot = self.manager.snapshot(job_id)
             if snapshot is None:
                 # Reaped mid-stream (job TTL): end the stream like the
@@ -355,9 +366,11 @@ class ExperimentService:
 
     # -- lifecycle --------------------------------------------------------
 
-    async def _run(self, ready=None) -> None:
+    async def _run(self, ready=None, stop_signals=()) -> None:
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
+        for signum in stop_signals:
+            self._loop.add_signal_handler(signum, self._stopping.set)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
@@ -369,12 +382,20 @@ class ExperimentService:
             await self._stopping.wait()
 
     def serve_forever(self, ready=None) -> None:
-        """Run the service on the calling thread until interrupted
-        (the ``repro serve`` entry point).  ``ready(service)`` is
-        called once the port is bound — after an ephemeral ``port=0``
-        has been replaced by the real one."""
+        """Run the service on the calling thread until SIGTERM or
+        SIGINT (the ``repro serve`` entry point).  ``ready(service)``
+        is called once the port is bound — after an ephemeral
+        ``port=0`` has been replaced by the real one.
+
+        Either signal stops accepting and returns once the job in hand
+        has finished and the backend runner (its worker processes or
+        node connections) is closed; signal handlers can only be
+        installed on the main thread, which is why :meth:`start`
+        installs none."""
         try:
-            asyncio.run(self._run(ready))
+            asyncio.run(
+                self._run(ready, (signal.SIGTERM, signal.SIGINT))
+            )
         finally:
             self.manager.close()
 

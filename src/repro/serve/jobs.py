@@ -13,9 +13,19 @@ before a job exists), then coalesce: an in-flight job with the same
 and both callers watch the same computation (**single-flight** — two
 identical concurrent POSTs cost one run).  A *finished* key does not
 coalesce: resubmitting a completed job creates a fresh job, which then
-serves every sweep point from the result cache — that path is the
+reads the finished table from the result cache — that path is the
 "repeated query is O(lookup)" product behaviour, and its counters
 (``trials_executed == 0``) are how tests assert it.
+
+A job that finishes files its table in the result cache under its job
+key, as a :class:`FiledTable` with the job's point and trial counts,
+before it is marked done.  A later job with that key reads this one
+entry instead of calling the definition: no spec emission, no point
+digests or reads, no summary, and its snapshot reports every point
+cached and no trial executed, as the cold run's counts say.  An entry
+that is missing, damaged or not a well-formed record is a miss: the
+job runs the definition, which reads its sweep points from the cache
+as before, and files the table again.  A failed job files nothing.
 
 Jobs execute on a single worker thread over one persistent backend
 runner (pool/cluster connections stay warm across jobs), each wrapped
@@ -27,11 +37,11 @@ the computation, which completes and populates the cache regardless.
 A ``job_ttl`` (seconds) bounds the ledger: a *finished* job older than
 the TTL is reaped — dropped from the job table — on the next
 submission or query, so a long-lived service does not grow its job
-dict forever.  Reaping forgets only the bookkeeping entry: the sweep
-points live on in the result cache, so resubmitting a reaped job is
-the cheap cached path.  A reaped job id answers 404, exactly like an
-id that never existed; ``job_ttl=None`` (the default) keeps every job
-for the life of the process.
+dict forever.  Reaping forgets only the bookkeeping entry: the filed
+table and the sweep points live on in the result cache, so
+resubmitting a reaped job is the cheap cached path.  A reaped job id
+answers 404, exactly like an id that never existed; ``job_ttl=None``
+(the default) keeps every job for the life of the process.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from repro.serve.cache import ResultCache
 from repro.serve.cached_runner import CachedRunner
 from repro.serve.digest import code_version, job_key
 
-__all__ = ["Job", "JobManager", "JobRequestError"]
+__all__ = ["FiledTable", "Job", "JobManager", "JobRequestError"]
 
 #: Terminal job states.
 FINISHED = ("done", "failed")
@@ -74,6 +84,40 @@ def accepted_overrides(spec) -> tuple[str, ...]:
         if parameter.kind is inspect.Parameter.KEYWORD_ONLY
         and name not in ("scale", "seed", "runner")
     )
+
+
+@dataclass(frozen=True)
+class FiledTable:
+    """A finished job's table, as the result cache keeps it under the
+    job key, with the point and trial counts the job reported."""
+
+    table: ResultTable
+    points_total: int
+    trials_total: int
+
+    def counters(self) -> dict:
+        """The progress counters of a job answered from this entry."""
+        return {
+            "points_total": self.points_total,
+            "points_cached": self.points_total,
+            "trials_total": self.trials_total,
+            "trials_executed": 0,
+        }
+
+
+def _filed(entry) -> FiledTable | None:
+    """``entry`` if it is a well-formed :class:`FiledTable`, else
+    ``None``: a value that passed its checksum but has another shape
+    (a point's value list, a bare table, a count that is not an
+    integer) must be recomputed, not served."""
+    if (
+        type(entry) is FiledTable
+        and isinstance(entry.table, ResultTable)
+        and type(entry.points_total) is int
+        and type(entry.trials_total) is int
+    ):
+        return entry
+    return None
 
 
 @dataclass
@@ -234,6 +278,16 @@ class JobManager:
     # -- execution --------------------------------------------------------
 
     def _execute(self, job: Job, spec) -> None:
+        with self._lock:
+            if job.state != "queued":  # pragma: no cover - defensive
+                return
+            job.state = "running"
+            job.started_at = time.time()
+        filed = _filed(self.cache.get(job.key))
+        if filed is not None:
+            self._finish(job, "done", filed.counters(), table=filed.table)
+            return
+
         def _on_progress(counters: dict) -> None:
             with self._lock:
                 job.progress.update(counters)
@@ -244,11 +298,6 @@ class JobManager:
             version=self.version,
             on_progress=_on_progress,
         )
-        with self._lock:
-            if job.state != "queued":  # pragma: no cover - defensive
-                return
-            job.state = "running"
-            job.started_at = time.time()
         try:
             table = spec(
                 scale=job.scale,
@@ -257,17 +306,37 @@ class JobManager:
                 **job.overrides,
             )
         except BaseException as exc:
-            with self._lock:
-                job.progress.update(cached_runner.counters())
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
-                job.finished_at = time.time()
-                self._inflight.pop(job.key, None)
+            self._finish(
+                job,
+                "failed",
+                cached_runner.counters(),
+                error=f"{type(exc).__name__}: {exc}",
+            )
             return
+        counters = cached_runner.counters()
+        # Filed before the job reads done, so a client that sees it
+        # done and resubmits reads this entry.
+        self.cache.put(
+            job.key,
+            FiledTable(
+                table, counters["points_total"], counters["trials_total"]
+            ),
+        )
+        self._finish(job, "done", counters, table=table)
+
+    def _finish(
+        self,
+        job: Job,
+        state: str,
+        counters: dict,
+        table: ResultTable | None = None,
+        error: str | None = None,
+    ) -> None:
         with self._lock:
-            job.progress.update(cached_runner.counters())
+            job.progress.update(counters)
             job.table = table
-            job.state = "done"
+            job.error = error
+            job.state = state
             job.finished_at = time.time()
             self._inflight.pop(job.key, None)
 

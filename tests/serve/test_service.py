@@ -216,6 +216,58 @@ class TestEndpoints:
         )
 
 
+class TestStreamPolling:
+    def test_stream_backs_off_from_one_to_fifty_ms(
+        self, tmp_path, monkeypatch
+    ):
+        # A stream re-reads its job after 1/20 of the time it has waited
+        # so far, between 1 and 50 ms, and ends on the first terminal
+        # snapshot.  The schedule is read off a patched asyncio.sleep.
+        import asyncio
+
+        from repro.serve import http
+        from repro.serve.http import ExperimentService
+
+        running = 150
+        snapshots = [{"job_id": "j1", "state": "running"}] * (running + 1)
+        snapshots.append({"job_id": "j1", "state": "done"})
+        delays = []
+
+        async def sleep(delay):
+            delays.append(delay)
+
+        class Writer:
+            def __init__(self):
+                self.lines = []
+
+            def write(self, data):
+                self.lines.append(data)
+
+            async def drain(self):
+                pass
+
+        service = ExperimentService(backend="serial", cache_dir=tmp_path)
+        try:
+            monkeypatch.setattr(
+                service.manager, "snapshot", lambda job_id: snapshots.pop(0)
+            )
+            monkeypatch.setattr(http.asyncio, "sleep", sleep)
+            writer = Writer()
+            asyncio.run(service._stream(writer, "j1"))
+        finally:
+            service.manager.close()
+        assert snapshots == []
+        assert json.loads(writer.lines[-1])["state"] == "done"
+        assert len(delays) == running + 1
+        assert delays[:20] == [0.001] * 20
+        assert delays[21] == pytest.approx(0.021 / 20)
+        assert delays == sorted(delays)
+        assert delays[-1] == 0.05
+        for index, delay in enumerate(delays):
+            if 0.001 < delay < 0.05:
+                assert delay == pytest.approx(sum(delays[:index]) / 20)
+
+
 class TestCacheStatsFromTheTally:
     def test_healthz_and_stats_do_not_scan_the_store(
         self, tmp_path, monkeypatch
