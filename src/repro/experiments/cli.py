@@ -8,7 +8,7 @@ Commands::
     repro run E1 --workers 4           # parallel trial execution
     repro run E1 --workers 4 --chunksize 8   # fixed specs per work unit
     repro run E1 --backend cluster     # trials on TCP worker nodes
-    repro run all --scale tiny --csv results/
+    repro run all --scale tiny --csv /tmp/repro-csv
     repro worker serve --port 7101     # one cluster worker node
     repro worker serve --port 7101 --node-workers 8   # 8-wide node pool
     repro serve --port 8080            # long-lived experiment service

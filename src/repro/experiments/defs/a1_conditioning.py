@@ -25,7 +25,6 @@ from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh
 from repro.routers.bfs import LocalBFSRouter
 from repro.routers.waypoint import MeshWaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -39,8 +38,7 @@ COLUMNS = [
 ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     trials = pick(scale, tiny=10, small=30, medium=80)
     cases = [
         (Hypercube(pick(scale, tiny=5, small=7, medium=9)), 0.45, LocalBFSRouter()),

@@ -26,7 +26,6 @@ from repro.graphs.mesh import Mesh
 from repro.routers.bfs import LocalBFSRouter
 from repro.routers.hybrid import HybridGreedyRouter
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -39,8 +38,7 @@ COLUMNS = [
 ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     trials = pick(scale, tiny=8, small=20, medium=50)
     mesh_side = pick(scale, tiny=8, small=12, medium=16)
     cube_n = pick(scale, tiny=6, small=8, medium=10)

@@ -31,7 +31,6 @@ from repro.routers.gnp import (
     GnpLocalRouter,
     GnpUnidirectionalRouter,
 )
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = ["n", "c", "router", "connected_trials", "mean_queries", "vs_local"]
@@ -41,8 +40,7 @@ def _factory(graph, p, seed):
     return GnpPercolation(n=graph.num_vertices(), p=p, seed=seed)
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     c = 3.0
     ns = pick(scale, tiny=[96], small=[256, 512], medium=[256, 512, 1024])
     trials = pick(scale, tiny=8, small=14, medium=24)

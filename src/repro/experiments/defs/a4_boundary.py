@@ -24,7 +24,6 @@ from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.mesh import Mesh, Torus
 from repro.routers.waypoint import MeshWaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -37,8 +36,7 @@ COLUMNS = [
 ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     side = pick(scale, tiny=9, small=13, medium=19)
     distances = pick(scale, tiny=[4, 8], small=[4, 8, 12], medium=[6, 12, 18])
     ps = pick(scale, tiny=[0.7], small=[0.6, 0.8], medium=[0.55, 0.7, 0.85])

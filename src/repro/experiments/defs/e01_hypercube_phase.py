@@ -32,7 +32,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.hypercube import Hypercube
 from repro.routers.dfs import DirectedDFSRouter
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -50,7 +49,7 @@ COLUMNS = [
 def run(
     scale: str,
     seed: int,
-    runner=None,
+    runner,
     *,
     ns: list[int] | None = None,
     alphas: list[float] | None = None,
@@ -65,7 +64,6 @@ def run(
     ``(seed, "e1", n, alpha, router)`` only, so a point computes the
     same trials no matter which sweep asked for it.
     """
-    runner = runner if runner is not None else SerialRunner()
     if ns is None:
         ns = pick(scale, tiny=[6], small=[8, 10], medium=[10, 12])
     if alphas is None:

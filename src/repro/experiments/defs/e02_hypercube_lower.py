@@ -29,7 +29,7 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.hypercube import Hypercube
 from repro.routers.dfs import DirectedDFSRouter
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner, TrialSpec
+from repro.runtime import TrialSpec
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -68,8 +68,7 @@ def _certificate_point(n: int, alpha: float, cert_trials: int, seed: int):
     )
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     ns = pick(scale, tiny=[6], small=[8, 10], medium=[10, 12])
     alphas = pick(scale, tiny=[0.7], small=[0.6, 0.7, 0.8], medium=[0.55, 0.65, 0.75, 0.85])
     cert_trials = pick(scale, tiny=80, small=300, medium=800)

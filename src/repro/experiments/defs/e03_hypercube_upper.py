@@ -24,7 +24,6 @@ from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.hypercube import Hypercube
 from repro.routers.waypoint import HypercubeWaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -39,8 +38,7 @@ COLUMNS = [
 ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     alphas = pick(scale, tiny=[0.3], small=[0.1, 0.2, 0.3, 0.4], medium=[0.1, 0.2, 0.3, 0.4])
     ns = pick(scale, tiny=[6, 8], small=[8, 10, 12], medium=[8, 10, 12, 14])
     trials = pick(scale, tiny=6, small=16, medium=40)

@@ -24,7 +24,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.mesh import Mesh
 from repro.percolation.thresholds import mesh_critical_probability
 from repro.routers.waypoint import MeshWaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 from repro.util.stats import linear_fit
 
@@ -49,8 +48,7 @@ def _p_levels(scale: str, d: int) -> list[float]:
     )
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     dims = pick(scale, tiny=[2], small=[2, 3], medium=[2, 3])
     distances = pick(
         scale,

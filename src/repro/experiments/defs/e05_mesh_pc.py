@@ -33,7 +33,7 @@ from repro.graphs.mesh import Mesh
 from repro.percolation.cluster import chemical_distance
 from repro.percolation.models import TablePercolation
 from repro.routers.waypoint import MeshWaypointRouter
-from repro.runtime import SerialRunner, TrialSpec
+from repro.runtime import TrialSpec
 from repro.util.rng import derive_seed
 from repro.util.stats import mean_ci
 
@@ -109,8 +109,7 @@ def _chemical_point(side: int, p: float, trials: int, master_seed: int):
     }
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     side = pick(scale, tiny=10, small=16, medium=24)
     trials = pick(scale, tiny=10, small=24, medium=60)
     ps_routing = pick(

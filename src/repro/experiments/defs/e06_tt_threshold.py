@@ -28,7 +28,7 @@ from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.double_tree import DoubleBinaryTree
 from repro.percolation.coupled import pair_threshold
-from repro.runtime import SerialRunner, TrialSpec, Workload
+from repro.runtime import TrialSpec, Workload
 from repro.util.rng import derive_seed
 
 COLUMNS = ["depth", "p", "pr_empirical", "pr_exact", "abs_error", "trials"]
@@ -39,8 +39,7 @@ def _root_threshold(graph: DoubleBinaryTree, trial_seed: int) -> float:
     return pair_threshold(graph, trial_seed, *graph.roots())
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     depths = pick(scale, tiny=[3, 5], small=[4, 7, 10], medium=[4, 8, 12, 14])
     ps = pick(
         scale,

@@ -27,7 +27,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.double_tree import DoubleBinaryTree
 from repro.routers.bfs import LocalBFSRouter
 from repro.routers.dfs import DirectedDFSRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 from repro.util.stats import linear_fit
 
@@ -42,8 +41,7 @@ COLUMNS = [
 ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     ps = pick(scale, tiny=[0.8], small=[0.75, 0.85], medium=[0.75, 0.8, 0.85])
     depths = pick(
         scale, tiny=[3, 5], small=[4, 6, 8, 10], medium=[4, 6, 8, 10, 12]

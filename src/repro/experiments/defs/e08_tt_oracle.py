@@ -23,7 +23,6 @@ from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.double_tree import DoubleBinaryTree
 from repro.routers.tree import MirrorPairOracleRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -37,8 +36,7 @@ COLUMNS = [
 ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     ps = pick(scale, tiny=[0.85], small=[0.75, 0.85, 0.95], medium=[0.72, 0.8, 0.9])
     depths = pick(
         scale, tiny=[4, 8], small=[4, 8, 12], medium=[4, 8, 12, 16]

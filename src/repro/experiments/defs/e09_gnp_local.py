@@ -24,7 +24,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.complete import CompleteGraph
 from repro.percolation.models import GnpPercolation
 from repro.routers.gnp import GnpLocalRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -41,8 +40,7 @@ def _factory(graph, p, seed):
     return GnpPercolation(n=graph.num_vertices(), p=p, seed=seed)
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     cs = pick(scale, tiny=[3.0], small=[2.0, 3.0], medium=[2.0, 3.0])
     ns = pick(
         scale,

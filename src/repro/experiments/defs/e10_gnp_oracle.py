@@ -25,7 +25,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.complete import CompleteGraph
 from repro.percolation.models import GnpPercolation
 from repro.routers.gnp import GnpBidirectionalRouter, GnpLocalRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -44,8 +43,7 @@ def _factory(graph, p, seed):
     return GnpPercolation(n=graph.num_vertices(), p=p, seed=seed)
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     c = 3.0
     ns = pick(
         scale,

@@ -29,7 +29,7 @@ from repro.percolation.thresholds import (
     hypercube_giant_threshold,
     hypercube_routing_threshold,
 )
-from repro.runtime import SerialRunner, TrialSpec
+from repro.runtime import TrialSpec
 from repro.util.rng import derive_seed
 
 COLUMNS = ["section", "n", "p", "p_times_n", "value", "ci_lo", "ci_hi"]
@@ -74,8 +74,7 @@ def _connectivity_scan(n: int, trials: int, seed: int):
     ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     ns = pick(scale, tiny=[8], small=[10, 12], medium=[12, 14])
     trials = pick(scale, tiny=5, small=10, medium=20)
 

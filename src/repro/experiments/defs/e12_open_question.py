@@ -32,7 +32,7 @@ from repro.graphs.debruijn import DeBruijn
 from repro.graphs.shuffle_exchange import ShuffleExchange
 from repro.percolation.giant import giant_fraction_scan
 from repro.routers.bfs import LocalBFSRouter
-from repro.runtime import SerialRunner, TrialSpec, Workload
+from repro.runtime import TrialSpec, Workload
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -45,8 +45,7 @@ COLUMNS = [
 ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     order = pick(scale, tiny=4, small=6, medium=8)
     trials = pick(scale, tiny=5, small=10, medium=20)
     ps = pick(

@@ -110,8 +110,7 @@ def _alpha_point(n: int, alpha: float, trials: int, master_seed: int):
     }
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     n = pick(scale, tiny=7, small=10, medium=12)
     alphas = pick(
         scale,

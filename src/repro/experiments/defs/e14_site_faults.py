@@ -31,7 +31,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.hypercube import Hypercube
 from repro.percolation.site import SitePercolation
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -50,8 +49,7 @@ def _site_factory(graph, p, seed):
     )
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     n = pick(scale, tiny=7, small=10, medium=12)
     alphas = pick(
         scale,

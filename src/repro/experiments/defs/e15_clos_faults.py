@@ -53,7 +53,6 @@ from repro.percolation.faults import (
     NodeFaultPercolation,
 )
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -113,8 +112,7 @@ def _factories(k: int) -> dict:
     }
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     k = pick(scale, tiny=4, small=4, medium=6)
     ps = pick(
         scale,

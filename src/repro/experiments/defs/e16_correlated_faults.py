@@ -37,7 +37,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.hypercube import Hypercube
 from repro.percolation.faults import CorrelatedFaultPercolation
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -85,8 +84,7 @@ def _mean_dead_frac(graph, factory, specs) -> float:
     return total / (len(specs) * graph.num_vertices())
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     n = pick(scale, tiny=6, small=9, medium=11)
     spreads = pick(
         scale,

@@ -37,7 +37,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.clos import FatTree
 from repro.percolation.faults import AdversarialCutPercolation
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -77,8 +76,7 @@ def _matched_p(budget: int, num_edges: int) -> float:
     return P_BACKGROUND * (num_edges - budget) / num_edges
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     k = pick(scale, tiny=4, small=4, medium=6)
     budgets = pick(
         scale,

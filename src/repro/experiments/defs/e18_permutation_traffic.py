@@ -44,7 +44,6 @@ from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.clos import FatTree
 from repro.graphs.hypercube import Hypercube
 from repro.routers.waypoint import HypercubeWaypointRouter, WaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -68,8 +67,7 @@ def _arms(scale: str) -> list[tuple]:
     ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     arms = _arms(scale)
     ps = pick(
         scale,

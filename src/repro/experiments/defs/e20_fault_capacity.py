@@ -40,7 +40,6 @@ from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
 from repro.graphs.clos import FatTree
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner
 from repro.util.rng import derive_seed
 
 COLUMNS = [
@@ -54,8 +53,7 @@ COLUMNS = [
 ]
 
 
-def run(scale: str, seed: int, runner=None) -> ResultTable:
-    runner = runner if runner is not None else SerialRunner()
+def run(scale: str, seed: int, runner) -> ResultTable:
     k = pick(scale, tiny=4, small=4, medium=6)
     ps = pick(
         scale,

@@ -41,12 +41,7 @@ the code version are rows of :mod:`repro.settings` (``$REPRO_CACHE_DIR``,
 
 from repro.serve.cache import ResultCache
 from repro.serve.cached_runner import CachedRunner
-from repro.serve.digest import (
-    code_version,
-    job_key,
-    point_digest,
-    sweep_digest,
-)
+from repro.serve.digest import code_version, job_key, point_digest
 from repro.serve.http import ExperimentService
 from repro.serve.jobs import Job, JobManager
 
@@ -59,5 +54,4 @@ __all__ = [
     "code_version",
     "job_key",
     "point_digest",
-    "sweep_digest",
 ]

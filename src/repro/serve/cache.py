@@ -45,7 +45,9 @@ import os
 import pickle
 import tempfile
 import threading
+from collections.abc import Callable
 from pathlib import Path
+from typing import Any
 
 from repro.settings import resolve
 
@@ -54,6 +56,10 @@ __all__ = ["ResultCache"]
 _MAGIC = b"RPRC1"
 _CHECKSUM_SIZE = 16
 _SUFFIX = ".rpc"
+
+
+def _accept_any(values) -> bool:
+    return True
 
 
 class ResultCache:
@@ -136,13 +142,16 @@ class ResultCache:
 
     # -- store ------------------------------------------------------------
 
-    def get(self, digest: str):
+    def get(self, digest: str, accept: Callable[[Any], bool] = _accept_any):
         """The values stored under ``digest``, or ``None`` on a miss.
 
         A defective entry (truncated, corrupted, unpicklable) is
         deleted and reported as a miss — the caller recomputes and the
-        next :meth:`put` repairs the entry.  A hit refreshes the
-        entry's mtime, making the cap eviction LRU.
+        next :meth:`put` repairs the entry.  An intact entry whose
+        values ``accept`` rejects (a shape the reader does not expect)
+        is a miss too, left on disk for the caller's :meth:`put` to
+        overwrite.  A hit refreshes the entry's mtime, making the cap
+        eviction LRU.
         """
         path = self._path(digest)
         try:
@@ -173,6 +182,9 @@ class ResultCache:
             else:
                 self._scan()
             self._count("repairs")
+            self._count("misses")
+            return None
+        if not accept(values):
             self._count("misses")
             return None
         try:

@@ -98,16 +98,22 @@ class CachedRunner(TrialRunner):
     def _lookup(self, specs: list[TrialSpec]):
         """The cached values for one point, or ``_MISS``.
 
-        A digest failure (an argument that does not pickle) or a
-        length mismatch (a stale entry written by a buggier past)
-        both mean "execute normally".
+        A digest failure (an argument that does not pickle) or an
+        entry that is not one value per spec (a stale entry written by
+        a buggier past) both mean "execute normally"; the cache counts
+        the rejected entry as a miss.
         """
         try:
             digest = point_digest(specs, version=self.version)
         except Exception:
             return None, _MISS
-        values = self.cache.get(digest)
-        if values is None or len(values) != len(specs):
+        values = self.cache.get(
+            digest,
+            accept=lambda stored: (
+                type(stored) is list and len(stored) == len(specs)
+            ),
+        )
+        if values is None:
             return digest, _MISS
         return digest, values
 

@@ -17,11 +17,10 @@ result depends on.  For a sweep point that is exactly three things:
 
 :func:`point_digest` hashes one sweep point's spec list in trial order
 (records are ordered data, so order is significant *within* a point);
-:func:`sweep_digest` combines point digests order-insensitively (a
-sweep is a set of points); :func:`job_key` identifies a service job —
-(experiment, scale, seed, overrides, code version) — canonicalising
-the override dict so iteration order never leaks into the key; the
-service files a finished job's table under it.
+:func:`job_key` identifies a service job — (experiment, scale, seed,
+overrides, code version) — canonicalising the override dict so
+iteration order never leaks into the key; the service files a finished
+job's table under it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro.runtime.trial import TrialSpec
@@ -39,7 +38,6 @@ __all__ = [
     "code_version",
     "job_key",
     "point_digest",
-    "sweep_digest",
 ]
 
 _DIGEST_SIZE = 16  # bytes; 128-bit BLAKE2b, like workload ids
@@ -152,22 +150,6 @@ def point_digest(
         blob = _spec_fingerprint(spec)
         h.update(len(blob).to_bytes(8, "big"))
         h.update(blob)
-    return h.hexdigest()
-
-
-def sweep_digest(point_digests: Iterable[str]) -> str:
-    """Combine per-point digests into one sweep id, order-insensitively.
-
-    A sweep is a *set* of points — two emissions of the same points in
-    different orders are the same sweep, so the digests are sorted
-    before hashing.  (Duplicate points are kept: a plan that runs a
-    point twice is not the plan that runs it once.)
-    """
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(b"repro-sweep-v1\0")
-    for digest in sorted(point_digests):
-        h.update(digest.encode())
-        h.update(b"\0")
     return h.hexdigest()
 
 

@@ -105,19 +105,17 @@ class FiledTable:
         }
 
 
-def _filed(entry) -> FiledTable | None:
-    """``entry`` if it is a well-formed :class:`FiledTable`, else
-    ``None``: a value that passed its checksum but has another shape
-    (a point's value list, a bare table, a count that is not an
-    integer) must be recomputed, not served."""
-    if (
+def _is_filed(entry) -> bool:
+    """Whether ``entry`` is a well-formed :class:`FiledTable`: a value
+    that passed its checksum but has another shape (a point's value
+    list, a bare table, a count that is not an integer) must be
+    recomputed, not served."""
+    return (
         type(entry) is FiledTable
         and isinstance(entry.table, ResultTable)
         and type(entry.points_total) is int
         and type(entry.trials_total) is int
-    ):
-        return entry
-    return None
+    )
 
 
 @dataclass
@@ -283,7 +281,7 @@ class JobManager:
                 return
             job.state = "running"
             job.started_at = time.time()
-        filed = _filed(self.cache.get(job.key))
+        filed = self.cache.get(job.key, accept=_is_filed)
         if filed is not None:
             self._finish(job, "done", filed.counters(), table=filed.table)
             return

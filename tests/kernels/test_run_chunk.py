@@ -17,14 +17,24 @@ from repro.core.router import Router
 from repro.core.traffic import FixedTraffic, traffic_specs
 from repro.experiments.defs.e14_site_faults import _site_factory
 from repro.experiments.defs.e15_clos_faults import _node_factory
+from repro.experiments.defs.e16_correlated_faults import (
+    EPICENTER_RATE,
+    _OutageFactory,
+)
+from repro.experiments.defs.e17_adversarial_budget import (
+    P_BACKGROUND,
+    _AdversaryFactory,
+)
 from repro.graphs.clos import FatTree
 from repro.graphs.debruijn import DeBruijn
+from repro.graphs.double_tree import DoubleBinaryTree
 from repro.graphs.hypercube import Hypercube
 from repro.graphs.mesh import Mesh, Torus
 from repro.kernels.routing import _ROUTER_KERNELS, register_router_kernel
 from repro.percolation.models import HashPercolation, TablePercolation
 from repro.routers.bfs import BidirectionalBFSRouter, LocalBFSRouter
 from repro.routers.dfs import DirectedDFSRouter
+from repro.routers.tree import MirrorPairOracleRouter
 from repro.routers.waypoint import MeshWaypointRouter, WaypointRouter
 from repro.runtime import TrialExecutionError
 from repro.runtime.chunkexec import TALLY, chunk_runner, execute_specs
@@ -56,6 +66,10 @@ CASES = [
         id="mesh-waypoint-exact",
     ),
     pytest.param(
+        Mesh(2, 5), 0.4, MeshWaypointRouter(), None, "exact", None,
+        id="mesh-subcritical",
+    ),
+    pytest.param(
         Torus(2, 4), 0.55, LocalBFSRouter(), 200, "exact", None,
         id="torus-bfs-budget",
     ),
@@ -67,6 +81,11 @@ CASES = [
         Hypercube(5), 0.7, WaypointRouter(), None, "exact",
         _site_factory,
         id="hypercube-site-faults",
+    ),
+    pytest.param(
+        Hypercube(5), 0.2, WaypointRouter(), None, "exact",
+        _site_factory,
+        id="site-subcritical",
     ),
     pytest.param(
         Hypercube(5), 0.55, LocalBFSRouter(), 150, "exact", None,
@@ -81,6 +100,24 @@ CASES = [
         FatTree(4), 0.8, WaypointRouter(), None, "exact",
         _node_factory,
         id="fat-tree-node-faults",
+    ),
+    # E16's clustered outages and E17's adversarial cut on their own
+    # chunk draws, and E8's root-pair conditioning on the double tree
+    # (the mirror-pair oracle has no engine, so it routes per trial).
+    pytest.param(
+        Hypercube(5), 1.0, WaypointRouter(), None, "exact",
+        _OutageFactory(EPICENTER_RATE, 0.5),
+        id="correlated-outages",
+    ),
+    pytest.param(
+        FatTree(4), P_BACKGROUND, WaypointRouter(), None, "exact",
+        _AdversaryFactory(1),
+        id="adversarial-cut",
+    ),
+    pytest.param(
+        DoubleBinaryTree(5), 0.75, MirrorPairOracleRouter(), None,
+        "exact", None,
+        id="double-tree-conditioning",
     ),
 ]
 

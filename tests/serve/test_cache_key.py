@@ -1,7 +1,7 @@
 """Property tests for the result-cache key recipe (repro.serve.digest).
 
-The digest must be *invariant* to representation accidents — sweep-point
-order, override-dict iteration order, kwargs insertion order — and
+The digest must be *invariant* to representation accidents —
+override-dict iteration order, kwargs insertion order — and
 *sensitive* to every component a result actually depends on: workload
 content, trial count, per-trial seeds, spec keys, scale, master seed,
 and the code version.  A key that conflates two different computations
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import TrialSpec, Workload
-from repro.serve.digest import _canonical, job_key, point_digest, sweep_digest
+from repro.serve.digest import _canonical, job_key, point_digest
 from repro.util.rng import derive_seed
 
 VERSION = "test-code-version"
@@ -67,19 +67,6 @@ class TestOrderInvariance:
         assert job_key(
             "E1", "tiny", 0, overrides, version=VERSION
         ) == job_key("E1", "tiny", 0, reversed_build, version=VERSION)
-
-    @given(st.permutations(list(range(6))))
-    def test_sweep_digest_ignores_point_order(self, order):
-        digests = [
-            point_digest(_specs(payload=f"p{i}"), version=VERSION)
-            for i in range(6)
-        ]
-        shuffled = [digests[i] for i in order]
-        assert sweep_digest(shuffled) == sweep_digest(digests)
-
-    def test_sweep_digest_keeps_duplicates(self):
-        d = point_digest(_specs(), version=VERSION)
-        assert sweep_digest([d]) != sweep_digest([d, d])
 
     def test_point_digest_is_order_sensitive_within_a_point(self):
         # Trials are ordered data: [t0, t1] is not [t1, t0].

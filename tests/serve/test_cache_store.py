@@ -70,6 +70,15 @@ class TestRoundTrip:
         cache.get(DIGEST)
         assert path.stat().st_mtime > 1
 
+    def test_rejected_value_is_a_miss_left_on_disk(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(DIGEST, [1])
+        assert cache.get(DIGEST, accept=lambda values: False) is None
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["repairs"]) == (0, 1, 0)
+        assert cache.entry_count() == 1
+        assert cache.get(DIGEST) == [1]
+
 
 class TestRepair:
     def _entry_path(self, tmp_path):

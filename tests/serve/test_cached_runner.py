@@ -12,6 +12,7 @@ import pytest
 from repro.runtime import SerialRunner, TrialSpec, Workload
 from repro.serve.cache import ResultCache
 from repro.serve.cached_runner import CachedRunner
+from repro.serve.digest import point_digest
 
 VERSION = "cached-runner-test"
 
@@ -120,6 +121,23 @@ class TestRunGrouped:
         runner, _ = cached
         with pytest.raises(ValueError, match="unique"):
             runner.run_grouped([("a", _point("a")), ("a", _point("a"))])
+
+    @pytest.mark.parametrize(
+        "entry", [[0] * 4, 5], ids=["wrong-length", "not-a-list"]
+    )
+    def test_wrong_shaped_entry_is_a_miss(self, cached, entry):
+        runner, _ = cached
+        digest = point_digest(_point("a"), version=VERSION)
+        runner.cache.put(digest, entry)
+        before = runner.cache.stats()
+        out = runner.run_grouped([("a", _point("a"))])
+        after = runner.cache.stats()
+        assert after["hits"] - before["hits"] == 0
+        assert after["misses"] - before["misses"] == 1
+        assert runner.trials_executed == len(_point("a"))
+        assert out == SerialRunner().run_grouped([("a", _point("a"))])
+        # The recompute overwrote the entry.
+        assert runner.cache.get(digest) == out["a"]
 
     def test_version_change_invalidates(self, cached, tmp_path):
         runner, inner = cached

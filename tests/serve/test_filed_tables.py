@@ -77,12 +77,24 @@ def test_wrong_shaped_entry_is_a_miss(service, def_calls, reshape):
     assert refiled.table.render().encode() == cold_table
 
 
+def test_rejected_entry_counts_one_miss(service):
+    cold, _ = _run(service, "E17")
+    assert service.cache.put(cold["key"], [1, 2, 3])
+    before = service.cache.stats()
+
+    repeat, _ = _run(service, "E17")
+    after = service.cache.stats()
+    # The rejected table entry is the one miss; every point is a hit.
+    assert repeat["points_cached"] == repeat["points_total"] == 6
+    assert after["hits"] - before["hits"] == 6
+    assert after["misses"] - before["misses"] == 1
+
+
 def _square(value):
     return value * value
 
 
-def _summary_fails_run(scale, seed, runner=None):
-    runner = runner if runner is not None else SerialRunner()
+def _summary_fails_run(scale, seed, runner):
     runner.run_grouped(
         [
             (

@@ -46,10 +46,7 @@ def _counting_trial(label, trial, seed):
     return {"label": label, "trial": trial, "seed": seed}
 
 
-def _slow1_run(scale, seed, runner=None):
-    from repro.runtime import SerialRunner
-
-    runner = runner if runner is not None else SerialRunner()
+def _slow1_run(scale, seed, runner):
     groups = [
         (
             label,
@@ -230,10 +227,7 @@ def _failing_trial(trial, seed):
     raise RuntimeError("trial exploded")
 
 
-def _fail1_run(scale, seed, runner=None):
-    from repro.runtime import SerialRunner
-
-    runner = runner if runner is not None else SerialRunner()
+def _fail1_run(scale, seed, runner):
     runner.run(
         [
             TrialSpec(key=("fail1", 0), fn=_failing_trial, args=(0, seed))
