@@ -22,10 +22,9 @@ which parallelise trial execution without changing any result; see
 the ``repro worker serve`` nodes named by ``$REPRO_CLUSTER_NODES``
 (``host:port,host:port``), or spawns localhost nodes when unset; each
 node executes chunks on a local pool (``--node-workers``, default CPU
-count), the coordinator pipelines chunks per connection
-(``--pipeline-depth`` / ``$REPRO_PIPELINE_DEPTH``) and requeues the
-chunks of a node that goes silent past the heartbeat deadline
-(``--heartbeat`` / ``$REPRO_HEARTBEAT`` seconds; 0 disables).
+count) and holds one chunk in flight per pool worker, and the
+coordinator requeues the chunks of a node that goes silent past the
+heartbeat deadline (``$REPRO_HEARTBEAT`` seconds; 0 disables).
 
 Every flag backed by a ``$REPRO_*`` knob parses with that knob's row of
 :mod:`repro.settings`, so a flag and its variable accept and reject
@@ -43,7 +42,7 @@ from collections.abc import Sequence
 from repro.experiments.registry import all_experiments, get_experiment
 from repro.experiments.spec import SCALES
 from repro.runtime import available_backends, make_runner
-from repro.settings import KNOBS, format_value, override, resolve, source
+from repro.settings import KNOBS, format_value, resolve, source
 
 __all__ = ["build_parser", "main"]
 
@@ -123,16 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_port_int,
         default=0,
         help="TCP port; 0 picks an ephemeral port, announced on stdout",
-    )
-    serve.add_argument(
-        "--path",
-        action="append",
-        default=[],
-        metavar="DIR",
-        help=(
-            "extra import-path entries for unpickling work units whose "
-            "kernels live outside the installed package (repeatable)"
-        ),
     )
     _add_knob(
         serve, "--node-workers", "node_workers", "N",
@@ -272,16 +261,6 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         parser, "--backend", "backend", "B",
         f"runner backend: one of {', '.join(available_backends())}; "
         "results are identical for any backend",
-    )
-    _add_knob(
-        parser, "--pipeline-depth", "pipeline_depth", "D",
-        "cluster backend: chunks kept in flight per node connection; "
-        "results are identical for any D",
-    )
-    _add_knob(
-        parser, "--heartbeat", "heartbeat", "S",
-        "cluster backend: seconds of node silence before the node is "
-        "declared lost and its chunks requeue; 0 disables supervision",
     )
 
 
@@ -509,11 +488,9 @@ def _cmd_report(
     return 0
 
 
-def _cmd_worker_serve(host: str, port: int, paths, node_workers) -> int:
+def _cmd_worker_serve(host: str, port: int, node_workers) -> int:
     from repro.runtime.cluster import serve
 
-    for path in reversed(paths):
-        sys.path.insert(0, path)
     serve(host, port, node_workers=node_workers)
     return 0
 
@@ -541,37 +518,30 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_thresholds()
     if args.command == "info":
         return _cmd_info(args.experiment)
-    if args.command in ("run", "report"):
-        # The cluster-only flags reach the runner through their
-        # variables, for this command only.
-        with override(
-            pipeline_depth=args.pipeline_depth, heartbeat=args.heartbeat
-        ):
-            if args.command == "run":
-                return _cmd_run(
-                    args.experiment,
-                    args.scale,
-                    args.seed,
-                    args.csv,
-                    args.workers,
-                    args.chunksize,
-                    args.backend,
-                )
-            return _cmd_report(
-                args.scale,
-                args.seed,
-                args.out,
-                args.workers,
-                args.chunksize,
-                args.backend,
-            )
+    if args.command == "run":
+        return _cmd_run(
+            args.experiment,
+            args.scale,
+            args.seed,
+            args.csv,
+            args.workers,
+            args.chunksize,
+            args.backend,
+        )
+    if args.command == "report":
+        return _cmd_report(
+            args.scale,
+            args.seed,
+            args.out,
+            args.workers,
+            args.chunksize,
+            args.backend,
+        )
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "worker":
         if args.worker_command == "serve":
-            return _cmd_worker_serve(
-                args.host, args.port, args.path, args.node_workers
-            )
+            return _cmd_worker_serve(args.host, args.port, args.node_workers)
         raise AssertionError(
             f"unhandled worker command {args.worker_command!r}"
         )

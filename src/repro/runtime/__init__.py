@@ -52,12 +52,12 @@ chunk, serve the next.
 process start-up.  ``close()`` (or a ``with`` block) reaps the workers.
 
 The cluster backend carries the same chunks over TCP:
-:class:`~repro.runtime.cluster.ClusterRunner` pipelines chunks to each
-worker node (``$REPRO_PIPELINE_DEPTH`` in flight per connection) and
-streams results back.  Nodes execute chunks on their own process pools
-(``repro worker serve --node-workers``), and heartbeat supervision
-(``$REPRO_HEARTBEAT``) requeues the chunks of a node that disconnects
-*or* silently wedges to the survivors.
+:class:`~repro.runtime.cluster.ClusterRunner` streams chunks to each
+worker node and results back.  Nodes execute chunks on their own
+process pools (``repro worker serve --node-workers``) and announce the
+pool's width, which sets how many chunks each holds in flight.
+Heartbeat supervision (``$REPRO_HEARTBEAT``) requeues the chunks of a
+node that disconnects *or* silently wedges to the survivors.
 
 The batch-kernel seam
 ---------------------
@@ -87,17 +87,15 @@ off — same results, per-trial speed.
 Runner backends
 ---------------
 
-Construction is pluggable (:mod:`repro.runtime.backends`):
-:func:`make_runner` looks the backend up in a registry — ``auto`` (the
-serial/process split, the default), ``serial``, ``process`` and
-``cluster`` ship in-tree — selected by argument, else the
-``REPRO_BACKEND`` environment variable.  :func:`register_backend` adds
-a backend; the contract every factory must honour (determinism versus
-``SerialRunner``, ``run_grouped`` flattening, workloads appearing in
-later batches, crash/traceback propagation, chunking edge cases) is
-enforced by the conformance suite in
-``tests/runtime/test_backend_conformance.py``, which parametrises over
-the registry — a new backend is gated on passing it.
+:func:`make_runner` (:mod:`repro.runtime.backends`) builds one of a
+closed set of backends — ``auto`` (the serial/process split, the
+default), ``serial``, ``process`` or ``cluster`` — selected by
+argument, else the ``REPRO_BACKEND`` environment variable.  The
+contract every backend honours (determinism versus ``SerialRunner``,
+``run_grouped`` flattening, workloads appearing in later batches,
+crash/traceback propagation, chunking edge cases) is enforced by the
+conformance suite in ``tests/runtime/test_backend_conformance.py``,
+which runs over every backend.
 
 The cluster backend's hand-shake, wire framing and fault tolerance are
 documented in :mod:`repro.runtime.cluster`; worker nodes start with
@@ -149,11 +147,7 @@ of being silently accepted.  The CLI exposes them as ``repro run ...
 knob with its resolved value and source.
 """
 
-from repro.runtime.backends import (
-    available_backends,
-    make_runner,
-    register_backend,
-)
+from repro.runtime.backends import available_backends, make_runner
 from repro.runtime.chunkexec import execute_specs, register_chunk_kernel
 from repro.runtime.runner import ProcessPoolRunner, SerialRunner, TrialRunner
 from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
@@ -171,7 +165,6 @@ __all__ = [
     "available_backends",
     "execute_specs",
     "make_runner",
-    "register_backend",
     "register_chunk_kernel",
 ]
 

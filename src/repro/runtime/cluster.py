@@ -6,9 +6,11 @@ any other — and streams them **chunks** of specs over TCP:
 
 * a chunk's pickle carries its own workloads (each written once per
   chunk, see :mod:`repro.runtime.workload`), so a node needs nothing
-  from earlier chunks; the coordinator keeps up to ``pipeline_depth``
-  chunks in flight per connection, so a node starts its next chunk
-  without waiting a round-trip after finishing one;
+  from earlier chunks;
+* a node announces its pool width in the handshake, and the
+  coordinator keeps exactly that many chunks in flight on it and
+  splits each batch into about four chunks per announced pool worker,
+  as the process pool does per worker;
 * trial results stream back per chunk and are reassembled by offset
   (:class:`ChunkBoard`), so completion order never leaks into the
   output and the determinism contract holds: byte-identical
@@ -22,15 +24,15 @@ Node-side execution pool
 
 A node executes chunks on a **process pool** of ``--node-workers``
 local workers (default ``os.cpu_count()``), so one many-core remote
-machine runs many trials concurrently and pipelined chunks overlap
-instead of queueing.  The connection thread only dispatches and
-replies — it never executes trials — so heartbeats are answered
-promptly however busy the pool is.  A pool worker that dies mid-chunk
-(crash, OOM kill) does not kill the node: the pool is rebuilt and the
-affected chunks are answered with ``lost``, which the coordinator
-requeues through the ordinary retry path.  Each pool worker carries a
-watchdog that exits when its owning node process dies, so a killed or
-wedged node never leaks orphan workers.
+machine runs as many chunks at once as it has pool workers.  The
+connection thread only dispatches and replies — it never executes
+trials — so heartbeats are answered promptly however busy the pool
+is.  A pool worker that dies mid-chunk (crash, OOM kill) does not kill
+the node: the pool is rebuilt and the affected chunks are answered
+with ``lost``, which the coordinator requeues through the ordinary
+retry path.  Each pool worker carries a watchdog that exits when its
+owning node process dies, so a killed or wedged node never leaks
+orphan workers.
 
 Fault tolerance and heartbeats
 ------------------------------
@@ -75,7 +77,8 @@ partial reads).  :class:`MessageStream` serialises concurrent senders
 with a lock, so replies raced by pool callbacks and pongs never
 interleave mid-frame.  Messages are ``(kind, body)`` tuples; the
 handshake is ``("hello", {"version"})`` → ``("welcome", {"version",
-"pid"})``, then ``("chunk", {"chunk", "specs"})`` answered by one of
+"pid", "workers"})`` (``workers``: the node's pool width, an ``int``
+>= 1), then ``("chunk", {"chunk", "specs"})`` answered by one of
 ``("done", {"chunk", "results"})`` (the chunk's pickled
 ``TrialResult`` list — the coordinator accepts it only with one result
 per spec, in order, each carrying its spec's key), ``("failed",
@@ -83,13 +86,15 @@ per spec, in order, each carrying its spec's key), ``("failed",
 abandoned the chunk — requeue it elsewhere; a graceful drain refusal
 carries ``"draining": True``, which requeues the chunk without
 charging a retry and retires the connection).  ``("ping", {...})`` →
-``("pong", {...})`` may interleave at any point; ``("shutdown", {})``
-→ ``("bye", {})`` asks the node to stop: it refuses new chunks
-(answering ``lost``), finishes the chunks in hand, then exits.  A node
-whose reply breaks any of these shapes is dropped like a lost one:
-its in-flight chunks requeue under the retry cap.  A peer whose
-handshake reply is malformed or undecodable is refused with
-:class:`ProtocolError`.
+``("pong", {...})`` may interleave at any point.  A node whose reply
+breaks any of these shapes is dropped like a lost one: its in-flight
+chunks requeue under the retry cap.  A peer whose handshake reply is
+malformed or undecodable is refused with :class:`ProtocolError`.
+
+SIGTERM is the one way to stop a node: it refuses new chunks
+(answering ``lost`` with ``"draining": True``), finishes the chunks in
+hand, then exits.  ``ClusterRunner.close()`` sends it to each
+self-managed node.
 
 **Security note:** frames carry pickles, which execute arbitrary code
 on unpickling.  A worker node must only listen where its coordinator
@@ -147,12 +152,6 @@ DEFAULT_SPAWN_TIMEOUT = 30.0
 #: Seconds a shutting-down node waits for in-flight chunks to finish.
 DEFAULT_DRAIN_TIMEOUT = 30.0
 
-#: Seconds ``ClusterRunner.close()`` waits for a self-managed node's
-#: ``bye`` after sending ``shutdown``; pipelined replies and buffered
-#: pongs may precede it, so the wait is a wall-clock bound rather than
-#: a frame count.
-BYE_WAIT_TIMEOUT = 10.0
-
 #: Bound on a node-side reply send.  Replies go out on the execution
 #: pool's callback thread, which is shared by every connection: with
 #: no bound, one coordinator that stops reading (wedged, partitioned)
@@ -168,7 +167,8 @@ NODE_SEND_TIMEOUT = 60.0
 #: v4: "done" always carries the pickled result list, checked against
 #: its chunk.
 #: v5: a "chunk" carries its workloads inline; no "miss" reply.
-PROTOCOL_VERSION = 5
+#: v6: "welcome" carries the node's pool width; SIGTERM is the only stop.
+PROTOCOL_VERSION = 6
 
 #: Stdout line a worker prints once its socket is bound (the spawner
 #: parses it to learn an ephemeral port).
@@ -701,6 +701,7 @@ def _handle_connection(conn: socket.socket, server: _NodeServer) -> None:
                             {
                                 "version": PROTOCOL_VERSION,
                                 "pid": os.getpid(),
+                                "workers": server.workers,
                             },
                         )
                     )
@@ -708,10 +709,6 @@ def _handle_connection(conn: socket.socket, server: _NodeServer) -> None:
                     _start_chunk(server, stream, body)
                 elif kind == "ping":
                     stream.send(("pong", dict(body or {})))
-                elif kind == "shutdown":
-                    stream.send(("bye", {}))
-                    server.stop.set()
-                    return
                 else:
                     stream.send(
                         (
@@ -742,17 +739,17 @@ def serve(
     Binds ``host:port`` (``port=0`` picks an ephemeral port), announces
     ``REPRO-WORKER LISTENING host:port`` on ``ready_stream`` (default
     stdout), then serves coordinator connections — each on its own
-    thread — until a coordinator sends ``shutdown`` or the process is
-    signalled.  Chunks execute on a process pool of ``node_workers``
-    (argument, else ``$REPRO_NODE_WORKERS``, else ``os.cpu_count()``)
-    local workers.
+    thread — until the process is signalled.  Chunks execute on a
+    process pool of ``node_workers`` (argument, else
+    ``$REPRO_NODE_WORKERS``, else ``os.cpu_count()``) local workers;
+    the welcome announces that width to each coordinator.
 
-    On ``shutdown`` — the protocol message, or ``SIGTERM`` when
-    serving from the main thread — the node drains: it stops accepting
-    connections, refuses new chunks (``lost`` replies let coordinators
-    requeue them) and waits up to ``drain_timeout`` seconds for the
-    chunks in hand to finish before exiting, so racing coordinators on
-    a shared node never lose completed work.
+    On ``SIGTERM`` (caught when serving from the main thread) the node
+    drains: it stops accepting connections, refuses new chunks
+    (``lost`` replies let coordinators requeue them) and waits up to
+    ``drain_timeout`` seconds for the chunks in hand to finish before
+    exiting, so racing coordinators on a shared node never lose
+    completed work.
     """
     if not 0 <= port <= 65535:
         raise ValueError(f"port must be in [0, 65535], got {port}")
@@ -763,13 +760,11 @@ def serve(
     previous_term = None
     term_installed = False
     if threading.current_thread() is threading.main_thread():
-        # SIGTERM (LocalNode.terminate, init systems, `kill`) takes
-        # the same drain path as a ``shutdown`` message: the accept
-        # loop notices the flag within its poll interval, new chunks
-        # are refused, and the finally block below waits for the
-        # chunks in hand.  Only installable from the main thread;
-        # in-process nodes driven from other threads rely on the
-        # ``shutdown`` message instead.
+        # SIGTERM (ClusterRunner.close, init systems, `kill`) starts
+        # the drain: the accept loop notices the flag within its poll
+        # interval, new chunks are refused, and the finally block
+        # below waits for the chunks in hand.  Only installable from
+        # the main thread.
         def _on_term(signum, frame):
             state.stop.set()
 
@@ -854,38 +849,48 @@ class LocalNode:
         return f"{self.host}:{self.port}"
 
     def terminate(self, force: bool = False) -> None:
-        """Stop the node process (idempotent).
+        """Stop the node process (idempotent): :meth:`send_stop`, then
+        :meth:`reap`."""
+        self.send_stop(force)
+        self.reap()
 
-        ``force=True`` skips the graceful SIGTERM — which, since the
-        node drains its in-flight chunks on TERM, can take seconds —
-        and SIGKILLs immediately.  The runner's fail-fast teardown
-        paths use it: on Ctrl-C or a failed batch the connections are
-        already gone, so nobody could receive what a drain delivers.
-        The graceful default still escalates to SIGKILL after 5s, so
-        it bounds — not honours — a node's ``drain_timeout``; a full
-        drain is only guaranteed via the ``shutdown`` message or a
-        TERM sent by a supervisor that grants the node its own grace
-        period (systemd, Kubernetes).
+    def send_stop(self, force: bool = False) -> None:
+        """Send a live node one stop signal: SIGTERM, which drains it,
+        or SIGKILL when ``force``.
+
+        The runner's fail-fast teardown paths force: on Ctrl-C or a
+        failed batch the connections are already gone, so nobody could
+        receive what a drain delivers.  Never TERM a node twice: on
+        its way out ``serve()`` restores the default SIGTERM action,
+        so a second TERM would kill it mid-exit.
 
         A wedged (SIGSTOPped) node cannot act on SIGTERM, so it is
-        also sent SIGCONT — a no-op for a running process — before the
-        escalation to SIGKILL.
+        also sent SIGCONT — a no-op for a running process.
         """
-        if self.proc.poll() is None:
-            if force:
-                self.proc.kill()
-            else:
-                self.proc.terminate()
-            if hasattr(signal, "SIGCONT"):
-                try:
-                    self.proc.send_signal(signal.SIGCONT)
-                except OSError:
-                    pass
+        if self.proc.poll() is not None:
+            return
+        if force:
+            self.proc.kill()
+        else:
+            self.proc.terminate()
+        if hasattr(signal, "SIGCONT"):
             try:
-                self.proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-                self.proc.wait()
+                self.proc.send_signal(signal.SIGCONT)
+            except OSError:
+                pass
+
+    def reap(self) -> None:
+        """Wait for the node to exit, SIGKILLing it after 5 s.
+
+        The bound caps — not honours — a node's ``drain_timeout``; a
+        supervisor that grants the node its own grace period (systemd,
+        Kubernetes) lets a drain run in full.
+        """
+        try:
+            self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
         if self.proc.stdout is not None:
             self.proc.stdout.close()
 
@@ -897,15 +902,19 @@ class LocalNode:
 def _terminate_nodes(
     nodes: Sequence[LocalNode], force: bool = False
 ) -> None:
+    # Signal every node before waiting for any, so their drains run
+    # side by side.
     for node in nodes:
-        node.terminate(force=force)
+        node.send_stop(force)
+    for node in nodes:
+        node.reap()
 
 
-def _worker_env(extra_paths: Iterable[str] = ()) -> dict:
-    """Subprocess env whose PYTHONPATH can import repro + extras."""
+def _worker_env() -> dict:
+    """Subprocess env whose PYTHONPATH can import repro."""
     src_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
-    paths = [str(src_root), *[str(p) for p in extra_paths]]
+    paths = [str(src_root)]
     existing = env.get("PYTHONPATH")
     if existing:
         paths.append(existing)
@@ -994,21 +1003,18 @@ def _read_ready_line(
 def spawn_local_nodes(
     count: int,
     *,
-    extra_paths: Iterable[str] = (),
     node_workers: int | None = None,
     spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
 ) -> list[LocalNode]:
     """Spawn ``count`` localhost worker nodes on ephemeral ports.
 
-    ``extra_paths`` adds directories to each node's import path
-    (``repro worker serve --path``), for work units whose kernels live
-    outside the installed package.  ``node_workers`` sets each node's
-    execution-pool size (None leaves the node's own env/default
-    resolution in charge).  A node that fails to announce its address
-    within ``spawn_timeout`` seconds is reaped and reported with its
-    captured output.  On any
-    spawn failure every already-started node is reaped before the
-    error propagates.
+    Each node imports from this ``repro`` plus the caller's
+    ``PYTHONPATH``.  ``node_workers`` sets each node's execution-pool
+    size (None leaves the node's own env/default resolution in
+    charge).  A node that fails to announce its address within
+    ``spawn_timeout`` seconds is reaped and reported with its captured
+    output.  On any spawn failure every already-started node is reaped
+    before the error propagates.
     """
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
@@ -1016,9 +1022,7 @@ def spawn_local_nodes(
                "--host", "127.0.0.1", "--port", "0"]
     if node_workers is not None:
         command += ["--node-workers", str(node_workers)]
-    for path in extra_paths:
-        command += ["--path", str(path)]
-    env = _worker_env(extra_paths)
+    env = _worker_env()
     nodes: list[LocalNode] = []
     try:
         for _ in range(count):
@@ -1168,6 +1172,8 @@ class _Node:
         self.address = address
         self.stream: MessageStream | None = None
         self.alive = False
+        #: Pool width the node announced: its chunks in flight.
+        self.workers = 0
         self.local: LocalNode | None = None  # backing self-managed proc
         # Healing backoff: a node that keeps refusing to come back is
         # not re-dialed (at full connect_timeout) before every batch.
@@ -1221,6 +1227,13 @@ class _Node:
             raise ProtocolError(
                 f"handshake with {self.label()} failed: {detail}"
             )
+        workers = body.get("workers")
+        if type(workers) is not int or workers < 1:  # a bool is no width
+            raise ProtocolError(
+                f"handshake with {self.label()} failed: pool width "
+                f"{workers!r:.80} is not an int >= 1"
+            )
+        self.workers = workers
 
     def close(self) -> None:
         self.alive = False
@@ -1245,7 +1258,7 @@ class ClusterRunner(TrialRunner):
         cluster, whose size wins.
     chunksize:
         Specs per chunk (argument, else ``$REPRO_CHUNKSIZE``, else
-        about four chunks per node).
+        about four chunks per pool worker the live nodes announce).
     retries:
         Requeues a chunk survives when nodes disconnect mid-batch (or
         abandon it with a ``lost`` reply) before the run fails naming
@@ -1253,10 +1266,6 @@ class ClusterRunner(TrialRunner):
     connect_timeout:
         Seconds allowed for each node connection + handshake (also the
         per-send bound afterwards).
-    pipeline_depth:
-        Chunks kept in flight per node connection (argument, else
-        ``$REPRO_PIPELINE_DEPTH``, else 2), so nodes never idle a
-        round-trip between chunk boundaries.
     heartbeat:
         Seconds of node silence tolerated before the node is declared
         lost and its in-flight chunks requeue (argument, else
@@ -1268,6 +1277,9 @@ class ClusterRunner(TrialRunner):
         lets each node resolve ``$REPRO_NODE_WORKERS``, else its CPU
         count).  External nodes choose their own pool size at
         ``repro worker serve`` time.
+
+    Each node holds as many chunks in flight as the pool width it
+    announced in its welcome: one per pool worker.
 
     Connections (and self-managed node processes) are lazy and
     persistent, mirroring :class:`ProcessPoolRunner`'s pool: the first
@@ -1286,7 +1298,6 @@ class ClusterRunner(TrialRunner):
         chunksize: int | None = None,
         retries: int = 2,
         connect_timeout: float = 10.0,
-        pipeline_depth: int | None = None,
         heartbeat: float | None = None,
         node_workers: int | None = None,
     ) -> None:
@@ -1308,7 +1319,6 @@ class ClusterRunner(TrialRunner):
             raise ValueError(f"retries must be an integer >= 0, got {retries}")
         self.retries = retries
         self.connect_timeout = float(connect_timeout)
-        self.pipeline_depth = resolve("pipeline_depth", pipeline_depth)
         self.heartbeat = resolve("heartbeat", heartbeat)
         if node_workers is not None:
             resolve("node_workers", node_workers)
@@ -1420,9 +1430,7 @@ class ClusterRunner(TrialRunner):
         # batch) have already closed the connections, so a graceful
         # TERM would drain chunks whose results nobody can receive —
         # and stall the teardown doing it.  ``close()`` passes
-        # ``force=False``: it just *asked* the node to drain via the
-        # ``shutdown`` message, and killing that drain would break the
-        # racing-coordinators-never-lose-completed-work promise.
+        # ``force=False``: its TERM is the node's drain.
         _terminate_nodes(self._local, force=force)
         del self._local[:]
 
@@ -1438,42 +1446,10 @@ class ClusterRunner(TrialRunner):
         """Release connections; stop self-managed node processes.
 
         External nodes just see the connection close and keep serving
-        (they are shared infrastructure); self-managed nodes get a
-        graceful ``shutdown`` and then the subprocess is reaped.
+        (they are shared infrastructure); each live self-managed node
+        gets one SIGTERM, which drains it, and is reaped (SIGKILL after
+        5 s).
         """
-        said_bye: list[LocalNode] = []
-        if self._nodes is not None and self._local:
-            for node in self._nodes:
-                if node.alive and node.stream is not None:
-                    try:
-                        node.stream.send(("shutdown", {}))
-                        # Stale frames (pongs, results of pipelined or
-                        # requeued chunks) may precede the goodbye —
-                        # and with ``pipeline_depth`` chunks in flight
-                        # per connection there can be arbitrarily many,
-                        # so drain by wall clock, not frame count.
-                        drain_until = time.monotonic() + BYE_WAIT_TIMEOUT
-                        while time.monotonic() < drain_until:
-                            message = node.stream.recv(timeout=2.0)
-                            if message is None:
-                                break
-                            if message[0] == "bye":
-                                said_bye.append(node.local)
-                                break
-                    except (ConnectionError, ProtocolError, OSError):
-                        pass
-        # A node that said ``bye`` exits on its own once its drain ends.
-        # serve() restores the default SIGTERM action on its way out, so
-        # a TERM sent in that window would kill the node (-15) instead
-        # of letting it finish: wait for the exit first, bounded.
-        exit_by = time.monotonic() + BYE_WAIT_TIMEOUT
-        for local in said_bye:
-            try:
-                local.proc.wait(timeout=max(0.0, exit_by - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                pass
-        # Graceful: the shutdown just sent asks the node to drain; a
-        # force kill here would cut that drain short.
         self._discard_nodes(force=False)
 
     # -- scheduling -------------------------------------------------------
@@ -1482,10 +1458,10 @@ class ClusterRunner(TrialRunner):
         specs = list(specs)
         if not specs:
             return []
-        size = pick_chunksize(len(specs), self.workers, self.chunksize)
-        chunks = split_chunks(specs, size)
         if self._addresses is None and (
-            self.workers == 1 or len(chunks) == 1
+            self.workers == 1
+            or pick_chunksize(len(specs), self.workers, self.chunksize)
+            >= len(specs)
         ):
             # No parallelism to extract and the nodes would be this
             # machine anyway: run inline, exactly as the process pool
@@ -1495,6 +1471,10 @@ class ClusterRunner(TrialRunner):
             # node) — so every non-empty batch ships, however small.
             return execute_specs(specs)
         nodes = self._ensure_nodes()
+        width = sum(node.workers for node in nodes)
+        chunks = split_chunks(
+            specs, pick_chunksize(len(specs), width, self.chunksize)
+        )
         board = ChunkBoard(len(specs))
         tasks: queue.Queue = queue.Queue()
         for start, chunk in chunks:
@@ -1562,7 +1542,7 @@ class ClusterRunner(TrialRunner):
         return True
 
     def _node_loop(self, node, tasks, board, state) -> None:
-        """One thread per node: pipeline chunks, collect, supervise."""
+        """One thread per node: ship chunks, collect, supervise."""
         inflight: dict[int, _Task] = {}
         try:
             try:
@@ -1591,12 +1571,11 @@ class ClusterRunner(TrialRunner):
     def _pump_node(self, node, tasks, board, state, inflight) -> None:
         """Drive one node until the batch finishes or the node fails.
 
-        Keeps up to ``pipeline_depth`` chunks in flight, polls the
-        socket with short timeouts (never a blocking read), pings on
-        the heartbeat interval and raises :class:`_NodeLost` when the
-        node goes silent past the deadline.
+        Keeps up to the node's announced pool width of chunks in
+        flight, polls the socket with short timeouts (never a blocking
+        read), pings on the heartbeat interval and raises
+        :class:`_NodeLost` when the node goes silent past the deadline.
         """
-        depth = self.pipeline_depth
         deadline = self.heartbeat
         interval = deadline / 3.0 if deadline else 0.0
         now = time.monotonic()
@@ -1626,7 +1605,7 @@ class ClusterRunner(TrialRunner):
                 return
             if state.finished:
                 return
-            while not draining and len(inflight) < depth:
+            while not draining and len(inflight) < node.workers:
                 try:
                     task = tasks.get_nowait()
                 except queue.Empty:
@@ -1736,6 +1715,5 @@ class ClusterRunner(TrialRunner):
         state = "live" if self._nodes else "cold"
         return (
             f"ClusterRunner(nodes={where}, chunksize={self.chunksize}, "
-            f"retries={self.retries}, depth={self.pipeline_depth}, "
-            f"heartbeat={self.heartbeat}, {state})"
+            f"retries={self.retries}, heartbeat={self.heartbeat}, {state})"
         )

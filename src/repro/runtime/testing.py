@@ -197,7 +197,7 @@ def workload_specs(workload, count, tag="w"):
 
 
 @contextmanager
-def local_nodes(count=2, extra_paths=(), node_workers=None):
+def local_nodes(count=2, node_workers=None):
     """Spawn localhost ``repro worker serve`` nodes; yield addresses.
 
     Yields ``["host:port", ...]`` ready for ``ClusterRunner(nodes=...)``
@@ -208,9 +208,7 @@ def local_nodes(count=2, extra_paths=(), node_workers=None):
     """
     from repro.runtime.cluster import spawn_local_nodes
 
-    nodes = spawn_local_nodes(
-        count, extra_paths=extra_paths, node_workers=node_workers
-    )
+    nodes = spawn_local_nodes(count, node_workers=node_workers)
     try:
         yield [node.address for node in nodes]
     finally:

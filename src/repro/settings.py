@@ -30,19 +30,21 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "BACKENDS",
     "KNOBS",
     "Knob",
     "format_value",
-    "override",
     "resolve",
     "source",
 ]
+
+#: The runner backends :func:`repro.runtime.make_runner` builds.
+BACKENDS = ("auto", "serial", "process", "cluster")
 
 
 @dataclass(frozen=True)
@@ -122,17 +124,13 @@ def _switch(value, text: bool) -> bool:
 
 
 def _backend(value, text: bool) -> str:
-    # Deferred: the backend registry imports this module.
-    from repro.runtime.backends import available_backends
-
-    names = available_backends()
-    listing = f"registered backends: {', '.join(names)}"
+    listing = f"backends: {', '.join(BACKENDS)}"
     if not isinstance(value, str):
         raise ValueError(
             f"must be a backend name (str), got {value!r}; {listing}"
         )
     name = value.strip().lower()
-    if name not in names:
+    if name not in BACKENDS:
         raise ValueError(f"unknown backend {value!r}; {listing}")
     return name
 
@@ -181,8 +179,7 @@ KNOBS: dict[str, Knob] = {
         ),
         Knob(
             "backend", "REPRO_BACKEND", _backend, "auto",
-            "runner backend: auto, serial, process, cluster or a "
-            "registered one",
+            "runner backend: auto, serial, process or cluster",
         ),
         Knob(
             "cluster_nodes", "REPRO_CLUSTER_NODES", _nodes, None,
@@ -195,11 +192,6 @@ KNOBS: dict[str, Knob] = {
             "node-side process pool: trials of many chunks execute "
             "concurrently within one node",
             "the CPU count",
-        ),
-        Knob(
-            "pipeline_depth", "REPRO_PIPELINE_DEPTH", _integer(1), 2,
-            "chunks kept in flight per node connection, so nodes never "
-            "idle a round-trip between chunks",
         ),
         Knob(
             "heartbeat", "REPRO_HEARTBEAT", _seconds, 10.0,
@@ -279,28 +271,3 @@ def format_value(value) -> str:
         return ",".join(f"{host}:{port}" for host, port in value)
     return str(value)
 
-
-@contextmanager
-def override(**values):
-    """Set knobs through their environment variables for the duration
-    of a ``with`` block, then restore the environment exactly.
-
-    ``None`` leaves a knob alone.  This is how CLI flags reach runners
-    built deep inside a command; the environment is process-wide, so
-    use it from single-threaded set-up code only.
-    """
-    saved: dict[str, str | None] = {}
-    try:
-        for name, value in values.items():
-            if value is None:
-                continue
-            env = KNOBS[name].env
-            saved[env] = os.environ.get(env)
-            os.environ[env] = format_value(resolve(name, value))
-        yield
-    finally:
-        for env, previous in saved.items():
-            if previous is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = previous

@@ -182,13 +182,12 @@ class TestCLI:
         from repro.experiments.cli import build_parser
 
         args = build_parser().parse_args(
-            ["worker", "serve", "--port", "7101", "--path", "/x"]
+            ["worker", "serve", "--port", "7101"]
         )
         assert args.command == "worker"
         assert args.worker_command == "serve"
         assert args.host == "127.0.0.1"
         assert args.port == 7101
-        assert args.path == ["/x"]
 
     def test_worker_serve_port_validated(self):
         from repro.experiments.cli import build_parser
@@ -197,39 +196,6 @@ class TestCLI:
             build_parser().parse_args(["worker", "serve", "--port", "70000"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["worker", "serve", "--port", "nope"])
-
-    def test_cluster_flags_reach_the_runner_without_leaking(self, capsys):
-        # --pipeline-depth / --heartbeat travel through their variables
-        # for the command's duration only: a runner built inside sees
-        # them, and os.environ is exactly as before once main returns.
-        import os
-
-        from repro.experiments.cli import main
-        from repro.runtime import SerialRunner, register_backend
-        from repro.runtime.backends import unregister_backend
-        from repro.settings import resolve
-
-        seen = []
-
-        def factory(workers=None, chunksize=None):
-            seen.append((resolve("pipeline_depth"), resolve("heartbeat")))
-            return SerialRunner()
-
-        before = dict(os.environ)
-        register_backend("recording", factory)
-        try:
-            assert main(
-                [
-                    "run", "A1", "--scale", "tiny",
-                    "--backend", "recording",
-                    "--pipeline-depth", "3", "--heartbeat", "4",
-                ]
-            ) == 0
-        finally:
-            unregister_backend("recording")
-        assert seen == [(3, 4.0)]
-        assert dict(os.environ) == before
-        assert "[A1]" in capsys.readouterr().out
 
     def test_info_reports_every_knob(self, capsys, tmp_path, monkeypatch):
         from repro.experiments.cli import main
@@ -278,7 +244,7 @@ class TestCLI:
         out = capsys.readouterr().out
         for variable in ("REPRO_WORKERS", "REPRO_HEARTBEAT", "REPRO_BACKEND"):
             assert f"invalid: ${variable}: " in out, variable
-        assert "pipeline_depth" in out  # valid rows still print
+        assert "node_workers" in out  # valid rows still print
 
     def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
         # `repro info | head -1`: the reader is gone before the command

@@ -1,8 +1,7 @@
 """Backend conformance: the gate every runner backend must pass.
 
-One parametrized suite, run against **every** registered backend — the
-parameters come straight from :func:`repro.runtime.available_backends`,
-so registering a backend subjects it to these tests automatically (the
+One parametrized suite, run against **every** backend — the parameters
+come straight from :func:`repro.runtime.available_backends` (the
 ``auto`` alias is skipped; it constructs one of the others).  Covered:
 determinism versus ``SerialRunner``, ``run_grouped`` flattening,
 workloads that first appear in a later batch, crash and traceback
@@ -12,8 +11,7 @@ chunk > batch, single spec).
 The cluster backend runs against a session-scoped pair of localhost
 ``repro worker serve`` node processes; work units come from
 :mod:`repro.runtime.testing` so any node process can unpickle them by
-reference.  This suite is the ROADMAP-documented bar for adding a
-backend: a new name in the registry that cannot pass it does not ship.
+reference.
 """
 
 import pytest
@@ -48,11 +46,19 @@ def cluster_addresses():
         yield addresses
 
 
+@pytest.fixture(scope="module")
+def unequal_width_addresses():
+    """A narrow localhost node (pool of 1) and a wide one (pool of 3)."""
+    with kit.local_nodes(1, node_workers=1) as narrow:
+        with kit.local_nodes(1, node_workers=3) as wide:
+            yield narrow + wide
+
+
 @pytest.fixture(params=BACKENDS)
 def new_runner(request, cluster_addresses, monkeypatch):
     """A factory for runners of one backend; closes everything made.
 
-    Construction goes through ``make_runner`` so the registry path is
+    Construction goes through ``make_runner`` so the backend choice is
     part of what conformance certifies.  The cluster backend is pointed
     at the session nodes via ``$REPRO_CLUSTER_NODES`` — external-node
     mode, whose ``close()`` leaves the nodes serving.
@@ -162,7 +168,9 @@ class TestClusterExperimentParity:
     the wire as the pickled ``TrialResult`` list of a ``done`` reply,
     and every workload crosses inside the chunks that use it.  ``chunksize=1``
     maximises interleaving across the two nodes — the adversarial
-    schedule.
+    schedule.  A second sweep leaves the chunk size to the runner on
+    two nodes of unequal pool widths, so the split over announced
+    widths and the per-node chunk caps meet every def too.
     """
 
     @pytest.mark.parametrize("experiment_id", ALL_IDS)
@@ -173,6 +181,26 @@ class TestClusterExperimentParity:
         serial = spec(scale="tiny", seed=11, runner=SerialRunner())
         with ClusterRunner(nodes=cluster_addresses, chunksize=1) as runner:
             clustered = spec(scale="tiny", seed=11, runner=runner)
+        assert serial.render() == clustered.render()
+        assert repr(serial.rows) == repr(clustered.rows)
+        assert serial.notes == clustered.notes
+
+    @pytest.mark.parametrize("experiment_id", ALL_IDS)
+    def test_unequal_widths_match_serial(
+        self, unequal_width_addresses, experiment_id, monkeypatch
+    ):
+        # No chunksize: each batch splits into about four chunks per
+        # announced pool worker (1 + 3), and each node holds as many
+        # chunks in flight as its width, so the wide node takes most
+        # of them.  The table must not notice.
+        from repro.experiments.registry import get_experiment
+
+        monkeypatch.delenv("REPRO_CHUNKSIZE", raising=False)
+        spec = get_experiment(experiment_id)
+        serial = spec(scale="tiny", seed=11, runner=SerialRunner())
+        with ClusterRunner(nodes=unequal_width_addresses) as runner:
+            clustered = spec(scale="tiny", seed=11, runner=runner)
+            assert [node.workers for node in runner._nodes] == [1, 3]
         assert serial.render() == clustered.render()
         assert repr(serial.rows) == repr(clustered.rows)
         assert serial.notes == clustered.notes
@@ -208,17 +236,15 @@ class TestClusterSpecifics:
 
     def test_pooled_node_deep_pipeline_matches_serial(self):
         # The adversarial scheduling shape for the node-side pool: one
-        # node executing many chunks concurrently (pool of 2) with a
-        # deep pipeline keeping it saturated.  Completion order is
+        # node executing many chunks concurrently (pool of 4), holding
+        # one chunk in flight per pool worker.  Completion order is
         # maximally shuffled; the table must not notice.
         from repro.experiments.registry import get_experiment
 
         spec = get_experiment("E1")
         serial = spec(scale="tiny", seed=7, runner=SerialRunner())
-        with kit.local_nodes(1, node_workers=2) as addresses:
-            with ClusterRunner(
-                nodes=addresses, chunksize=1, pipeline_depth=4
-            ) as runner:
+        with kit.local_nodes(1, node_workers=4) as addresses:
+            with ClusterRunner(nodes=addresses, chunksize=1) as runner:
                 pooled = spec(scale="tiny", seed=7, runner=runner)
         assert serial.render() == pooled.render()
         assert repr(serial.rows) == repr(pooled.rows)

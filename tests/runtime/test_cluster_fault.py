@@ -28,6 +28,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -40,10 +41,12 @@ from repro.runtime import (
 from repro.runtime import testing as kit
 from repro.runtime.cluster import (
     PROTOCOL_VERSION,
+    LocalNode,
     MessageStream,
     ProtocolError,
     _Node,
     _read_ready_line,
+    _terminate_nodes,
     encode_frame,
     spawn_local_nodes,
 )
@@ -51,7 +54,6 @@ from repro.runtime.trial import TrialResult
 
 NODES_ENV = "REPRO_CLUSTER_NODES"
 NODE_WORKERS_ENV = "REPRO_NODE_WORKERS"
-PIPELINE_ENV = "REPRO_PIPELINE_DEPTH"
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
 
 
@@ -62,7 +64,6 @@ def _self_managed_only(monkeypatch):
         "REPRO_WORKERS",
         "REPRO_CHUNKSIZE",
         NODE_WORKERS_ENV,
-        PIPELINE_ENV,
         HEARTBEAT_ENV,
     ):
         monkeypatch.delenv(var, raising=False)
@@ -171,18 +172,14 @@ def test_pool_worker_crash_requeues_without_losing_the_node(tmp_path):
 
 def test_retry_cap_exhaustion_names_the_lost_chunk():
     # A chunk that breaks the pool of every node that tries it burns
-    # one retry per `lost` reply; exhaustion names the chunk.  Depth
-    # and pool are pinned to 1 so no innocent neighbour is in flight
-    # when the pool breaks.
+    # one retry per `lost` reply; exhaustion names the chunk.  The pool
+    # is pinned to 1, so each node holds one chunk and no innocent
+    # neighbour is in flight when the pool breaks.
     batch = kit.square_specs(6) + [
         TrialSpec(key=("die", 0), fn=kit.exit_hard)
     ]
     with ClusterRunner(
-        workers=2,
-        chunksize=1,
-        retries=0,
-        pipeline_depth=1,
-        node_workers=1,
+        workers=2, chunksize=1, retries=0, node_workers=1
     ) as runner:
         with pytest.raises(TrialExecutionError) as err:
             runner.run(batch)
@@ -263,10 +260,17 @@ def test_wedged_node_with_workloads_still_byte_identical(tmp_path):
         assert runner.run(batch) == expected
 
 
-def _serve_fake(server: socket.socket, on_chunk) -> None:
-    """A one-connection fake in-process node: prompt handshake and
-    pongs, with the ``chunk`` reply delegated to ``on_chunk(body)`` —
-    the only part the fault scenarios differ in."""
+def _welcome(workers=1):
+    return (
+        "welcome",
+        {"version": PROTOCOL_VERSION, "pid": 0, "workers": workers},
+    )
+
+
+def _serve_fake(server: socket.socket, on_chunk, workers=1) -> None:
+    """A one-connection fake in-process node of pool width ``workers``:
+    prompt handshake and pongs, with the ``chunk`` reply delegated to
+    ``on_chunk(body)`` — the only part the fault scenarios differ in."""
     try:
         conn, _ = server.accept()
     except OSError:
@@ -279,9 +283,7 @@ def _serve_fake(server: socket.socket, on_chunk) -> None:
             except (ConnectionError, ProtocolError, OSError):
                 return
             if kind == "hello":
-                stream.send(
-                    ("welcome", {"version": PROTOCOL_VERSION, "pid": 0})
-                )
+                stream.send(_welcome(workers))
             elif kind == "ping":
                 stream.send(("pong", body))
             elif kind == "chunk":
@@ -292,14 +294,14 @@ def _serve_fake(server: socket.socket, on_chunk) -> None:
         stream.close()
 
 
-def _start_fake_node(on_chunk):
+def _start_fake_node(on_chunk, workers=1):
     """Bind an ephemeral port and serve one connection on a daemon
     thread; returns ``(listening socket, "host:port")``."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.bind(("127.0.0.1", 0))
     server.listen()
     threading.Thread(
-        target=_serve_fake, args=(server, on_chunk), daemon=True
+        target=_serve_fake, args=(server, on_chunk, workers), daemon=True
     ).start()
     return server, f"127.0.0.1:{server.getsockname()[1]}"
 
@@ -354,42 +356,187 @@ def test_heartbeat_zero_disables_supervision():
         ]
 
 
-# -- node-side pool + pipelining throughput --------------------------------
+# -- node width: chunks in flight and the batch split ----------------------
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_node_width_caps_its_chunks_in_flight(width):
+    # A node that announces width w is sent w chunks at once, never
+    # w + 1.  The fake answers each chunk 0.2s later from a timer
+    # thread, so chunks shipped meanwhile pile up where the fake can
+    # count them.
+    lock = threading.Lock()
+    held = []
+    peak = []
+    server, port = _listener()
+
+    def answer(stream, body):
+        reply = _done_reply(body)
+        with lock:
+            # Before the send: the coordinator ships the next chunk as
+            # soon as it reads this reply.
+            held.remove(body["chunk"])
+        try:
+            stream.send(reply)
+        except OSError:
+            pass  # the run is over and the coordinator hung up
+
+    def fake():
+        try:
+            conn, _ = server.accept()
+        except OSError:
+            return
+        stream = MessageStream(conn)
+        try:
+            while True:
+                kind, body = stream.recv()
+                if kind == "hello":
+                    stream.send(_welcome(workers=width))
+                elif kind == "ping":
+                    stream.send(("pong", body))
+                elif kind == "chunk":
+                    with lock:
+                        held.append(body["chunk"])
+                        peak.append(len(held))
+                    threading.Timer(0.2, answer, (stream, body)).start()
+        except (ConnectionError, ProtocolError, OSError):
+            pass
+        finally:
+            stream.close()
+
+    threading.Thread(target=fake, daemon=True).start()
+    total = 4 * width  # four waves of chunks
+    try:
+        with ClusterRunner(
+            nodes=[f"127.0.0.1:{port}"], chunksize=1, retries=0
+        ) as runner:
+            assert runner.run_values(kit.square_specs(total)) == [
+                i * i for i in range(total)
+            ]
+    finally:
+        server.close()
+    assert max(peak) == width
+
+
+@pytest.mark.parametrize(
+    "widths, sizes",
+    [
+        ((1,), [8] * 4),
+        ((2,), [4] * 8),
+        ((1, 3), [2] * 16),
+        ((4, 4), [1] * 32),
+    ],
+    ids=["1", "2", "1+3", "4+4"],
+)
+def test_batch_splits_over_the_announced_widths(widths, sizes):
+    # A 32-spec batch with no chunksize splits into about four chunks
+    # per announced pool worker: the widths' sum sets the chunk size,
+    # not the node count (widths 1 and 3 make 16 chunks of 2 specs).
+    seen = []
+
+    def recording_done(body):
+        seen.append(len(body["specs"]))
+        return _done_reply(body)
+
+    started = [
+        _start_fake_node(recording_done, workers=width) for width in widths
+    ]
+    try:
+        with ClusterRunner(
+            nodes=[address for _, address in started], retries=0
+        ) as runner:
+            assert runner.run_values(kit.square_specs(32)) == [
+                i * i for i in range(32)
+            ]
+    finally:
+        for server, _ in started:
+            server.close()
+    assert sorted(seen) == sizes
+
+
+def test_healed_node_is_split_for_by_its_new_width():
+    # Widths come from the latest handshakes: a node lost at width 1
+    # that comes back announcing width 3 gets a share to match in the
+    # next batch (1 + 3 pool workers: 16 chunks of 2 specs).
+    seen = []
+
+    def recording_done(body):
+        seen.append(len(body["specs"]))
+        return _done_reply(body)
+
+    def slow_recording_done(body):
+        # Slow enough that the first batch cannot finish on this node
+        # before the other one has been shipped its first chunk.
+        time.sleep(0.05)
+        return recording_done(body)
+
+    server, port = _listener()
+
+    def fake():
+        # First life: width 1, hangs up on its first chunk.
+        try:
+            conn, _ = server.accept()
+        except OSError:
+            return
+        stream = MessageStream(conn)
+        try:
+            stream.recv(timeout=10)
+            stream.send(_welcome(1))
+            while stream.recv(timeout=10)[0] != "chunk":
+                pass
+        except (ConnectionError, ProtocolError, OSError, TypeError):
+            pass
+        finally:
+            stream.close()
+        # Second life, dialed by the heal: width 3.
+        _serve_fake(server, recording_done, workers=3)
+
+    threading.Thread(target=fake, daemon=True).start()
+    steady, steady_address = _start_fake_node(slow_recording_done, workers=1)
+    squares = [i * i for i in range(32)]
+    try:
+        with ClusterRunner(
+            nodes=[f"127.0.0.1:{port}", steady_address], retries=3
+        ) as runner:
+            assert runner.run_values(kit.square_specs(32)) == squares
+            assert [node.alive for node in runner._nodes] == [False, True]
+            seen.clear()
+            assert runner.run_values(kit.square_specs(32)) == squares
+            assert [node.workers for node in runner._nodes] == [3, 1]
+    finally:
+        server.close()
+        steady.close()
+    assert sorted(seen) == [2] * 16
 
 
 def test_node_pool_overlaps_blocking_trials():
-    # One node, pool of 4, pipeline deep enough to keep it fed: eight
-    # 0.3s blocking trials must overlap (<2.4s serial floor), which
-    # fails if either the node pool or pipelining stops working.
+    # One node of width 4 holds 4 chunks at once, so eight 0.5s
+    # blocking trials run in two waves (~1s), not four (~2s).
     specs = [
-        TrialSpec(key=("nap", i), fn=kit.sleep_return, args=(0.3, i))
+        TrialSpec(key=("nap", i), fn=kit.sleep_return, args=(0.5, i))
         for i in range(8)
     ]
     with kit.local_nodes(1, node_workers=4) as addresses:
-        with ClusterRunner(
-            nodes=addresses, chunksize=1, pipeline_depth=8
-        ) as runner:
+        with ClusterRunner(nodes=addresses, chunksize=1) as runner:
             start = time.monotonic()
             values = runner.run_values(specs)
             elapsed = time.monotonic() - start
     assert values == list(range(8))
-    assert elapsed < 1.8, f"no overlap: {elapsed:.2f}s for 8x0.3s naps"
+    assert elapsed < 1.5, f"no overlap: {elapsed:.2f}s for 8x0.5s naps"
 
 
 def test_pipelining_keeps_flat_node_busy():
-    # Even a pool-of-1 node benefits from depth > 1: the next chunk is
-    # already on the node when the previous finishes, so a batch of
-    # quick trials is not dominated by ship/collect round-trips.
-    # (Correctness, not timing: deep pipelines must not reorder.)
+    # A node of width 6 holds 6 chunks at once, and its pool finishes
+    # them in any order; results must still come back in submission
+    # order.  (Correctness, not timing: deep pipelines must not
+    # reorder.)
     specs = kit.seeded_specs(12, label="deep")
-    with kit.local_nodes(1, node_workers=1) as addresses:
-        with ClusterRunner(
-            nodes=addresses, chunksize=1, pipeline_depth=6
-        ) as runner:
+    with kit.local_nodes(1, node_workers=6) as addresses:
+        with ClusterRunner(nodes=addresses, chunksize=1) as runner:
             assert runner.run(specs) == SerialRunner().run(specs)
 
 
-# -- shutdown drain --------------------------------------------------------
+# -- stopping a node: SIGTERM drains it ------------------------------------
 
 
 def _handshake(address):
@@ -442,46 +589,6 @@ def test_done_reply_is_exactly_the_result_list():
                 assert repr(body["results"]) == repr(execute_specs(specs))
         finally:
             stream.close()
-
-
-def test_shutdown_drains_inflight_chunks_before_exit():
-    # Connection 1 has a slow chunk executing when connection 2 asks
-    # for shutdown: the node must finish (and deliver) the chunk in
-    # hand, refuse new chunks with `lost`, and only then exit.
-    nodes = spawn_local_nodes(1, node_workers=1)
-    node = nodes[0]
-    try:
-        work = _handshake(node.address)
-        slow = [
-            TrialSpec(key=("slow",), fn=kit.sleep_return, args=(1.2, "ok"))
-        ]
-        work.send(("chunk", {"chunk": 0, "specs": slow}))
-        time.sleep(0.3)  # let the chunk reach the pool
-        control = _handshake(node.address)
-        control.send(("shutdown", {}))
-        kind, _body = control.recv(timeout=10)
-        assert kind == "bye"
-        time.sleep(0.2)  # let the stop flag settle
-        # New work is refused while draining...
-        late = [TrialSpec(key=("late",), fn=kit.square, args=(3,))]
-        work.send(("chunk", {"chunk": 1, "specs": late}))
-        replies = {}
-        while len(replies) < 2:
-            message = work.recv(timeout=15)
-            assert message is not None, "node went silent while draining"
-            kind, body = message
-            replies[body["chunk"]] = (kind, body)
-        # ...but the chunk in hand completed and shipped its results.
-        kind, body = replies[0]
-        assert kind == "done"
-        assert body["results"] == [TrialResult(key=("slow",), value="ok")]
-        kind, body = replies[1]
-        assert kind == "lost"
-        assert "drain" in body["reason"]
-        assert node.proc.wait(timeout=15) == 0
-    finally:
-        for spawned in nodes:
-            spawned.terminate()
 
 
 def test_draining_node_does_not_burn_retries():
@@ -578,41 +685,159 @@ def test_draining_node_finishing_the_last_chunk_is_still_retired():
         server.close()
 
 
+class _StopRecorder:
+    """Stands in for a LocalNode; logs the stop calls it receives."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def send_stop(self, force=False):
+        self.log.append(("stop", self.name, force))
+
+    def reap(self):
+        self.log.append(("reap", self.name))
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["graceful", "forced"])
+def test_every_node_is_signalled_before_any_is_reaped(force):
+    # Drains run side by side: a slow drain on one node does not delay
+    # the signal to the next.
+    log = []
+    _terminate_nodes([_StopRecorder(name, log) for name in "ab"], force)
+    assert log == [
+        ("stop", "a", force),
+        ("stop", "b", force),
+        ("reap", "a"),
+        ("reap", "b"),
+    ]
+
+
+def _local_sleeper(code="import time; time.sleep(60)"):
+    """A LocalNode around a plain child process (no node inside)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    node = LocalNode(proc, "127.0.0.1", 0)
+    sent = []
+    send = proc.send_signal
+
+    def recording(signum):
+        sent.append(signum)
+        send(signum)
+
+    proc.send_signal = recording
+    return node, sent
+
+
+@pytest.mark.parametrize(
+    "force, stop",
+    [(False, signal.SIGTERM), (True, signal.SIGKILL)],
+    ids=["graceful", "forced"],
+)
+def test_send_stop_sends_one_stop_signal(force, stop):
+    node, sent = _local_sleeper()
+    try:
+        node.send_stop(force)
+        node.reap()
+        assert node.proc.returncode == -stop
+        assert [sig for sig in sent if sig != signal.SIGCONT] == [stop]
+    finally:
+        node.terminate(force=True)
+
+
+def test_send_stop_leaves_an_exited_node_alone():
+    # A node that already exited is never signalled: its pid may
+    # belong to another process by now.
+    node, sent = _local_sleeper(code="pass")
+    node.proc.wait(timeout=30)
+    node.send_stop()
+    node.send_stop(force=True)
+    node.reap()
+    assert sent == []
+    assert node.proc.returncode == 0
+
+
 def test_close_lets_self_managed_nodes_exit_gracefully():
-    # close() sends `shutdown` and must then let the node finish its
-    # drain: the reap behind it may not SIGKILL the drain it just
-    # asked for.  A gracefully-drained node exits 0; a kill would
-    # leave -SIGKILL.
+    # close() sends each node exactly one SIGTERM and lets it finish
+    # its drain: a second TERM could land after serve() restored the
+    # default action and kill the node mid-exit, and a SIGKILL would
+    # cut the drain short.  A gracefully drained node exits 0; a kill
+    # would leave -SIGTERM or -SIGKILL.
     runner = ClusterRunner(workers=2, chunksize=1)
     assert runner.run_values(kit.square_specs(4)) == [0, 1, 4, 9]
     procs = [local.proc for local in runner._local]
+    sent = [[] for _ in procs]
+    for proc, log in zip(procs, sent):
+
+        def recording(signum, log=log, send=proc.send_signal):
+            log.append(signum)
+            send(signum)
+
+        proc.send_signal = recording
     runner.close()
     assert [proc.poll() for proc in procs] == [0, 0]
+    stops = [[sig for sig in log if sig != signal.SIGCONT] for log in sent]
+    assert stops == [[signal.SIGTERM], [signal.SIGTERM]]
 
 
 def test_sigterm_drains_inflight_chunks_before_exit():
-    # SIGTERM — what LocalNode.terminate and init systems send — must
-    # take the same drain path as the `shutdown` message: finish and
-    # deliver the chunk in hand, then exit cleanly, not die mid-drain.
+    # SIGTERM — what ClusterRunner.close and init systems send — drains
+    # the node: it finishes and delivers the chunk in hand, refuses a
+    # chunk sent after the signal with a `draining` lost reply (which
+    # coordinators requeue without charging a retry), then exits
+    # cleanly, not mid-drain.
     nodes = spawn_local_nodes(1, node_workers=1)
     node = nodes[0]
     try:
-        work = _handshake(node.address)
-        slow = [
-            TrialSpec(key=("slow",), fn=kit.sleep_return, args=(1.2, "ok"))
-        ]
-        work.send(("chunk", {"chunk": 0, "specs": slow}))
-        time.sleep(0.3)  # let the chunk reach the pool
-        node.proc.send_signal(signal.SIGTERM)
-        message = work.recv(timeout=15)
-        assert message is not None, "node dropped the chunk on SIGTERM"
-        kind, body = message
-        assert kind == "done"
-        assert body["results"] == [TrialResult(key=("slow",), value="ok")]
-        assert node.proc.wait(timeout=15) == 0
+        with closing(_handshake(node.address)) as work:
+            slow = [
+                TrialSpec(key=("slow",), fn=kit.sleep_return, args=(1.2, "ok"))
+            ]
+            work.send(("chunk", {"chunk": 0, "specs": slow}))
+            time.sleep(0.3)  # let the chunk reach the pool
+            node.proc.send_signal(signal.SIGTERM)
+            time.sleep(0.2)  # let the stop flag settle
+            late = [TrialSpec(key=("late",), fn=kit.square, args=(3,))]
+            work.send(("chunk", {"chunk": 1, "specs": late}))
+            replies = {}
+            while len(replies) < 2:
+                message = work.recv(timeout=15)
+                assert message is not None, "node went silent while draining"
+                kind, body = message
+                replies[body["chunk"]] = (kind, body)
+            kind, body = replies[0]
+            assert kind == "done"
+            assert body["results"] == [TrialResult(key=("slow",), value="ok")]
+            kind, body = replies[1]
+            assert kind == "lost"
+            assert body["draining"] is True
+            assert "drain" in body["reason"]
+            assert node.proc.wait(timeout=15) == 0
     finally:
         for spawned in nodes:
             spawned.terminate()
+
+
+def test_node_answers_shutdown_as_an_unknown_kind():
+    # SIGTERM is the only stop: a `shutdown` message gets the error
+    # any unknown kind gets, then a hang-up, and the node keeps
+    # welcoming new peers.
+    with kit.local_nodes(1) as (address,):
+        stream = _handshake(address)
+        try:
+            stream.send(("shutdown", {}))
+            kind, body = stream.recv(timeout=10)
+            assert kind == "error"
+            assert "unknown message kind 'shutdown'" in body["detail"]
+            with pytest.raises(ConnectionError):
+                stream.recv(timeout=10)
+        finally:
+            stream.close()
+        _handshake(address).close()
 
 
 # -- spawn deadline --------------------------------------------------------
@@ -696,9 +921,7 @@ def test_short_done_reply_is_a_protocol_failure():
         servers.append(server)
         addresses.append(address)
     try:
-        runner = ClusterRunner(
-            nodes=addresses, chunksize=2, retries=0, pipeline_depth=1
-        )
+        runner = ClusterRunner(nodes=addresses, chunksize=2, retries=0)
         with runner:
             with pytest.raises(TrialExecutionError, match="retry cap"):
                 runner.run(kit.square_specs(8))
@@ -741,9 +964,7 @@ def test_malformed_done_results_are_a_protocol_failure(forge):
         servers.append(server)
         addresses.append(address)
     try:
-        runner = ClusterRunner(
-            nodes=addresses, chunksize=2, retries=0, pipeline_depth=1
-        )
+        runner = ClusterRunner(nodes=addresses, chunksize=2, retries=0)
         with runner:
             with pytest.raises(
                 TrialExecutionError, match=r"retry cap 0\): ProtocolError"
@@ -794,7 +1015,6 @@ def test_malformed_reply_drops_the_node_instead_of_hanging(shape):
                 chunksize=1,
                 retries=2,
                 heartbeat=0,
-                pipeline_depth=1,
             ) as runner:
                 outcome["values"] = runner.run_values(specs)
         except Exception as exc:  # reported by the main thread
@@ -820,6 +1040,21 @@ BAD_WELCOMES = {
     "bare-int": encode_frame(5),
     "welcome-without-body": encode_frame(("welcome", None)),
     "undecodable-frame": b"RPRO" + (2).to_bytes(4, "big") + b"zz",
+    "welcome-without-width": encode_frame(
+        ("welcome", {"version": PROTOCOL_VERSION, "pid": 0})
+    ),
+    **{
+        f"width-{name}": encode_frame(
+            (
+                "welcome",
+                {"version": PROTOCOL_VERSION, "pid": 0, "workers": width},
+            )
+        )
+        for name, width in (
+            ("zero", 0), ("negative", -1), ("bool", True), ("text", "2"),
+            ("float", 2.0), ("list", [2]),
+        )
+    },
 }
 
 
@@ -876,7 +1111,46 @@ def test_malformed_handshake_reply_is_a_protocol_error(shape):
         server.close()
 
 
-#: Versions a v5 peer must refuse: the v4 payload protocol, a newer
+@pytest.mark.parametrize("width", [1, 2, 64])
+def test_handshake_records_the_announced_width(width):
+    server, port = _listener()
+    threading.Thread(
+        target=_answer_hello_with,
+        args=(server, encode_frame(_welcome(width))),
+        daemon=True,
+    ).start()
+    node = _Node(("127.0.0.1", port))
+    try:
+        node.connect(timeout=5.0)
+        assert node.alive
+        assert node.workers == width
+    finally:
+        node.close()
+        server.close()
+
+
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_spawned_node_announces_its_pool_width(source, monkeypatch):
+    # The width a real node announces is its pool's: --node-workers,
+    # else $REPRO_NODE_WORKERS (the pool itself starts on the first
+    # chunk, so announcing a wide one costs nothing here).
+    width = 3 if source == "flag" else 5
+    if source == "flag":
+        spawn = {"node_workers": width}
+    else:
+        monkeypatch.setenv(NODE_WORKERS_ENV, str(width))
+        spawn = {}
+    with kit.local_nodes(1, **spawn) as (address,):
+        host, port = address.split(":")
+        node = _Node((host, int(port)))
+        try:
+            node.connect(timeout=10.0)
+            assert node.workers == width
+        finally:
+            node.close()
+
+
+#: Versions a v6 peer must refuse: v5 (no announced width), a newer
 #: one, and a hello or welcome that names none.
 OTHER_VERSIONS = [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, None]
 
@@ -884,7 +1158,9 @@ OTHER_VERSIONS = [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, None]
 @pytest.mark.parametrize("version", OTHER_VERSIONS)
 def test_handshake_refuses_a_node_of_another_version(version):
     server, port = _listener()
-    welcome = encode_frame(("welcome", {"version": version, "pid": 0}))
+    welcome = encode_frame(
+        ("welcome", {"version": version, "pid": 0, "workers": 1})
+    )
     threading.Thread(
         target=_answer_hello_with, args=(server, welcome), daemon=True
     ).start()
@@ -955,7 +1231,7 @@ def test_heal_keeps_out_a_node_that_answers_garbage():
         stream = MessageStream(conn)
         try:
             stream.recv(timeout=10)
-            stream.send(("welcome", {"version": PROTOCOL_VERSION, "pid": 0}))
+            stream.send(_welcome())
             while stream.recv(timeout=10)[0] != "chunk":
                 pass
         except (ConnectionError, ProtocolError, OSError, TypeError):
@@ -1036,19 +1312,6 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterRunner(workers=2)
 
-    def test_pipeline_depth_env_consulted(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_ENV, "5")
-        assert ClusterRunner().pipeline_depth == 5
-
-    def test_pipeline_depth_env_validated(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_ENV, "0")
-        with pytest.raises(ValueError):
-            ClusterRunner()
-
-    def test_zero_pipeline_depth_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterRunner(pipeline_depth=0)
-
     def test_heartbeat_env_consulted(self, monkeypatch):
         monkeypatch.setenv(HEARTBEAT_ENV, "2.5")
         assert ClusterRunner().heartbeat == 2.5
@@ -1066,10 +1329,8 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterRunner(node_workers=0)
 
-    def test_default_heartbeat_and_depth(self):
-        runner = ClusterRunner()
-        assert runner.heartbeat == 10.0
-        assert runner.pipeline_depth == 2
+    def test_default_heartbeat(self):
+        assert ClusterRunner().heartbeat == 10.0
 
     def test_connection_refused_is_a_clean_error(self):
         # Nothing listens on these ports; construction is lazy, the

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import build_parser
-from repro.settings import KNOBS, format_value, override, resolve, source
+from repro.settings import KNOBS, format_value, resolve, source
 
 HERE = Path(__file__).resolve()
 SRC = HERE.parents[1] / "src" / "repro"
@@ -74,13 +74,6 @@ SAMPLES = {
         "arg": [(4, 4)],
         "bad_env": ["0", "x"],
         "bad_arg": [0, 1.5, True],
-    },
-    "pipeline_depth": {
-        "default": 2,
-        "env": [("5", 5)],
-        "arg": [(3, 3)],
-        "bad_env": ["0", "deep"],
-        "bad_arg": [0, 2.0, True],
     },
     "heartbeat": {
         "default": 10.0,
@@ -140,8 +133,6 @@ FLAGS = {
     "workers": ["run", "A1", "--workers"],
     "chunksize": ["run", "A1", "--chunksize"],
     "backend": ["run", "A1", "--backend"],
-    "pipeline_depth": ["run", "A1", "--pipeline-depth"],
-    "heartbeat": ["report", "--heartbeat"],
     "node_workers": ["worker", "serve", "--node-workers"],
     "cache_dir": ["serve", "--cache-dir"],
     "cache_cap": ["serve", "--cache-cap"],
@@ -179,7 +170,7 @@ def test_every_row_has_samples():
 
 def test_every_env_name_is_repro_prefixed_and_unique():
     envs = [knob.env for knob in KNOBS.values()]
-    assert len(set(envs)) == len(envs) == 12
+    assert len(set(envs)) == len(envs) == 11
     assert all(env.startswith("REPRO_") for env in envs)
 
 
@@ -269,21 +260,7 @@ def test_flag_help_names_variable_and_default(capsys):
         build_parser().parse_args(["run", "--help"])
     flat = " ".join(capsys.readouterr().out.split())
     assert "(default: $REPRO_WORKERS, else 1)" in flat
-    assert "(default: $REPRO_HEARTBEAT, else 10.0)" in flat
-
-
-def test_override_restores_the_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_HEARTBEAT", "7")
-    before = dict(os.environ)
-    with override(pipeline_depth=3, heartbeat=4, workers=None):
-        assert resolve("pipeline_depth") == 3
-        assert resolve("heartbeat") == 4.0
-        assert "REPRO_WORKERS" not in os.environ
-    assert dict(os.environ) == before
-    with pytest.raises(ValueError, match="^pipeline_depth: "):
-        with override(heartbeat=1, pipeline_depth=0):
-            pass
-    assert dict(os.environ) == before
+    assert "(default: $REPRO_BACKEND, else auto)" in flat
 
 
 def test_format_value():
