@@ -11,10 +11,10 @@ any other — and streams them **chunks** of specs over TCP:
   coordinator keeps exactly that many chunks in flight on it and
   splits each batch into about four chunks per announced pool worker,
   as the process pool does per worker;
-* trial results stream back per chunk and are reassembled by offset
-  (:class:`ChunkBoard`), so completion order never leaks into the
-  output and the determinism contract holds: byte-identical
-  ``ResultTable``\\ s versus ``SerialRunner`` for the same master seed;
+* trial results stream back per chunk and are placed by batch offset,
+  so completion order never leaks into the output and the determinism
+  contract holds: byte-identical ``ResultTable``\\ s versus
+  ``SerialRunner`` for the same master seed;
 * a trial that raises on a node comes back as a
   :class:`~repro.runtime.trial.TrialExecutionError` with the node-side
   traceback preserved in ``detail``.
@@ -51,9 +51,24 @@ the coordinator sends ``ping`` frames and expects traffic (``pong`` or
 chunk replies) within the ``heartbeat`` deadline (argument, else
 ``$REPRO_HEARTBEAT`` seconds, else 10; ``0`` disables).  A silent node
 is declared lost, its connection is dropped and its in-flight chunks
-requeue exactly as if it had crashed.  Every post-handshake socket
-read carries a timeout that feeds this supervision path — no
-coordinator thread ever blocks forever on a wedged node.
+requeue exactly as if it had crashed.
+
+The coordinator loop
+--------------------
+
+One loop on the calling thread runs each batch and owns every live
+node's socket.  Each pass applies the heartbeat deadline and pings the
+nodes that are due, ships every node chunks up to its announced width,
+waits on all node sockets at once for at most 50 ms and handles every
+reply that arrived; the batch returns as soon as its last chunk is
+placed.  A node is charged only for silence while the
+loop was listening: each send's duration is added to the start of
+every node's silence clock, which no send ever resets, so a wedged
+node cannot hide behind a busy peer.  The price of one thread is that
+a send blocked on a wedged peer's full buffer pauses every node, for
+at most the send bound (``connect_timeout``); only a wedged peer can
+block a send, because chunks are kilobytes and a healthy node's
+connection thread never stops reading.
 
 Node discovery
 --------------
@@ -107,7 +122,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import queue
 import select
 import signal
 import struct
@@ -129,7 +143,6 @@ from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
 from repro.settings import resolve
 
 __all__ = [
-    "ChunkBoard",
     "ClusterRunner",
     "FrameReader",
     "LocalNode",
@@ -184,10 +197,6 @@ MAX_FRAME_BYTES = 1 << 31
 
 class ProtocolError(RuntimeError):
     """The byte stream violated the cluster wire protocol."""
-
-
-class _NodeLost(ConnectionError):
-    """Heartbeat supervision declared a node dead (socket still open)."""
 
 
 # --------------------------------------------------------------------------
@@ -247,23 +256,24 @@ class FrameReader:
         return messages
 
 
-def _wait_readable(readable, timeout: float | None) -> bool:
-    """Block until ``readable`` (a socket or raw fd) is readable
-    (True) or ``timeout`` seconds elapse (False; ``None`` waits
-    forever).
+def _wait_readable(streams: Sequence, timeout: float | None) -> list:
+    """The members of ``streams`` (anything with ``fileno()``) that
+    turn readable within ``timeout`` seconds (``None`` waits forever).
 
     Uses ``poll`` where the platform has it: unlike ``select`` it has
     no ``FD_SETSIZE`` cap, so the cluster backend keeps working inside
     host processes that already hold >1024 descriptors.  Raises
-    ``OSError``/``ValueError`` if the descriptor is closed under us.
+    ``OSError``/``ValueError`` if a descriptor is closed under us.
     """
     if hasattr(select, "poll"):
-        fd = readable if isinstance(readable, int) else readable.fileno()
         poller = select.poll()
-        poller.register(fd, select.POLLIN)
+        by_fd = {}
+        for stream in streams:
+            by_fd[stream.fileno()] = stream
+            poller.register(stream, select.POLLIN)
         ms = None if timeout is None else max(0, math.ceil(timeout * 1000))
-        return bool(poller.poll(ms))
-    return bool(select.select([readable], [], [], timeout)[0])
+        return [by_fd[fd] for fd, _event in poller.poll(ms)]
+    return select.select(streams, [], [], timeout)[0]
 
 
 class MessageStream:
@@ -333,7 +343,7 @@ class MessageStream:
         """
         while not self._pending:
             try:
-                if not _wait_readable(self._sock, timeout):
+                if not _wait_readable([self._sock], timeout):
                     return None
             except (OSError, ValueError):
                 # fd closed under us (peer teardown in another thread).
@@ -352,6 +362,9 @@ class MessageStream:
             self.bytes_received += len(data)
             self._pending.extend(self._reader.feed(data))
         return self._pending.popleft()
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def close(self) -> None:
         try:
@@ -820,29 +833,79 @@ def serve(
 
 
 class LocalNode:
-    """A ``repro worker serve`` subprocess on this machine."""
+    """A ``repro worker serve`` subprocess on this machine.
+
+    Construction waits up to ``spawn_timeout`` seconds for the node to
+    announce its address on ``proc.stdout``.  A node that exits, closes
+    its stdout or never announces (an import hang, a wedged
+    interpreter, a wrong entry point) cannot hang the spawner: it is
+    reaped, its pipe closed, and a ``RuntimeError`` carries its output.
+    """
 
     def __init__(
-        self, proc: subprocess.Popen, host: str, port: int
+        self,
+        proc: subprocess.Popen,
+        spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
     ) -> None:
         self.proc = proc
-        self.host = host
-        self.port = port
+        self.host: str | None = None
+        self.port: int | None = None
         #: Most recent output lines, for post-mortem diagnostics; the
         #: drain thread keeps the pipe from ever filling (a full 64KB
         #: pipe would block a chatty node mid-write and hang its run).
         self.output_tail: deque[str] = deque(maxlen=50)
+        self._announced = threading.Event()  # READY line or EOF
         self._drainer = threading.Thread(
-            target=self._drain, daemon=True, name=f"repro-node-drain-{port}"
+            target=self._drain, daemon=True, name=f"repro-drain-{proc.pid}"
         )
         self._drainer.start()
+        deadline = time.monotonic() + spawn_timeout
+        self._announced.wait(spawn_timeout)
+        if self.port is not None:
+            return
+        if not self._announced.is_set():
+            problem = (
+                f"produced no {READY_PREFIX.strip()!r} line within "
+                f"{spawn_timeout}s; killed it; output so far:\n"
+            )
+        else:
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+                problem = (
+                    "exited before announcing its address (exit code "
+                    f"{proc.returncode}); output:\n"
+                )
+            except subprocess.TimeoutExpired:
+                problem = (
+                    "closed stdout without announcing its address and "
+                    f"stayed alive past the {spawn_timeout}s spawn "
+                    "deadline; killed it; output so far:\n"
+                )
+        proc.kill()
+        proc.wait()
+        # EOF comes with the exit, unless a child of the node holds the
+        # pipe too; the drainer then closes it when that child exits.
+        self._drainer.join(timeout=5)
+        raise RuntimeError(
+            "worker node " + problem + "".join(self.output_tail)
+        )
 
     def _drain(self) -> None:
+        """The pipe's only reader: take the address off the READY line,
+        keep every other line, close the pipe at EOF."""
         try:
             for line in self.proc.stdout:
-                self.output_tail.append(line)
-        except ValueError:
-            pass  # stdout closed by terminate()
+                if self.port is None and line.startswith(READY_PREFIX):
+                    host, _, port = (
+                        line[len(READY_PREFIX) :].strip().rpartition(":")
+                    )
+                    self.host, self.port = host, int(port)
+                    self._announced.set()
+                else:
+                    self.output_tail.append(line)
+        finally:
+            self.proc.stdout.close()
+            self._announced.set()
 
     @property
     def address(self) -> str:
@@ -891,8 +954,6 @@ class LocalNode:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-        if self.proc.stdout is not None:
-            self.proc.stdout.close()
 
     def __repr__(self) -> str:
         state = "live" if self.proc.poll() is None else "dead"
@@ -920,84 +981,6 @@ def _worker_env() -> dict:
         paths.append(existing)
     env["PYTHONPATH"] = os.pathsep.join(paths)
     return env
-
-
-def _read_ready_line(
-    proc: subprocess.Popen, timeout: float = DEFAULT_SPAWN_TIMEOUT
-) -> tuple[str, int]:
-    """Parse the READY line off a node's stdout, under a deadline.
-
-    A node that prints output but never the READY line (import hang,
-    wedged interpreter, wrong entry point) used to block the spawner
-    in ``readline()`` forever; now it is reaped at ``timeout`` and the
-    error carries the captured output tail.  Reads the raw fd
-    non-blocking (restored before handing off to the LocalNode drain
-    thread) so a partial line cannot stall the deadline.
-    """
-    fd = proc.stdout.fileno()
-    os.set_blocking(fd, False)
-    deadline = time.monotonic() + timeout
-    buffer = b""
-    lines: list[str] = []
-    try:
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                proc.kill()
-                proc.wait()
-                tail = "".join(lines[-50:])
-                raise RuntimeError(
-                    "worker node produced no "
-                    f"{READY_PREFIX.strip()!r} line within {timeout}s; "
-                    "killed it; output so far:\n" + tail
-                )
-            if not _wait_readable(fd, min(remaining, 0.5)):
-                if proc.poll() is not None and not buffer:
-                    raise RuntimeError(
-                        "worker node exited before announcing its "
-                        f"address (exit code {proc.returncode}); "
-                        "output:\n" + "".join(lines)
-                    )
-                continue
-            try:
-                data = os.read(fd, 1 << 16)
-            except BlockingIOError:
-                continue
-            if not data:
-                # stdout EOF: usually the node exited — but a child
-                # that closed its stdout while staying alive must not
-                # hang the spawner in an unbounded wait; reap it under
-                # the same deadline instead.
-                try:
-                    proc.wait(
-                        timeout=max(0.0, deadline - time.monotonic())
-                    )
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-                    raise RuntimeError(
-                        "worker node closed stdout without announcing "
-                        "its address and stayed alive past the "
-                        f"{timeout}s spawn deadline; killed it; "
-                        "output so far:\n" + "".join(lines)
-                    ) from None
-                raise RuntimeError(
-                    "worker node exited before announcing its address "
-                    f"(exit code {proc.returncode}); output:\n"
-                    + "".join(lines)
-                )
-            buffer += data
-            while b"\n" in buffer:
-                raw, buffer = buffer.split(b"\n", 1)
-                line = raw.decode(errors="replace") + "\n"
-                if line.startswith(READY_PREFIX):
-                    host, _, port_text = (
-                        line[len(READY_PREFIX) :].strip().rpartition(":")
-                    )
-                    return host, int(port_text)
-                lines.append(line)
-    finally:
-        os.set_blocking(fd, True)
 
 
 def spawn_local_nodes(
@@ -1033,8 +1016,7 @@ def spawn_local_nodes(
                 env=env,
                 text=True,
             )
-            host, port = _read_ready_line(proc, spawn_timeout)
-            nodes.append(LocalNode(proc, host, port))
+            nodes.append(LocalNode(proc, spawn_timeout))
     except BaseException:
         _terminate_nodes(nodes)
         raise
@@ -1044,46 +1026,6 @@ def spawn_local_nodes(
 # --------------------------------------------------------------------------
 # Coordinator
 # --------------------------------------------------------------------------
-
-
-class ChunkBoard:
-    """Reassembles chunk results into submission order, thread-safely.
-
-    Chunks complete in whatever order nodes finish (and a requeued
-    chunk may even complete twice — trials are pure, so duplicates are
-    identical and placement is idempotent); the board keys everything
-    by batch offset so the final list is always in submission order.
-    """
-
-    def __init__(self, total: int) -> None:
-        self._results: list = [None] * total
-        self._placed = [False] * total
-        self._filled = 0
-        self._lock = threading.Lock()
-
-    def place(self, start: int, results: Sequence) -> None:
-        if start < 0 or start + len(results) > len(self._results):
-            raise ProtocolError(
-                f"chunk at offset {start} with {len(results)} results "
-                f"overflows a {len(self._results)}-trial batch"
-            )
-        with self._lock:
-            for offset, result in enumerate(results):
-                index = start + offset
-                if not self._placed[index]:
-                    self._placed[index] = True
-                    self._filled += 1
-                self._results[index] = result
-
-    @property
-    def complete(self) -> bool:
-        return self._filled == len(self._results)
-
-    def results(self) -> list:
-        if not self.complete:
-            missing = sum(1 for placed in self._placed if not placed)
-            raise RuntimeError(f"batch incomplete: {missing} trials unplaced")
-        return list(self._results)
 
 
 class _Task:
@@ -1100,6 +1042,20 @@ class _Task:
         first, last = self.chunk[0].key, self.chunk[-1].key
         span = f"{first!r}" if len(self.chunk) == 1 else f"{first!r}..{last!r}"
         return f"offset {self.start} (keys {span})"
+
+
+def _unbilled_send(nodes: Sequence[_Node], send, *args) -> None:
+    """Call ``send(*args)``, then move the start of every node's
+    silence clock on by the time it took: the loop was not listening
+    meanwhile.  The clocks move, never reset, so a wedged node stays
+    charged for the silence it kept while the loop listened."""
+    started = time.monotonic()
+    try:
+        send(*args)
+    finally:
+        spent = time.monotonic() - started
+        for node in nodes:
+            node.quiet_since += spent
 
 
 def _checked_results(node: _Node, task: _Task, results) -> list:
@@ -1127,44 +1083,6 @@ def _checked_results(node: _Node, task: _Task, results) -> list:
     return results
 
 
-class _RunState:
-    """Completion/failure bookkeeping shared by the node threads."""
-
-    def __init__(self, total_chunks: int, live_nodes: int, retries: int):
-        self.total = total_chunks
-        self.retries = retries
-        self.completed = 0
-        self.live = live_nodes
-        self.failure: BaseException | None = None
-        self._cond = threading.Condition()
-
-    @property
-    def finished(self) -> bool:
-        return self.failure is not None or self.completed == self.total
-
-    def chunk_done(self) -> None:
-        with self._cond:
-            self.completed += 1
-            self._cond.notify_all()
-
-    def fail(self, exc: BaseException) -> None:
-        with self._cond:
-            if self.failure is None:
-                self.failure = exc
-            self._cond.notify_all()
-
-    def node_exit(self) -> None:
-        with self._cond:
-            self.live -= 1
-            self._cond.notify_all()
-
-    def wait(self) -> None:
-        """Block until done, failed, or every node thread has exited."""
-        with self._cond:
-            while not self.finished and self.live > 0:
-                self._cond.wait(timeout=0.5)
-
-
 class _Node:
     """Coordinator-side handle on one worker node connection."""
 
@@ -1179,6 +1097,18 @@ class _Node:
         # not re-dialed (at full connect_timeout) before every batch.
         self.heal_backoff = 0.0
         self.heal_at = 0.0  # monotonic deadline for the next attempt
+        # Its share of the batch in hand, reset by begin_batch.
+        self.inflight: dict[int, _Task] = {}  # shipped, by offset
+        self.draining = False  # refused a chunk: ship it nothing more
+        self.quiet_since = 0.0  # start of the silence it is charged for
+        self.last_ping = 0.0
+        self.seen_bytes = 0  # stream.bytes_received when last looked
+
+    def begin_batch(self, now: float) -> None:
+        self.inflight = {}
+        self.draining = False
+        self.quiet_since = self.last_ping = now
+        self.seen_bytes = self.stream.bytes_received
 
     def label(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
@@ -1188,9 +1118,9 @@ class _Node:
         # Sends stay bounded for the stream's whole life: a peer that
         # stops reading (wedged node, full buffer) times the send out,
         # which the coordinator treats as a lost node.  Every read —
-        # the handshake here, recv polling afterwards — carries its
-        # own explicit timeout, so no coordinator thread can block
-        # forever on a wedged node.
+        # the handshake here, the batch loop's polls afterwards —
+        # carries its own explicit timeout, so the coordinator never
+        # blocks forever on a wedged node.
         self.stream = MessageStream(sock, send_timeout=timeout)
         try:
             self._handshake(timeout)
@@ -1472,156 +1402,55 @@ class ClusterRunner(TrialRunner):
             return execute_specs(specs)
         nodes = self._ensure_nodes()
         width = sum(node.workers for node in nodes)
-        chunks = split_chunks(
-            specs, pick_chunksize(len(specs), width, self.chunksize)
-        )
-        board = ChunkBoard(len(specs))
-        tasks: queue.Queue = queue.Queue()
-        for start, chunk in chunks:
-            tasks.put(_Task(start, chunk))
-        state = _RunState(
-            total_chunks=len(chunks),
-            live_nodes=len(nodes),
-            retries=self.retries,
-        )
-        threads = [
-            threading.Thread(
-                target=self._node_loop,
-                args=(node, tasks, board, state),
-                daemon=True,
-                name=f"repro-cluster-{node.label()}",
+        pending = deque(
+            _Task(start, chunk)
+            for start, chunk in split_chunks(
+                specs, pick_chunksize(len(specs), width, self.chunksize)
             )
-            for node in nodes
-        ]
-        for thread in threads:
-            thread.start()
+        )
+        results: list = [None] * len(specs)
+        unplaced = len(pending)
+        now = time.monotonic()
+        for node in nodes:
+            node.begin_batch(now)
         try:
-            state.wait()
+            while unplaced:
+                self._supervise(nodes, pending)
+                self._feed(nodes, pending)
+                live = [node for node in nodes if node.alive]
+                if not live:
+                    described = "; ".join(t.describe() for t in pending)
+                    raise TrialExecutionError(
+                        ("<cluster>",),
+                        f"all cluster nodes lost with {len(pending)} "
+                        f"chunk(s) unfinished: {described}",
+                    )
+                ready = _wait_readable([n.stream for n in live], 0.05)
+                for node in live:
+                    if node.stream in ready:
+                        unplaced -= self._collect(node, pending, results)
         except BaseException:
-            # Fail fast on Ctrl-C: drop connections (which unblocks any
-            # thread mid-recv) instead of finishing the sweep first.
+            # A failed batch or Ctrl-C fails fast and drops every
+            # connection: the chunks still in flight would otherwise
+            # answer into the next batch.
             self._discard_nodes()
             raise
-        failure = state.failure
-        if failure is None and not board.complete:
-            lost = []
-            while True:
-                try:
-                    lost.append(tasks.get_nowait())
-                except queue.Empty:
+        return results
+
+    def _feed(self, nodes: list[_Node], pending: deque) -> None:
+        """Ship each live node chunks up to its announced width."""
+        for node in nodes:
+            while pending and node.alive and not node.draining:
+                if len(node.inflight) >= node.workers:
                     break
-            described = "; ".join(task.describe() for task in lost)
-            failure = TrialExecutionError(
-                ("<cluster>",),
-                f"all cluster nodes lost with {len(lost)} chunk(s) "
-                f"unfinished: {described or 'chunks still in flight'}",
-            )
-        if failure is not None:
-            self._discard_nodes()  # unblocks threads stuck in recv
-            for thread in threads:
-                thread.join(timeout=5)
-            raise failure
-        for thread in threads:
-            thread.join(timeout=5)
-        return board.results()
-
-    def _requeue(self, tasks, task: _Task, state: _RunState, cause) -> bool:
-        """Give a lost chunk another node (False = retry cap blown)."""
-        if task.attempts >= state.retries:
-            state.fail(
-                TrialExecutionError(
-                    ("<cluster>",),
-                    f"chunk at {task.describe()} lost after "
-                    f"{task.attempts + 1} node failure(s) "
-                    f"(retry cap {state.retries}): {cause}",
-                )
-            )
-            return False
-        task.attempts += 1
-        tasks.put(task)
-        return True
-
-    def _node_loop(self, node, tasks, board, state) -> None:
-        """One thread per node: ship chunks, collect, supervise."""
-        inflight: dict[int, _Task] = {}
-        try:
-            try:
-                self._pump_node(node, tasks, board, state, inflight)
-            except TrialExecutionError as exc:
-                # A poison chunk: the run is wrong, not the node.  The
-                # connection may hold a half-written frame, so drop it
-                # too.
-                node.close()
-                state.fail(exc)
-            except Exception as exc:
-                # Transport fault, heartbeat expiry, or a reply that
-                # breaks the protocol (a ProtocolError, or a malformed
-                # body raising KeyError, TypeError, ...): the node is
-                # gone or not to be trusted, so drop it and requeue its
-                # in-flight chunks to survivors under the retry cap.
-                node.close()
-                cause = f"{type(exc).__name__}: {exc}"
-                if not state.finished:
-                    for task in inflight.values():
-                        if not self._requeue(tasks, task, state, cause):
-                            break
-        finally:
-            state.node_exit()
-
-    def _pump_node(self, node, tasks, board, state, inflight) -> None:
-        """Drive one node until the batch finishes or the node fails.
-
-        Keeps up to the node's announced pool width of chunks in
-        flight, polls the socket with short timeouts (never a blocking
-        read), pings on the heartbeat interval and raises
-        :class:`_NodeLost` when the node goes silent past the deadline.
-        """
-        deadline = self.heartbeat
-        interval = deadline / 3.0 if deadline else 0.0
-        now = time.monotonic()
-        # Start of the silence window the node is held accountable
-        # for: reset on every frame received AND after every
-        # potentially-long blocking chunk send, during which this
-        # thread was not listening — silence while *we* were busy must
-        # not condemn the node.
-        # Deliberately NOT reset on ping sends: a tiny ping to a wedged
-        # node still lands in kernel buffers, so resetting there would
-        # let a wedged node evade the deadline forever.
-        quiet_since = now
-        last_ping = now
-        seen_bytes = node.stream.bytes_received
-        draining = False
-        while True:
-            if draining and not inflight:
-                # Nothing left in hand on a node that refuses new
-                # work: retire the connection — closed, so the next
-                # batch on a persistent runner routes the address
-                # through the heal/backoff path instead of shipping
-                # chunks to a corpse.  Checked ahead of the finished
-                # early-return: a draining node whose in-hand chunk
-                # completed the batch must still be retired, not left
-                # looking alive.
-                node.close()
-                return
-            if state.finished:
-                return
-            while not draining and len(inflight) < node.workers:
+                task = pending.popleft()
+                # In flight before the send: a transport fault requeues
+                # it with the node's other chunks.
+                node.inflight[task.start] = task
                 try:
-                    task = tasks.get_nowait()
-                except queue.Empty:
-                    break
-                if state.finished:
-                    tasks.put(task)
-                    return
-                try:
-                    self._ship_task(node, task)
-                except (ConnectionError, ProtocolError, OSError):
-                    # Transport: count the chunk with this node's
-                    # losses so the outer handler requeues it.
-                    inflight[task.start] = task
-                    raise
-                except TrialExecutionError:
-                    raise
+                    _unbilled_send(nodes, self._ship_task, node, task)
+                except OSError as exc:
+                    self._drop(node, exc, pending)
                 except Exception as exc:
                     # Not a transport fault: the chunk itself is the
                     # problem (e.g. a spec that does not pickle).  A
@@ -1630,76 +1459,124 @@ class ClusterRunner(TrialRunner):
                     raise TrialExecutionError(
                         ("<cluster>",),
                         f"chunk at {task.describe()} could not be "
-                        f"shipped or collected: "
-                        f"{type(exc).__name__}: {exc}",
+                        f"shipped: {type(exc).__name__}: {exc}",
                     ) from exc
-                inflight[task.start] = task
-                # The ship may have blocked past the deadline; the
-                # node owes nothing for that stretch.
-                quiet_since = time.monotonic()
-            now = time.monotonic()
-            if deadline and now - last_ping >= interval:
-                node.stream.send(("ping", {"at": now}))
-                last_ping = now
-            message = node.stream.recv(timeout=0.05)
-            received = node.stream.bytes_received
-            if received != seen_bytes:
-                # Bytes arrived even if no message completed yet: a
-                # reply frame larger than deadline × bandwidth is mid
-                # transfer, which is proof of life, not a wedge.
-                seen_bytes = received
-                quiet_since = time.monotonic()
-            if message is None:
-                now = time.monotonic()
-                if deadline and now - quiet_since > deadline:
-                    raise _NodeLost(
-                        f"node {node.label()} sent nothing for "
-                        f"{now - quiet_since:.1f}s (heartbeat deadline "
-                        f"{deadline}s); presumed wedged"
-                    )
-                continue
-            quiet_since = time.monotonic()
-            kind, body = message
-            if kind == "pong":
-                continue
-            if kind == "failed":
-                state.fail(
-                    TrialExecutionError(
-                        tuple(body["key"]), body["detail"]
-                    )
-                )
-                return
-            task = inflight.get(body.get("chunk")) if body else None
-            if task is None:
-                raise ProtocolError(
-                    f"unexpected reply kind {kind!r} from "
-                    f"{node.label()} (no such chunk in flight)"
-                )
-            if kind == "done":
-                results = _checked_results(node, task, body.get("results"))
-                del inflight[task.start]
-                board.place(task.start, results)
-                state.chunk_done()
-            elif kind == "lost":
-                del inflight[task.start]
-                if body.get("draining"):
-                    # A graceful drain refusal is not a chunk failure:
-                    # hand the chunk back without charging a retry and
-                    # stop feeding this connection — otherwise a node
-                    # mid-shutdown would bounce the chunk back in
-                    # milliseconds, burn the whole retry budget and
-                    # fail a batch its healthy peers could finish.
-                    # Chunks already in hand still complete and reply.
-                    draining = True
-                    tasks.put(task)
+
+    def _collect(self, node: _Node, pending: deque, results: list) -> int:
+        """Handle every reply ``node`` has sent; returns the number of
+        chunks placed in ``results``.
+
+        A broken connection or a reply that breaks the protocol (a
+        :class:`ProtocolError`, or a malformed body raising
+        ``KeyError``, ``TypeError``, ...) means the node is gone or not
+        to be trusted: it is dropped and its chunks requeue.  A
+        ``failed`` reply fails the run.
+        """
+        placed = 0
+        try:
+            while (message := node.stream.recv(timeout=0)) is not None:
+                kind, body = message
+                if kind == "pong":
                     continue
-                reason = body.get("reason", "node abandoned the chunk")
-                if not self._requeue(tasks, task, state, reason):
-                    return
-            else:
-                raise ProtocolError(
-                    f"unexpected reply kind {kind!r} from {node.label()}"
+                if kind == "failed":
+                    key, detail = tuple(body["key"]), body["detail"]
+                    raise TrialExecutionError(key, detail)
+                task = node.inflight.get(body.get("chunk"))
+                if task is None:
+                    raise ProtocolError(
+                        f"unexpected reply kind {kind!r} from "
+                        f"{node.label()} (no such chunk in flight)"
+                    )
+                if kind == "done":
+                    done = _checked_results(node, task, body.get("results"))
+                    del node.inflight[task.start]
+                    results[task.start : task.start + len(done)] = done
+                    placed += 1
+                elif kind == "lost":
+                    del node.inflight[task.start]
+                    if body.get("draining"):
+                        # A graceful drain refusal is not a chunk
+                        # failure: hand the chunk back without charging
+                        # a retry and ship this node nothing more, or a
+                        # node mid-shutdown would bounce chunks back in
+                        # milliseconds, burn the retry budget and fail
+                        # a batch its healthy peers could finish.  The
+                        # chunks in its hand still complete and reply.
+                        node.draining = True
+                        pending.append(task)
+                    else:
+                        reason = body.get("reason", "node abandoned the chunk")
+                        self._requeue(task, pending, reason)
+                else:
+                    raise ProtocolError(
+                        f"unexpected reply kind {kind!r} from "
+                        f"{node.label()}"
+                    )
+        except TrialExecutionError:
+            raise
+        except Exception as exc:
+            self._drop(node, exc, pending)
+        if node.draining and not node.inflight:
+            # Nothing left in hand on a node that refuses new work:
+            # retire the connection, so the next batch routes the
+            # address through the heal/backoff path instead of shipping
+            # chunks to a corpse.  This runs before the batch can end,
+            # so the node whose last chunk completes it is retired too.
+            node.close()
+        return placed
+
+    def _supervise(self, nodes: list[_Node], pending: deque) -> None:
+        """Drop each live node silent past the heartbeat deadline, and
+        ping the others every third of it.
+
+        Bytes that arrived count as life even when no message completed
+        yet: a reply frame larger than deadline × bandwidth is mid
+        transfer, not wedged.
+        """
+        if not self.heartbeat:
+            return
+        now = time.monotonic()
+        for node in nodes:
+            if not node.alive:
+                continue
+            if node.stream.bytes_received != node.seen_bytes:
+                node.seen_bytes = node.stream.bytes_received
+                node.quiet_since = now
+            elif now - node.quiet_since > self.heartbeat:
+                lost = TimeoutError(
+                    f"node {node.label()} sent nothing for "
+                    f"{now - node.quiet_since:.1f}s (heartbeat deadline "
+                    f"{self.heartbeat}s); presumed wedged"
                 )
+                self._drop(node, lost, pending)
+                continue
+            if now - node.last_ping >= self.heartbeat / 3.0:
+                node.last_ping = now
+                try:
+                    _unbilled_send(
+                        nodes, node.stream.send, ("ping", {"at": now})
+                    )
+                except OSError as exc:
+                    self._drop(node, exc, pending)
+
+    def _drop(self, node: _Node, cause: Exception, pending: deque) -> None:
+        """Close a failed node, then requeue its chunks under the cap."""
+        node.close()
+        lost, node.inflight = node.inflight, {}
+        for task in lost.values():
+            self._requeue(task, pending, f"{type(cause).__name__}: {cause}")
+
+    def _requeue(self, task: _Task, pending: deque, cause) -> None:
+        """Give a lost chunk another node; raise once its retries run out."""
+        if task.attempts >= self.retries:
+            raise TrialExecutionError(
+                ("<cluster>",),
+                f"chunk at {task.describe()} lost after "
+                f"{task.attempts + 1} node failure(s) "
+                f"(retry cap {self.retries}): {cause}",
+            )
+        task.attempts += 1
+        pending.append(task)
 
     def _ship_task(self, node: _Node, task: _Task) -> None:
         """Send one chunk; its pickle carries the chunk's workloads."""

@@ -25,9 +25,9 @@ into **one** batch: a single sweep point's trials then interleave with
 every other point's across the pool, instead of parallelism stopping at
 the point boundary.
 
-Runner *construction* lives in :mod:`repro.runtime.backends` (the
-backend registry behind ``make_runner``); this module provides the
-in-process runners plus the chunking helpers every batch scheduler
+Runner *construction* lives in :mod:`repro.runtime.backends`
+(``make_runner`` over a closed set of backends); this module provides
+the in-process runners plus the chunking helpers every batch scheduler
 shares — :func:`pick_chunksize` and :func:`split_chunks` are also what
 the socket executor in :mod:`repro.runtime.cluster` builds on.
 """

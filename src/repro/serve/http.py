@@ -5,6 +5,10 @@ on :func:`asyncio.start_server` — request line, headers, optional
 ``Content-Length`` body, one request per connection (responses carry
 ``Connection: close``).  That is all the service needs, and it keeps
 the wire layer auditable instead of adding a framework dependency.
+Every request is bounded: it must arrive whole within
+:data:`REQUEST_TIMEOUT` seconds (else the connection closes
+unanswered), with at most :data:`MAX_HEADERS` header lines (else 431)
+and a body of at most :data:`MAX_BODY` bytes (else 413).
 
 Endpoints
 ---------
@@ -60,9 +64,14 @@ MAX_BODY = 1 << 20
 STREAM_POLL_MIN_SECONDS = 0.001
 STREAM_POLL_MAX_SECONDS = 0.05
 
-#: Seconds a client may take to send its request before the
-#: connection is dropped (slowloris guard).
+#: Seconds a client may take to send its whole request (request line,
+#: headers and body) before the connection is dropped unanswered
+#: (slowloris guard).
 REQUEST_TIMEOUT = 30.0
+
+#: Most header lines a request may carry (``http.client``'s own
+#: limit); one more is answered 431 before any body is read.
+MAX_HEADERS = 100
 
 _REASONS = {
     200: "OK",
@@ -71,6 +80,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -125,7 +135,9 @@ class ExperimentService:
     async def _handle(self, reader, writer) -> None:
         try:
             try:
-                method, path, query, body = await self._read_request(reader)
+                method, path, query, body = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_TIMEOUT
+                )
             except _HttpError as exc:
                 await self._send_json(
                     writer, exc.status, {"error": exc.message}
@@ -162,9 +174,7 @@ class ExperimentService:
                 pass
 
     async def _read_request(self, reader):
-        request_line = await asyncio.wait_for(
-            reader.readline(), REQUEST_TIMEOUT
-        )
+        request_line = await reader.readline()
         if not request_line.strip():
             raise ValueError("empty request")
         try:
@@ -174,10 +184,14 @@ class ExperimentService:
         except ValueError:
             raise _HttpError(400, "malformed request line") from None
         headers = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), REQUEST_TIMEOUT)
+        for count in range(MAX_HEADERS + 1):
+            line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count == MAX_HEADERS:
+                raise _HttpError(
+                    431, f"more than {MAX_HEADERS} header lines"
+                )
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
@@ -188,9 +202,7 @@ class ExperimentService:
             raise _HttpError(413, f"body exceeds {MAX_BODY} bytes")
         body = b""
         if length:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), REQUEST_TIMEOUT
-            )
+            body = await reader.readexactly(length)
         parts = urlsplit(target)
         query = {
             key: values[-1]

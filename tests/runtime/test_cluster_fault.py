@@ -41,11 +41,11 @@ from repro.runtime import (
 from repro.runtime import testing as kit
 from repro.runtime.cluster import (
     PROTOCOL_VERSION,
+    READY_PREFIX,
     LocalNode,
     MessageStream,
     ProtocolError,
     _Node,
-    _read_ready_line,
     _terminate_nodes,
     encode_frame,
     spawn_local_nodes,
@@ -344,6 +344,77 @@ def test_slow_shipment_does_not_trip_heartbeat(monkeypatch):
             assert runner.run_values(kit.square_specs(4)) == [0, 1, 4, 9]
     finally:
         server.close()
+
+
+def test_silent_node_is_dropped_while_a_peer_keeps_working():
+    # One fake node welcomes the runner, then never answers, not even
+    # a ping; beside it a node answers each chunk 0.1s late, so chunks
+    # ship to it all batch long.  Those sends must not restart the
+    # silent node's clock: it is dropped at the heartbeat deadline, and
+    # its chunk requeues to the peer, long before the batch ends.
+    server, port = _listener()
+    closed = []
+
+    def silent():
+        try:
+            conn, _ = server.accept()
+        except OSError:
+            return
+        stream = MessageStream(conn)
+        try:
+            stream.recv(timeout=10)
+            stream.send(_welcome())
+            while True:
+                stream.recv()
+        except (ConnectionError, ProtocolError, OSError):
+            closed.append(time.monotonic())
+        finally:
+            stream.close()
+
+    def late_done(body):
+        time.sleep(0.1)
+        return _done_reply(body)
+
+    threading.Thread(target=silent, daemon=True).start()
+    peer, peer_address = _start_fake_node(late_done)
+    try:
+        with ClusterRunner(
+            nodes=[f"127.0.0.1:{port}", peer_address],
+            chunksize=1,
+            heartbeat=1.0,
+        ) as runner:
+            start = time.monotonic()
+            assert runner.run_values(kit.square_specs(40)) == [
+                i * i for i in range(40)
+            ]
+            elapsed = time.monotonic() - start
+    finally:
+        server.close()
+        peer.close()
+    assert elapsed > 3.5  # forty 0.1s answers from one node
+    assert closed, "the silent node's connection was never closed"
+    assert closed[0] - start < 2.0
+
+
+def test_a_batch_starts_no_thread(monkeypatch):
+    # One loop on the calling thread runs the batch: once connected,
+    # a run starts no thread, whatever the number of nodes and chunks.
+    def refuse(thread):
+        raise AssertionError(f"the batch started thread {thread.name}")
+
+    fakes = [_start_fake_node(_done_reply, workers=2) for _ in range(2)]
+    try:
+        with ClusterRunner(
+            nodes=[address for _, address in fakes], chunksize=1
+        ) as runner:
+            assert runner.run_values(kit.square_specs(2)) == [0, 1]
+            monkeypatch.setattr(threading.Thread, "start", refuse)
+            assert runner.run_values(kit.square_specs(12)) == [
+                i * i for i in range(12)
+            ]
+    finally:
+        for server, _ in fakes:
+            server.close()
 
 
 def test_heartbeat_zero_disables_supervision():
@@ -714,14 +785,16 @@ def test_every_node_is_signalled_before_any_is_reaped(force):
 
 
 def _local_sleeper(code="import time; time.sleep(60)"):
-    """A LocalNode around a plain child process (no node inside)."""
+    """A LocalNode around a plain child process (no node inside) that
+    announces a made-up address, then runs ``code``."""
+    ready = f"print({READY_PREFIX + '127.0.0.1:0'!r}, flush=True)"
     proc = subprocess.Popen(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"{ready}; {code}"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
-    node = LocalNode(proc, "127.0.0.1", 0)
+    node = LocalNode(proc)
     sent = []
     send = proc.send_signal
 
@@ -861,9 +934,10 @@ def test_spawn_hang_without_ready_line_is_reaped():
     )
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="warming up"):
-        _read_ready_line(proc, timeout=1.0)
+        LocalNode(proc, spawn_timeout=1.0)
     assert time.monotonic() - start < 10
     assert proc.poll() is not None  # reaped, not leaked
+    assert proc.stdout.closed
 
 
 def test_spawn_stdout_eof_with_live_process_is_reaped():
@@ -884,9 +958,10 @@ def test_spawn_stdout_eof_with_live_process_is_reaped():
     )
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="stayed alive"):
-        _read_ready_line(proc, timeout=1.0)
+        LocalNode(proc, spawn_timeout=1.0)
     assert time.monotonic() - start < 10
     assert proc.poll() is not None  # reaped, not leaked
+    assert proc.stdout.closed
 
 
 def test_spawn_exit_before_ready_reports_output():
@@ -897,7 +972,8 @@ def test_spawn_exit_before_ready_reports_output():
         text=True,
     )
     with pytest.raises(RuntimeError, match="exited before announcing"):
-        _read_ready_line(proc, timeout=10.0)
+        LocalNode(proc, spawn_timeout=10.0)
+    assert proc.stdout.closed
 
 
 # -- rogue node ------------------------------------------------------------
@@ -988,6 +1064,16 @@ MALFORMED_REPLIES = {
     ),
     "done-without-body": lambda c: ("done",),
     "lost-with-list-body": lambda c: ("lost", [c]),
+    # A well-formed answer to a chunk this node does not hold (the
+    # next one: the honest node's, or none): the completion is
+    # refused, not placed a second time.
+    "done-for-another-chunk": lambda c: (
+        "done",
+        {
+            "chunk": c + 1,
+            "results": [TrialResult(key=("sq", c + 1), value=(c + 1) ** 2)],
+        },
+    ),
 }
 
 

@@ -5,9 +5,7 @@ deliberately socket-free, so hypothesis can drive it over arbitrary
 payloads and arbitrary read boundaries: every split of a frame stream
 must decode to the same messages in the same order, a torn tail must
 stay pending rather than decode to garbage, and wrong magic must be
-rejected.  Chunk reassembly (:class:`ChunkBoard`) gets the same
-treatment: any completion order — and duplicated completions, which
-requeued chunks can produce — must rebuild the batch in trial order.
+rejected.  Automatic chunking must cover every batch, in order.
 
 The pipelined protocol adds two concurrency surfaces, tested here over
 real socketpairs: :class:`MessageStream` sends racing from many
@@ -25,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.cluster import (
-    ChunkBoard,
     FrameReader,
     MessageStream,
     ProtocolError,
@@ -110,52 +107,7 @@ class TestFraming:
             FrameReader().feed(header + payload)
 
 
-@st.composite
-def completion_orders(draw):
-    """A batch, a chunking of it, and a permuted completion order."""
-    values = draw(st.lists(st.integers(), min_size=1, max_size=40))
-    size = draw(st.integers(min_value=1, max_value=len(values) + 5))
-    chunks = split_chunks(values, size)
-    order = draw(st.permutations(chunks))
-    return values, order
-
-
 class TestReassembly:
-    @settings(max_examples=80, deadline=None)
-    @given(case=completion_orders())
-    def test_out_of_order_completion_rebuilds_trial_order(self, case):
-        values, order = case
-        board = ChunkBoard(len(values))
-        for start, chunk in order:
-            board.place(start, chunk)
-        assert board.complete
-        assert board.results() == values
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=completion_orders())
-    def test_duplicate_completion_is_idempotent(self, case):
-        # A chunk requeued after a node death can complete twice (the
-        # first "done" raced the disconnect); placement must not care.
-        values, order = case
-        board = ChunkBoard(len(values))
-        for start, chunk in order:
-            board.place(start, chunk)
-            board.place(start, chunk)
-        assert board.complete
-        assert board.results() == values
-
-    def test_incomplete_board_refuses_results(self):
-        board = ChunkBoard(3)
-        board.place(0, [10])
-        assert not board.complete
-        with pytest.raises(RuntimeError, match="incomplete"):
-            board.results()
-
-    def test_overflowing_chunk_rejected(self):
-        board = ChunkBoard(3)
-        with pytest.raises(ProtocolError, match="overflows"):
-            board.place(2, [1, 2])
-
     @settings(max_examples=40, deadline=None)
     @given(
         total=st.integers(min_value=1, max_value=500),

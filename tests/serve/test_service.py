@@ -15,11 +15,14 @@ genuine HTTP.  The acceptance claims under test:
 """
 
 import json
+import socket
+import time
 
 import pytest
 
 from repro.experiments.registry import get_experiment
 from repro.runtime import SerialRunner
+from repro.serve import http
 from repro.serve.testing import (
     get_json,
     request,
@@ -296,3 +299,70 @@ class TestCacheStatsFromTheTally:
         assert scans == []
         assert health["cache_entries"] == stats["entries"] == 3000
         assert stats["bytes"] == store.total_bytes()
+
+
+def _exchange(service, request: bytes) -> bytes:
+    """Send raw request bytes; return every byte the service answers."""
+    with socket.create_connection(
+        (service.host, service.port), timeout=10
+    ) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(1 << 16):
+            reply += chunk
+    return reply
+
+
+class TestRequestBounds:
+    def test_more_than_100_header_lines_is_431_before_the_body(
+        self, service
+    ):
+        # http.client's own limit: 100 header lines are served, and a
+        # 101st is answered 431 before the body behind it is read, so
+        # the job it carries is never submitted.
+        lines = "".join(f"X-Line-{i}: {i}\r\n" for i in range(100))
+        reply = _exchange(
+            service, f"GET /healthz HTTP/1.1\r\n{lines}\r\n".encode()
+        )
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        body = json.dumps({"experiment": "E17", "scale": "tiny", "seed": 431})
+        reply = _exchange(
+            service,
+            (
+                f"POST /jobs HTTP/1.1\r\n{lines}"
+                f"Content-Length: {len(body)}\r\n\r\n{body}"
+            ).encode(),
+        )
+        assert reply.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+        )
+        assert b"more than 100 header lines" in reply
+        jobs = get_json(service, "/jobs")["jobs"]
+        assert not [job for job in jobs if job["seed"] == 431]
+
+    def test_whole_request_must_arrive_within_one_timeout(
+        self, service, monkeypatch
+    ):
+        # REQUEST_TIMEOUT bounds the whole request, not each line: a
+        # client that sends a header line every 0.3s is cut off,
+        # unanswered, once the timeout has passed since it connected.
+        monkeypatch.setattr(http, "REQUEST_TIMEOUT", 1.0)
+        reply = None
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            start = time.monotonic()
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            sock.settimeout(0.3)
+            try:
+                for i in range(20):
+                    try:
+                        reply = sock.recv(1024)
+                        break
+                    except TimeoutError:
+                        sock.sendall(f"X-Drip-{i}: {i}\r\n".encode())
+            except (ConnectionResetError, BrokenPipeError):
+                reply = b""
+            held = time.monotonic() - start
+        assert reply == b"", f"the service answered {reply!r:.80}"
+        assert held < 2.5
