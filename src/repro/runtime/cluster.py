@@ -25,7 +25,7 @@ Node-side execution pool
 A node executes chunks on a **process pool** of ``--node-workers``
 local workers (default ``os.cpu_count()``), so one many-core remote
 machine runs as many chunks at once as it has pool workers.  The
-connection thread only dispatches and replies — it never executes
+node's loop (below) only dispatches and replies — it never executes
 trials — so heartbeats are answered promptly however busy the pool
 is.  A pool worker that dies mid-chunk (crash, OOM kill) does not kill
 the node: the pool is rebuilt and the affected chunks are answered
@@ -67,8 +67,24 @@ every node's silence clock, which no send ever resets, so a wedged
 node cannot hide behind a busy peer.  The price of one thread is that
 a send blocked on a wedged peer's full buffer pauses every node, for
 at most the send bound (``connect_timeout``); only a wedged peer can
-block a send, because chunks are kilobytes and a healthy node's
-connection thread never stops reading.
+block a send, because chunks are kilobytes and a healthy node's loop
+reads every connection on each pass.
+
+The node loop
+-------------
+
+One loop on the node's main thread owns the listener and every
+coordinator connection.  Each pass waits at most 0.2 s on them and on
+a wake socket, to which a chunk's pool done-callback and the SIGTERM
+handler only write one byte; it accepts, answers ``hello`` and
+``ping``, submits each ``chunk`` to the pool and sends every finished
+chunk's reply itself.  The pool is forked from this thread,
+and the node starts no thread of its own.  The price of one thread is
+that a reply send blocked on a coordinator which stopped reading
+pauses every connection on the node, pings included, for at most
+:data:`NODE_SEND_TIMEOUT`.  A coordinator holds at most its announced
+width of chunks on a node, so that send blocks only once the
+coordinator's unread replies fill both sockets' buffers.
 
 Node discovery
 --------------
@@ -88,12 +104,12 @@ Wire format
 Frames are ``b"RPRO" + big-endian uint32 length + pickle payload``;
 :func:`encode_frame` / :class:`FrameReader` implement framing
 independently of sockets (and are property-tested over torn and
-partial reads).  :class:`MessageStream` serialises concurrent senders
-with a lock, so replies raced by pool callbacks and pongs never
-interleave mid-frame.  Messages are ``(kind, body)`` tuples; the
-handshake is ``("hello", {"version"})`` → ``("welcome", {"version",
-"pid", "workers"})`` (``workers``: the node's pool width, an ``int``
->= 1), then ``("chunk", {"chunk", "specs"})`` answered by one of
+partial reads).  One thread drives each :class:`MessageStream` at
+either end of a connection, so frames never interleave.  Messages are
+``(kind, body)`` tuples; the handshake is ``("hello", {"version"})``
+→ ``("welcome", {"version", "pid", "workers"})`` (``workers``: the
+node's pool width, an ``int`` >= 1), then ``("chunk", {"chunk",
+"specs"})`` answered by one of
 ``("done", {"chunk", "results"})`` (the chunk's pickled
 ``TrialResult`` list — the coordinator accepts it only with one result
 per spec, in order, each carrying its spec's key), ``("failed",
@@ -130,6 +146,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 import weakref
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -165,13 +182,12 @@ DEFAULT_SPAWN_TIMEOUT = 30.0
 #: Seconds a shutting-down node waits for in-flight chunks to finish.
 DEFAULT_DRAIN_TIMEOUT = 30.0
 
-#: Bound on a node-side reply send.  Replies go out on the execution
-#: pool's callback thread, which is shared by every connection: with
-#: no bound, one coordinator that stops reading (wedged, partitioned)
-#: would block that thread in ``sendall`` forever and stall chunk
-#: completions for *every* coordinator on a shared node.  A timed-out
-#: send drops only the wedged coordinator's reply; its own retry
-#: machinery re-runs the chunk elsewhere.
+#: Bound on a node-side send.  One loop sends every reply on a node:
+#: with no bound, one coordinator that stops reading (wedged,
+#: partitioned) would block that loop in ``sendall`` forever and stop
+#: the node serving *every* coordinator.  A timed-out send closes only
+#: the wedged coordinator's connection; its own retry machinery re-runs
+#: the chunks elsewhere.
 NODE_SEND_TIMEOUT = 60.0
 
 #: Bumped on any incompatible wire change; checked in the handshake.
@@ -279,16 +295,16 @@ def _wait_readable(streams: Sequence, timeout: float | None) -> list:
 class MessageStream:
     """A connected socket carrying framed messages, both directions.
 
-    ``send`` is safe under concurrency: a lock serialises senders, so a
-    pool callback replying ``done`` and the connection thread replying
-    ``pong`` can never interleave bytes mid-frame.  ``send_timeout``
-    bounds how long a send may block on a peer that stopped reading
-    (None = forever); a timed-out send leaves the stream torn and
-    raises ``TimeoutError`` (an ``OSError``), which the coordinator
-    treats as a lost node.  The bound is applied per ``send`` and the
-    socket's previous timeout restored afterwards — reads never
-    inherit it, so a connection that is simply idle between batches
-    is not torn down after ``send_timeout`` seconds of quiet.
+    A stream takes no lock: one thread drives it at each end of a
+    connection (a coordinator's loop, a node's loop), so frames never
+    interleave.  ``send_timeout`` bounds how long a send may block on
+    a peer that stopped reading (None = forever); a timed-out send
+    leaves the stream torn and raises ``TimeoutError`` (an
+    ``OSError``), which either end treats as a lost peer.  The bound
+    is set on the socket once: every read polls for readiness first,
+    so reads never feel it, and a connection that is simply idle
+    between batches is not torn down after ``send_timeout`` seconds of
+    quiet.
     """
 
     def __init__(
@@ -297,10 +313,10 @@ class MessageStream:
         send_timeout: float | None = None,
     ) -> None:
         self._sock = sock
+        if send_timeout is not None:
+            sock.settimeout(send_timeout)
         self._reader = FrameReader()
         self._pending: deque = deque()
-        self._send_lock = threading.Lock()
-        self._send_timeout = send_timeout
         #: Total bytes ever read off the socket.  Heartbeat supervision
         #: compares it across polls: a frame larger than deadline ×
         #: bandwidth completes no message for a while, but advancing
@@ -309,34 +325,15 @@ class MessageStream:
 
     def send(self, message) -> None:
         frame = encode_frame(message)  # pickle before any byte ships
-        with self._send_lock:
-            if self._send_timeout is None:
-                self._sock.sendall(frame)
-                return
-            previous = self._sock.gettimeout()
-            self._sock.settimeout(self._send_timeout)
-            try:
-                self._sock.sendall(frame)
-            finally:
-                # Restore even after a timeout (the stream is torn
-                # then, but the caller owns the close): the send bound
-                # must never outlive the send, or the next blocking
-                # ``recv`` would inherit it and tear down a perfectly
-                # healthy connection that merely sat idle.
-                try:
-                    self._sock.settimeout(previous)
-                except OSError:
-                    pass  # racing close; the stream is finished anyway
+        self._sock.sendall(frame)
 
     def recv(self, timeout: float | None = None):
         """Return the next message, or ``None`` on ``timeout`` seconds
         of quiet socket (``timeout=None`` blocks until a frame or EOF).
 
-        Readiness is polled (:func:`_wait_readable`) rather than
-        taken from the socket timeout, so a concurrent ``send`` (which
-        briefly applies ``send_timeout`` to the socket) can never leak
-        its bound into a blocking read — an idle connection stays up
-        indefinitely.
+        Readiness is polled (:func:`_wait_readable`) before each read
+        rather than taken from the socket timeout, so the send bound
+        never reaches a read: an idle connection stays up indefinitely.
 
         Raises :class:`ConnectionError` on orderly EOF between frames
         and :class:`ProtocolError` on EOF that tears a frame in half.
@@ -346,15 +343,9 @@ class MessageStream:
                 if not _wait_readable([self._sock], timeout):
                     return None
             except (OSError, ValueError):
-                # fd closed under us (peer teardown in another thread).
+                # The stream was closed before this read.
                 raise ConnectionError("connection closed") from None
-            try:
-                data = self._sock.recv(1 << 16)
-            except TimeoutError:
-                # A racing send's bound expired between the readiness
-                # poll and this read; the bytes are still there — poll
-                # again rather than misreport a dead connection.
-                continue
+            data = self._sock.recv(1 << 16)
             if not data:
                 if self._reader.mid_frame:
                     raise ProtocolError("connection closed mid-frame")
@@ -467,276 +458,71 @@ def node_process_pid() -> int | None:
     return _NODE_PID
 
 
-class _NodeServer:
-    """Per-process state behind :func:`serve`: the execution pool and
-    the drain bookkeeping, shared by every connection for the node's
-    lifetime."""
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self.stop = threading.Event()
-        self._pool: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._active = 0
-        self._idle = threading.Condition(self._lock)
-
-    def pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_node_pool_init,
-                    initargs=(os.getpid(),),
-                )
-            return self._pool
-
-    def discard_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Drop ``pool`` if it is still current (post-breakage); the
-        identity check keeps racing callbacks from killing a healthy
-        replacement."""
-        with self._lock:
-            mine = self._pool is pool
-            if mine:
-                self._pool = None
-        if mine:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def chunk_started(self) -> None:
-        with self._lock:
-            self._active += 1
-
-    def chunk_finished(self) -> None:
-        with self._idle:
-            self._active -= 1
-            self._idle.notify_all()
-
-    def drain(self, timeout: float) -> bool:
-        """Wait until no chunk is in flight; False on timeout."""
-        deadline = time.monotonic() + timeout
-        with self._idle:
-            while self._active > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
-
-    def shutdown_pool(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+def _nudge(waker: socket.socket) -> None:
+    """Wake the node loop with one byte on its wake socket; safe from a
+    pool callback thread and from a signal handler."""
+    try:
+        waker.send(b"\0")
+    except OSError:
+        pass  # a full buffer wakes the loop anyway; a closed one has no loop
 
 
-class _ChunkJob:
-    """One chunk executing on the node pool, with its reply route."""
+def _chunk_reply(chunk_id, future) -> tuple:
+    """The reply to a finished chunk: ``done``, ``failed``, or ``lost``
+    when the pool broke under it."""
+    exc = CancelledError() if future.cancelled() else future.exception()
+    if exc is None:
+        return ("done", {"chunk": chunk_id, "results": future.result()})
+    if isinstance(exc, (BrokenProcessPool, CancelledError)):
+        return (
+            "lost",
+            {
+                "chunk": chunk_id,
+                "reason": (
+                    "a node pool worker died mid-chunk "
+                    f"({type(exc).__name__}); pool rebuilt"
+                ),
+            },
+        )
+    if isinstance(exc, TrialExecutionError):
+        return (
+            "failed",
+            {"chunk": chunk_id, "key": exc.key, "detail": exc.detail},
+        )
+    return (
+        "failed",
+        {
+            "chunk": chunk_id,
+            "key": ("<node>",),
+            "detail": (
+                f"{type(exc).__name__}: {exc}\n"
+                + "".join(traceback.format_exception(exc))
+            ),
+        },
+    )
 
-    __slots__ = ("server", "stream", "chunk_id", "pool")
 
-    def __init__(self, server, stream, chunk_id) -> None:
-        self.server = server
-        self.stream = stream
-        self.chunk_id = chunk_id
-        self.pool = None  # executor the live future belongs to
-
-
-def _reply(stream: MessageStream, message, chunk_id) -> None:
-    """Send a chunk reply, surviving a gone coordinator and a reply
-    that will not pickle (reported as the trial failure it is)."""
+def _send(conns: set, stream: MessageStream, message) -> None:
+    """Send ``message`` if ``stream`` is still open, surviving a gone
+    coordinator and a reply that will not pickle (reported as the
+    trial failure it is)."""
+    if stream not in conns:
+        return  # closed already: the coordinator's supervision owns the loss
     try:
         stream.send(message)
-    except (ConnectionError, OSError):
+    except OSError:
         # Coordinator hung up, or stopped reading long enough to time
-        # the send out; either way its supervision owns the loss.  A
-        # timed-out sendall may have torn a frame, so the stream is
-        # dead: close it (which also unblocks the connection thread)
-        # rather than follow with garbage.
+        # the send out.  A timed-out sendall may have torn a frame, so
+        # the stream is dead: close it rather than follow with garbage.
+        conns.discard(stream)
         stream.close()
     except Exception as exc:
-        import traceback
-
-        try:
-            stream.send(
-                (
-                    "failed",
-                    {
-                        "chunk": chunk_id,
-                        "key": ("<node>",),
-                        "detail": (
-                            "chunk reply could not be serialised: "
-                            f"{type(exc).__name__}: {exc}\n"
-                            f"{traceback.format_exc()}"
-                        ),
-                    },
-                )
-            )
-        except (ConnectionError, OSError):
-            pass
-
-
-def _job_done(job: _ChunkJob, future) -> None:
-    """Pool completion callback: reply, or abandon the chunk
-    (``lost``) when the pool broke under it."""
-    chunk_id = job.chunk_id
-    try:
-        results = future.result()
-    except (BrokenProcessPool, CancelledError) as exc:
-        if job.pool is not None:
-            job.server.discard_pool(job.pool)
-        _finish_job(
-            job,
-            (
-                "lost",
-                {
-                    "chunk": chunk_id,
-                    "reason": (
-                        "a node pool worker died mid-chunk "
-                        f"({type(exc).__name__}); pool rebuilt"
-                    ),
-                },
-            ),
+        detail = (
+            "chunk reply could not be serialised: "
+            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
         )
-        return
-    except TrialExecutionError as err:
-        _finish_job(
-            job,
-            (
-                "failed",
-                {"chunk": chunk_id, "key": err.key, "detail": err.detail},
-            ),
-        )
-        return
-    except BaseException as exc:  # defensive: never die silently
-        import traceback
-
-        _finish_job(
-            job,
-            (
-                "failed",
-                {
-                    "chunk": chunk_id,
-                    "key": ("<node>",),
-                    "detail": (
-                        f"{type(exc).__name__}: {exc}\n"
-                        f"{traceback.format_exc()}"
-                    ),
-                },
-            ),
-        )
-        return
-    _finish_job(job, ("done", {"chunk": chunk_id, "results": results}))
-
-
-def _finish_job(job: _ChunkJob, message) -> None:
-    try:
-        _reply(job.stream, message, job.chunk_id)
-    finally:
-        job.server.chunk_finished()
-
-
-def _start_chunk(server: _NodeServer, stream: MessageStream, body) -> None:
-    chunk_id = body["chunk"]
-    if server.stop.is_set():
-        # Draining for shutdown: the chunks in hand finish, new ones
-        # are refused so the coordinator requeues them elsewhere.
-        _reply(
-            stream,
-            (
-                "lost",
-                {
-                    "chunk": chunk_id,
-                    "reason": "node draining for shutdown",
-                    # Tells the coordinator this is a graceful refusal,
-                    # not a chunk failure: requeue for free and stop
-                    # feeding this connection.
-                    "draining": True,
-                },
-            ),
-            chunk_id,
-        )
-        return
-    server.chunk_started()
-    job = _ChunkJob(server, stream, chunk_id)
-    try:
-        job.pool = server.pool()
-        future = job.pool.submit(execute_specs, body["specs"])
-    except Exception as exc:
-        _finish_job(
-            job,
-            (
-                "lost",
-                {
-                    "chunk": chunk_id,
-                    "reason": f"node pool unavailable: {exc}",
-                },
-            ),
-        )
-        return
-    future.add_done_callback(lambda f: _job_done(job, f))
-
-
-def _handle_connection(conn: socket.socket, server: _NodeServer) -> None:
-    """Serve one coordinator connection until it hangs up.
-
-    This thread only dispatches: chunks run on the node's process pool
-    and reply from its callbacks, so pings are answered promptly
-    however long the pool's chunks take.
-    """
-    stream = MessageStream(conn, send_timeout=NODE_SEND_TIMEOUT)
-    try:
-        while True:
-            try:
-                message = stream.recv()
-            except (ConnectionError, ProtocolError, OSError):
-                return
-            kind, body = message
-            try:
-                if kind == "hello":
-                    if body.get("version") != PROTOCOL_VERSION:
-                        stream.send(
-                            (
-                                "error",
-                                {
-                                    "detail": (
-                                        "protocol version mismatch: "
-                                        "node speaks "
-                                        f"{PROTOCOL_VERSION}, "
-                                        f"coordinator sent "
-                                        f"{body.get('version')!r}"
-                                    )
-                                },
-                            )
-                        )
-                        return
-                    stream.send(
-                        (
-                            "welcome",
-                            {
-                                "version": PROTOCOL_VERSION,
-                                "pid": os.getpid(),
-                                "workers": server.workers,
-                            },
-                        )
-                    )
-                elif kind == "chunk":
-                    _start_chunk(server, stream, body)
-                elif kind == "ping":
-                    stream.send(("pong", dict(body or {})))
-                else:
-                    stream.send(
-                        (
-                            "error",
-                            {"detail": f"unknown message kind {kind!r}"},
-                        )
-                    )
-                    return
-            except (ConnectionError, OSError):
-                # The coordinator vanished mid-exchange; nothing left
-                # to answer.  In-flight chunks reply through their own
-                # guarded path.
-                return
-    finally:
-        stream.close()
+        failure = {"chunk": message[1].get("chunk"), "key": ("<node>",)}
+        _send(conns, stream, ("failed", {**failure, "detail": detail}))
 
 
 def serve(
@@ -744,75 +530,187 @@ def serve(
     port: int = 0,
     *,
     node_workers: int | None = None,
-    ready_stream=None,
-    drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
 ) -> None:
     """Run a worker node: execute trial chunks for cluster coordinators.
 
     Binds ``host:port`` (``port=0`` picks an ephemeral port), announces
-    ``REPRO-WORKER LISTENING host:port`` on ``ready_stream`` (default
-    stdout), then serves coordinator connections — each on its own
-    thread — until the process is signalled.  Chunks execute on a
-    process pool of ``node_workers`` (argument, else
+    ``REPRO-WORKER LISTENING host:port`` on stdout, then serves every
+    coordinator connection from one loop on the calling thread (*The
+    node loop* above) until the process is signalled.  Chunks execute
+    on a process pool of ``node_workers`` (argument, else
     ``$REPRO_NODE_WORKERS``, else ``os.cpu_count()``) local workers;
-    the welcome announces that width to each coordinator.
+    the welcome announces that width to each coordinator.  A
+    connection that breaks or sends a malformed message is closed on
+    its own, and replies for its chunks are dropped.
 
     On ``SIGTERM`` (caught when serving from the main thread) the node
     drains: it stops accepting connections, refuses new chunks
-    (``lost`` replies let coordinators requeue them) and waits up to
-    ``drain_timeout`` seconds for the chunks in hand to finish before
-    exiting, so racing coordinators on a shared node never lose
+    (``lost`` replies let coordinators requeue them) and returns once
+    the chunks in hand are answered or ``DEFAULT_DRAIN_TIMEOUT`` seconds
+    have passed, so racing coordinators on a shared node never lose
     completed work.
     """
     if not 0 <= port <= 65535:
         raise ValueError(f"port must be in [0, 65535], got {port}")
-    state = _NodeServer(resolve("node_workers", node_workers))
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    interrupted = False
+    workers = resolve("node_workers", node_workers)
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    wake, waker = socket.socketpair()
+    wake.setblocking(False)
+    waker.setblocking(False)
+    conns: set[MessageStream] = set()
+    jobs: dict = {}  # chunks in hand: future -> (stream, chunk id, pool)
+    pool: ProcessPoolExecutor | None = None
+    stopping = False
     previous_term = None
     term_installed = False
-    if threading.current_thread() is threading.main_thread():
-        # SIGTERM (ClusterRunner.close, init systems, `kill`) starts
-        # the drain: the accept loop notices the flag within its poll
-        # interval, new chunks are refused, and the finally block
-        # below waits for the chunks in hand.  Only installable from
-        # the main thread.
-        def _on_term(signum, frame):
-            state.stop.set()
 
+    def on_term(signum, frame):
+        # SIGTERM (ClusterRunner.close, init systems, `kill`) starts
+        # the drain at the top of the loop's next pass.
+        nonlocal stopping
+        stopping = True
+        _nudge(waker)
+
+    def answer(stream: MessageStream, message) -> None:
+        nonlocal pool
+        kind, body = message
+        if kind == "hello" and body.get("version") == PROTOCOL_VERSION:
+            welcome = {
+                "version": PROTOCOL_VERSION,
+                "pid": os.getpid(),
+                "workers": workers,
+            }
+            _send(conns, stream, ("welcome", welcome))
+        elif kind == "ping":
+            _send(conns, stream, ("pong", dict(body or {})))
+        elif kind == "chunk":
+            chunk_id = body["chunk"]
+            if stopping:
+                # Draining for shutdown: the chunks in hand finish, new
+                # ones are refused so the coordinator requeues them
+                # elsewhere.
+                refusal = {
+                    "chunk": chunk_id,
+                    "reason": "node draining for shutdown",
+                    # Tells the coordinator this is a graceful refusal,
+                    # not a chunk failure: requeue for free and stop
+                    # feeding this connection.
+                    "draining": True,
+                }
+                _send(conns, stream, ("lost", refusal))
+                return
+            try:
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers,
+                        initializer=_node_pool_init,
+                        initargs=(os.getpid(),),
+                    )
+                future = pool.submit(execute_specs, body["specs"])
+            except Exception as exc:
+                lost = {
+                    "chunk": chunk_id,
+                    "reason": f"node pool unavailable: {exc}",
+                }
+                _send(conns, stream, ("lost", lost))
+                return
+            jobs[future] = (stream, chunk_id, pool)
+            future.add_done_callback(lambda _future: _nudge(waker))
+        else:
+            detail = f"unknown message kind {kind!r}"
+            if kind == "hello":
+                detail = (
+                    "protocol version mismatch: node speaks "
+                    f"{PROTOCOL_VERSION}, coordinator sent "
+                    f"{body.get('version')!r}"
+                )
+            _send(conns, stream, ("error", {"detail": detail}))
+            conns.discard(stream)
+            stream.close()
+
+    if threading.current_thread() is threading.main_thread():
+        # A signal handler is only installable from the main thread.
         try:
-            previous_term = signal.signal(signal.SIGTERM, _on_term)
+            previous_term = signal.signal(signal.SIGTERM, on_term)
             term_installed = True
         except (ValueError, OSError):
             pass
     try:
-        server.bind((host, port))
-        server.listen()
-        bound_host, bound_port = server.getsockname()[:2]
-        out = ready_stream if ready_stream is not None else sys.stdout
-        print(f"{READY_PREFIX}{bound_host}:{bound_port}", file=out, flush=True)
-        server.settimeout(0.2)  # poll so the shutdown flag is noticed
-        while not state.stop.is_set():
-            try:
-                conn, _addr = server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+        listener.bind((host, port))
+        listener.listen()
+        listener.setblocking(False)
+        bound_host, bound_port = listener.getsockname()[:2]
+        print(f"{READY_PREFIX}{bound_host}:{bound_port}", flush=True)
+        drain_by = None  # monotonic deadline, once draining
+        while True:
+            if stopping and drain_by is None:
+                # New connections are refused.  The pool's workers were
+                # forked holding copies of the listener's descriptor,
+                # so closing ours alone would leave the port accepting
+                # into a backlog nobody reads: shut the socket down.
+                try:
+                    listener.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # a platform that cannot shut a listener down
+                listener.close()
+                drain_by = time.monotonic() + DEFAULT_DRAIN_TIMEOUT
+            if drain_by is not None and (
+                not jobs or time.monotonic() >= drain_by
+            ):
                 break
-            threading.Thread(
-                target=_handle_connection,
-                args=(conn, state),
-                daemon=True,
-                name="repro-worker-conn",
-            ).start()
+            waiting = [wake, *conns]
+            if drain_by is None:
+                waiting.append(listener)
+            ready = _wait_readable(waiting, 0.2)
+            if wake in ready:
+                wake.recv(1 << 12)  # the finished chunks are found below
+            for future in [future for future in jobs if future.done()]:
+                stream, chunk_id, ran_on = jobs.pop(future)
+                reply = _chunk_reply(chunk_id, future)
+                if reply[0] == "lost" and ran_on is pool:
+                    # The next chunk builds a fresh pool.  Only the
+                    # current pool is dropped: a late failure from an
+                    # older one must not shut down its replacement.
+                    pool = None
+                    ran_on.shutdown(wait=False, cancel_futures=True)
+                _send(conns, stream, reply)
+            if listener in ready:
+                try:
+                    conn, _addr = listener.accept()
+                except (BlockingIOError, ConnectionError):
+                    pass  # the peer gave up before it was accepted
+                except OSError:
+                    stopping = True  # a broken listener stops the node
+                else:
+                    conns.add(
+                        MessageStream(conn, send_timeout=NODE_SEND_TIMEOUT)
+                    )
+            for stream in ready:
+                try:
+                    while stream in conns and (
+                        message := stream.recv(timeout=0)
+                    ) is not None:
+                        answer(stream, message)
+                except (ConnectionError, ProtocolError, OSError):
+                    conns.discard(stream)  # hung up or broke: close it alone
+                    stream.close()
+                except Exception:
+                    # A malformed message: reported, and this connection
+                    # alone is closed.
+                    traceback.print_exc()
+                    conns.discard(stream)
+                    stream.close()
     except KeyboardInterrupt:
-        interrupted = True
+        pass  # Ctrl-C stops at once, without the drain
     finally:
-        server.close()
-        if not interrupted:
-            state.drain(drain_timeout)
-        state.shutdown_pool()
+        listener.close()
+        for stream in conns:
+            stream.close()
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        wake.close()
+        waker.close()
         # Restored only after the drain, so a repeated TERM during the
         # drain window re-enters the (idempotent) handler instead of
         # killing the node mid-drain; escalation stays available via
@@ -945,9 +843,10 @@ class LocalNode:
     def reap(self) -> None:
         """Wait for the node to exit, SIGKILLing it after 5 s.
 
-        The bound caps — not honours — a node's ``drain_timeout``; a
-        supervisor that grants the node its own grace period (systemd,
-        Kubernetes) lets a drain run in full.
+        The bound caps — not honours — a node's drain
+        (``DEFAULT_DRAIN_TIMEOUT``); a supervisor that grants the node
+        its own grace period (systemd, Kubernetes) lets a drain run in
+        full.
         """
         try:
             self.proc.wait(timeout=5)
@@ -1201,7 +1100,8 @@ class ClusterRunner(TrialRunner):
         lost and its in-flight chunks requeue (argument, else
         ``$REPRO_HEARTBEAT``, else 10; ``0`` disables supervision).
         Pings go out every third of the deadline; a busy node answers
-        them from its connection thread, so long chunks never trip it.
+        them from its loop, which never runs a trial, so long chunks
+        never trip it.
     node_workers:
         Execution-pool size for *self-managed* node processes (None
         lets each node resolve ``$REPRO_NODE_WORKERS``, else its CPU

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import threading
 from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -114,10 +113,11 @@ class Workload:
 #: Unpickled workloads this process holds, by content id, most recently
 #: used last.  Each keeps its compiled chunk runner, and the runner its
 #: graph, so this bound is also how many workloads' graphs a worker
-#: keeps compiled between chunks.
+#: keeps compiled between chunks.  One thread per process unpickles
+#: workloads (a pool worker's, or a cluster node's loop), so the LRU
+#: takes no lock.
 _LIVE: OrderedDict[str, Workload] = OrderedDict()
 _LIVE_CAP = 64
-_LIVE_LOCK = threading.Lock()  # a node unpickles on many threads
 
 
 def _live_copy(workload_id, fn, args, kwargs) -> Workload:
@@ -130,9 +130,8 @@ def _live_copy(workload_id, fn, args, kwargs) -> Workload:
         ("workload_id", workload_id),
     ):
         object.__setattr__(workload, name, value)
-    with _LIVE_LOCK:
-        live = _LIVE.setdefault(workload_id, workload)
-        _LIVE.move_to_end(workload_id)
-        while len(_LIVE) > _LIVE_CAP:
-            _LIVE.popitem(last=False)
+    live = _LIVE.setdefault(workload_id, workload)
+    _LIVE.move_to_end(workload_id)
+    while len(_LIVE) > _LIVE_CAP:
+        _LIVE.popitem(last=False)
     return live

@@ -197,7 +197,9 @@ class ExperimentService:
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
-            raise _HttpError(400, "bad Content-Length") from None
+            length = -1  # not a number: as bad as a negative length
+        if length < 0:
+            raise _HttpError(400, "bad Content-Length")
         if length > MAX_BODY:
             raise _HttpError(413, f"body exceeds {MAX_BODY} bytes")
         body = b""

@@ -9,16 +9,12 @@ This package holds the substrate pieces that everything else builds on:
   triangular pair indexing for ``G(n, p)``.
 * :mod:`repro.util.stats` — summary statistics, confidence intervals and
   scaling-exponent fits used by the experiment harness.
-* :mod:`repro.util.unionfind` — disjoint-set forests for connectivity
-  ground truth.
 * :mod:`repro.util.tables` — plain-text/CSV result tables.
 """
 
 from repro.util.rng import derive_seed, edge_coin, uniform_for
-from repro.util.unionfind import DisjointSets
 
 __all__ = [
-    "DisjointSets",
     "derive_seed",
     "edge_coin",
     "uniform_for",

@@ -4,7 +4,7 @@
 index per graph per process (``repro.kernels.topology.edge_index_for``)
 instead of re-enumerating the graph every trial.  The references below
 are the implementations that did enumerate — a fresh ``list(graph.
-edges())`` table build and a sorted-levels ``DisjointSets`` sweep — and
+edges())`` table build and a sorted-levels union sweep — and
 every answer must equal theirs exactly: same open set in the same
 iteration order, same ``open_neighbors`` lists, same thresholds.  The
 cache itself must stay invisible: out of pickles and workload ids,
@@ -35,7 +35,6 @@ from repro.percolation.models import TablePercolation
 from repro.routers.bfs import LocalBFSRouter
 from repro.routers.dfs import GreedyRouter
 from repro.util.rng import derive_seed, uniform_for, uniforms_for
-from repro.util.unionfind import DisjointSets
 
 GRAPHS = [
     Hypercube(5),
@@ -74,13 +73,24 @@ def _sorted_levels(graph, seed):
     return levels
 
 
+def _growing_components(graph, seed):
+    """Yield ``(level, a, component)`` as each edge ``(a, b)`` joins in
+    level order; ``component`` maps every vertex to its vertex set."""
+    component = {v: {v} for v in graph.vertices()}
+    for level, (a, b) in _sorted_levels(graph, seed):
+        if component[a] is not component[b]:
+            small, big = sorted((component[a], component[b]), key=len)
+            big |= small
+            for v in small:
+                component[v] = big
+        yield level, a, component
+
+
 def _reference_pair_threshold(graph, seed, u, v):
     if u == v:
         return 0.0
-    ds = DisjointSets()
-    for level, (a, b) in _sorted_levels(graph, seed):
-        ds.union(a, b)
-        if ds.connected(u, v):
+    for level, _a, component in _growing_components(graph, seed):
+        if component[u] is component[v]:
             return level
     return float("inf")
 
@@ -89,10 +99,8 @@ def _reference_giant_threshold(graph, seed, fraction):
     target = fraction * graph.num_vertices()
     if target <= 1:
         return 0.0
-    ds = DisjointSets()
-    for level, (a, b) in _sorted_levels(graph, seed):
-        ds.union(a, b)
-        if ds.set_size(a) >= target:
+    for level, a, component in _growing_components(graph, seed):
+        if len(component[a]) >= target:
             return level
     return float("inf")
 

@@ -435,8 +435,11 @@ def test_node_width_caps_its_chunks_in_flight(width):
     # A node that announces width w is sent w chunks at once, never
     # w + 1.  The fake answers each chunk 0.2s later from a timer
     # thread, so chunks shipped meanwhile pile up where the fake can
-    # count them.
+    # count them.  A stream has one sender in the program and takes no
+    # lock, so this fake, which sends from several threads, serialises
+    # its own sends.
     lock = threading.Lock()
+    sending = threading.Lock()
     held = []
     peak = []
     server, port = _listener()
@@ -448,7 +451,8 @@ def test_node_width_caps_its_chunks_in_flight(width):
             # soon as it reads this reply.
             held.remove(body["chunk"])
         try:
-            stream.send(reply)
+            with sending:
+                stream.send(reply)
         except OSError:
             pass  # the run is over and the coordinator hung up
 
@@ -464,7 +468,8 @@ def test_node_width_caps_its_chunks_in_flight(width):
                 if kind == "hello":
                     stream.send(_welcome(workers=width))
                 elif kind == "ping":
-                    stream.send(("pong", body))
+                    with sending:
+                        stream.send(("pong", body))
                 elif kind == "chunk":
                     with lock:
                         held.append(body["chunk"])
@@ -605,6 +610,195 @@ def test_pipelining_keeps_flat_node_busy():
     with kit.local_nodes(1, node_workers=6) as addresses:
         with ClusterRunner(nodes=addresses, chunksize=1) as runner:
             assert runner.run(specs) == SerialRunner().run(specs)
+
+
+# -- the node loop: one thread serves every coordinator --------------------
+
+
+def _thread_count(pid):
+    return len(os.listdir(f"/proc/{pid}/task"))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc"
+)
+def test_a_connection_starts_no_node_thread():
+    # One loop on the node's main thread owns every connection: a
+    # handshake adds no thread to the node process.  (Its pool, and
+    # the pool's own threads, start with the first chunk.)
+    nodes = spawn_local_nodes(1, node_workers=1)
+    node = nodes[0]
+    try:
+        before = _thread_count(node.proc.pid)
+        with closing(_handshake(node.address)) as stream:
+            stream.send(("ping", {"at": 0.0}))
+            assert stream.recv(timeout=10) == ("pong", {"at": 0.0})
+            after = _thread_count(node.proc.pid)
+        assert after <= before, f"{before} -> {after} node threads"
+    finally:
+        for spawned in nodes:
+            spawned.terminate()
+
+
+def test_a_malformed_message_closes_only_its_connection():
+    # The node's loop serves every connection, so a peer whose message
+    # does not parse is hung up on alone: a coordinator connected
+    # beside it keeps its answers, and the node still welcomes others.
+    with kit.local_nodes(1) as (address,):
+        with closing(_handshake(address)) as steady:
+            for message in (5, ("chunk", [1]), ("hello", None)):
+                with closing(_handshake(address)) as rogue:
+                    rogue.send(message)
+                    with pytest.raises(ConnectionError):
+                        rogue.recv(timeout=10)
+                steady.send(("ping", {"after": repr(message)}))
+                assert steady.recv(timeout=10) == (
+                    "pong",
+                    {"after": repr(message)},
+                )
+        _handshake(address).close()
+
+
+def test_one_node_serves_two_coordinators_at_once():
+    # Two coordinators, each on its own thread, run two 1s naps apiece
+    # on one node of width 4.  Served side by side, both finish in
+    # about 1s; served one after the other, the second would take 2s.
+    specs = [
+        TrialSpec(key=("nap", i), fn=kit.sleep_return, args=(1.0, i))
+        for i in range(2)
+    ]
+    start = threading.Barrier(2)
+    outcome = {}
+
+    def drive(index, addresses):
+        try:
+            with ClusterRunner(nodes=addresses, chunksize=1) as runner:
+                start.wait(timeout=30)
+                began = time.monotonic()
+                values = runner.run_values(specs)
+                outcome[index] = (values, time.monotonic() - began)
+        except Exception as exc:  # reported by the main thread
+            outcome[index] = exc
+
+    with kit.local_nodes(1, node_workers=4) as addresses:
+        threads = [
+            threading.Thread(target=drive, args=(index, addresses))
+            for index in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for index in range(2):
+        assert not isinstance(outcome[index], Exception), outcome[index]
+        values, elapsed = outcome[index]
+        assert values == [0, 1]
+        assert elapsed < 1.7, f"coordinator {index} took {elapsed:.2f}s"
+
+
+def test_busy_node_answers_pings_past_the_heartbeat():
+    # A node of width 1 runs two 2s naps, one after the other, while
+    # the coordinator drops any node silent for 0.6s.  The loop never
+    # runs a trial and answers every ping meanwhile, so, with no
+    # retries to spare, the run still returns both values.
+    specs = [
+        TrialSpec(key=("nap", i), fn=kit.sleep_return, args=(2.0, i))
+        for i in range(2)
+    ]
+    with kit.local_nodes(1, node_workers=1) as addresses:
+        with ClusterRunner(
+            nodes=addresses, chunksize=1, retries=0, heartbeat=0.6
+        ) as runner:
+            assert runner.run_values(specs) == [0, 1]
+
+
+def test_a_finished_chunk_is_answered_without_waiting_for_the_poll():
+    # A chunk's done-callback wakes the node loop, so its reply leaves
+    # as soon as it finishes rather than on the loop's next 0.2s poll:
+    # twenty round trips of a trivial chunk take well under the 4s
+    # that waiting for the poll would cost.
+    with kit.local_nodes(1, node_workers=1) as (address,):
+        with closing(_handshake(address)) as stream:
+
+            def round_trip(chunk_id):
+                specs = [
+                    TrialSpec(
+                        key=("sq", chunk_id), fn=kit.square, args=(chunk_id,)
+                    )
+                ]
+                stream.send(("chunk", {"chunk": chunk_id, "specs": specs}))
+                message = stream.recv(timeout=10)
+                assert message is not None, "node went silent"
+                kind, body = message
+                assert (kind, body["chunk"]) == ("done", chunk_id), body
+
+            round_trip(0)  # the first chunk forks the pool
+            began = time.monotonic()
+            for chunk_id in range(1, 21):
+                round_trip(chunk_id)
+            elapsed = time.monotonic() - began
+    assert elapsed < 2.0, f"20 round trips took {elapsed:.2f}s"
+
+
+def test_a_hung_up_coordinator_loses_only_its_replies():
+    # A coordinator that hangs up with a chunk in hand is closed on its
+    # own: the reply it can no longer read is dropped, never sent down
+    # another connection, and the node keeps serving the coordinator
+    # beside it and welcoming new ones.
+    nap = [TrialSpec(key=("nap",), fn=kit.sleep_return, args=(0.5, "late"))]
+    square = [TrialSpec(key=("sq",), fn=kit.square, args=(4,))]
+    with kit.local_nodes(1, node_workers=2) as (address,):
+        with closing(_handshake(address)) as steady:
+            gone = _handshake(address)
+            gone.send(("chunk", {"chunk": 0, "specs": nap}))
+            gone.send(("ping", {"at": 0.0}))  # answered once the chunk
+            assert gone.recv(timeout=10) == ("pong", {"at": 0.0})  # is in
+            gone.close()
+            steady.send(("chunk", {"chunk": 1, "specs": square}))
+            assert steady.recv(timeout=10) == (
+                "done",
+                {"chunk": 1, "results": [TrialResult(key=("sq",), value=16)]},
+            )
+            time.sleep(1.0)  # the gone coordinator's nap ends meanwhile
+            steady.send(("ping", {"at": 1.0}))
+            assert steady.recv(timeout=10) == ("pong", {"at": 1.0})
+        _handshake(address).close()
+
+
+def test_draining_node_refuses_new_connections():
+    # SIGTERM closes the node's listener at once: a new coordinator is
+    # refused while the chunk in hand is still running, and that chunk
+    # is answered before the node exits.
+    nodes = spawn_local_nodes(1, node_workers=1)
+    node = nodes[0]
+    host, port = node.address.split(":")
+    try:
+        with closing(_handshake(node.address)) as work:
+            slow = [
+                TrialSpec(key=("slow",), fn=kit.sleep_return, args=(2.0, "ok"))
+            ]
+            work.send(("chunk", {"chunk": 0, "specs": slow}))
+            time.sleep(0.3)  # let the chunk reach the pool
+            node.proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 1.0
+            while True:
+                try:
+                    socket.create_connection((host, int(port)), 1.0).close()
+                except ConnectionRefusedError:
+                    break
+                assert time.monotonic() < deadline, "listener still open"
+                time.sleep(0.05)
+            assert work.recv(timeout=0) is None  # still in hand
+            done = [TrialResult(key=("slow",), value="ok")]
+            assert work.recv(timeout=15) == (
+                "done",
+                {"chunk": 0, "results": done},
+            )
+            assert node.proc.wait(timeout=15) == 0
+    finally:
+        for spawned in nodes:
+            spawned.terminate()
 
 
 # -- stopping a node: SIGTERM drains it ------------------------------------

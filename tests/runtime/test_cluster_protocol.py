@@ -7,16 +7,20 @@ must decode to the same messages in the same order, a torn tail must
 stay pending rather than decode to garbage, and wrong magic must be
 rejected.  Automatic chunking must cover every batch, in order.
 
-The pipelined protocol adds two concurrency surfaces, tested here over
-real socketpairs: :class:`MessageStream` sends racing from many
-threads (node-pool callbacks versus pong replies) must never
-interleave bytes mid-frame, and heartbeat ``pong`` frames interleaved
-between pipelined chunk replies must decode in stream order.
+:class:`MessageStream` is tested here over real socketpairs: its send
+bound must never reach a read, a quiet or torn socket must leave
+partial frames pending, and heartbeat ``pong`` frames interleaved
+between pipelined chunk replies must decode in stream order.  The
+node loop's reply helpers are pinned too: each way a chunk finishes
+maps to one reply shape, and a reply that cannot go out closes only
+its own connection.
 """
 
 import socket
 import threading
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +30,13 @@ from repro.runtime.cluster import (
     FrameReader,
     MessageStream,
     ProtocolError,
+    _chunk_reply,
+    _send,
     encode_frame,
     parse_nodes,
 )
 from repro.runtime.runner import pick_chunksize, split_chunks
+from repro.runtime.trial import TrialExecutionError, TrialResult
 
 # Arbitrary picklable message payloads (no NaN: equality-checked).
 payloads = st.recursive(
@@ -120,67 +127,16 @@ class TestReassembly:
         assert [v for _, chunk in chunks for v in chunk] == list(range(total))
 
 
-class TestMessageStreamConcurrency:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        senders=st.integers(min_value=2, max_value=6),
-        per_sender=st.integers(min_value=1, max_value=20),
-    )
-    def test_concurrent_sends_never_interleave(self, senders, per_sender):
-        # Many threads hammering one stream (the node-side shape: pool
-        # callbacks replying `done` while the connection thread replies
-        # `pong`): every frame must arrive intact and per-sender order
-        # must survive, even though global interleaving is arbitrary.
-        left, right = socket.socketpair()
-        try:
-            stream = MessageStream(left)
-            payload = b"x" * 700  # forces multi-chunk reads
-            threads = [
-                threading.Thread(
-                    target=lambda s=s: [
-                        stream.send(("msg", {"sender": s, "seq": i,
-                                             "pad": payload}))
-                        for i in range(per_sender)
-                    ]
-                )
-                for s in range(senders)
-            ]
-            for thread in threads:
-                thread.start()
-            # Drain while the senders run: joining first would deadlock
-            # once the batch overflows the socketpair buffer (senders
-            # blocked in sendall waiting on a reader that never comes).
-            reader = FrameReader()
-            received = []
-            right.settimeout(5)
-            while len(received) < senders * per_sender:
-                received.extend(reader.feed(right.recv(1 << 16)))
-            for thread in threads:
-                thread.join(timeout=5)
-                assert not thread.is_alive()
-            seen = {s: [] for s in range(senders)}
-            for kind, body in received:
-                assert kind == "msg"
-                assert body["pad"] == payload
-                seen[body["sender"]].append(body["seq"])
-            assert all(
-                seqs == list(range(per_sender)) for seqs in seen.values()
-            )
-        finally:
-            left.close()
-            right.close()
-
+class TestMessageStream:
     def test_send_timeout_never_leaks_into_blocking_recv(self):
-        # Regression: send() applies send_timeout to the socket for
-        # the duration of the sendall only.  If the bound survived the
-        # send, the node-side blocking recv() would inherit it and any
-        # coordinator connection idle longer than send_timeout (a
-        # persistent runner between batches) would be torn down.
+        # Regression: the socket carries send_timeout, but every read
+        # polls for readiness first.  If a read felt the bound, any
+        # connection idle longer than send_timeout (a persistent runner
+        # between batches) would be torn down.
         left, right = socket.socketpair()
         try:
             stream = MessageStream(right, send_timeout=0.1)
             stream.send(("pong", {}))
-            assert right.gettimeout() is None  # restored after sendall
             # A frame arriving well after the send bound elapsed must
             # still reach a fully blocking recv().
             def late_reply():
@@ -193,15 +149,38 @@ class TestMessageStreamConcurrency:
             left.close()
             right.close()
 
-    def test_recv_timeout_does_not_alter_socket_timeout(self):
-        # recv() polls readiness with select; it must not mutate the
-        # socket timeout other threads' sends rely on restoring.
+    def test_send_timeout_is_set_on_the_socket_once(self):
+        # The stream owns its socket's timeout: the bound is set at
+        # construction and no send or read changes it; without a bound
+        # the socket is left as it came.
         left, right = socket.socketpair()
         try:
-            right.settimeout(7.5)
-            stream = MessageStream(right)
-            assert stream.recv(timeout=0.05) is None
-            assert right.gettimeout() == 7.5
+            bounded = MessageStream(right, send_timeout=0.1)
+            unbounded = MessageStream(left)
+            assert right.gettimeout() == 0.1
+            assert left.gettimeout() is None
+            bounded.send(("pong", {}))
+            assert unbounded.recv(timeout=1.0) == ("pong", {})
+            assert bounded.recv(timeout=0.05) is None
+            assert right.gettimeout() == 0.1
+            assert left.gettimeout() is None
+        finally:
+            left.close()
+            right.close()
+
+    def test_send_to_a_peer_that_stopped_reading_times_out(self):
+        # The bound a node's trade-off rests on: once the peer's
+        # buffers are full, a send gives up after send_timeout instead
+        # of blocking its loop for good.
+        left, right = socket.socketpair()
+        try:
+            stream = MessageStream(left, send_timeout=0.2)
+            frame = ("done", {"chunk": 0, "results": b"x" * (1 << 16)})
+            began = time.monotonic()
+            with pytest.raises(TimeoutError):
+                for _ in range(10_000):
+                    stream.send(frame)
+            assert time.monotonic() - began < 5.0
         finally:
             left.close()
             right.close()
@@ -242,6 +221,123 @@ class TestMessageStreamConcurrency:
             for i in range(0, len(blob), 7):  # adversarial boundaries
                 left.sendall(blob[i : i + 7])
             assert [stream.recv(timeout=2.0) for _ in messages] == messages
+        finally:
+            left.close()
+            right.close()
+
+
+def _finished(outcome):
+    """A future finished the way ``outcome`` says: a result list, an
+    exception, or ``"cancelled"``."""
+    future = Future()
+    if outcome == "cancelled":
+        future.cancel()
+    elif isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
+    return future
+
+
+class TestChunkReply:
+    # The node's reply to each way a chunk can finish; the coordinator
+    # reads these shapes and wordings, so they are the protocol.
+    DIED = "a node pool worker died mid-chunk ({}); pool rebuilt"
+
+    @pytest.mark.parametrize(
+        "outcome, reply",
+        [
+            (
+                [TrialResult(key=("sq", 2), value=4)],
+                (
+                    "done",
+                    {
+                        "chunk": 7,
+                        "results": [TrialResult(key=("sq", 2), value=4)],
+                    },
+                ),
+            ),
+            (
+                BrokenProcessPool("a child process terminated"),
+                (
+                    "lost",
+                    {"chunk": 7, "reason": DIED.format("BrokenProcessPool")},
+                ),
+            ),
+            (
+                "cancelled",
+                (
+                    "lost",
+                    {"chunk": 7, "reason": DIED.format("CancelledError")},
+                ),
+            ),
+            (
+                TrialExecutionError(("sq", 2), "ValueError: boom"),
+                (
+                    "failed",
+                    {
+                        "chunk": 7,
+                        "key": ("sq", 2),
+                        "detail": "ValueError: boom",
+                    },
+                ),
+            ),
+        ],
+        ids=["done", "pool-broke", "cancelled", "trial-failed"],
+    )
+    def test_reply_names_how_the_chunk_finished(self, outcome, reply):
+        assert _chunk_reply(7, _finished(outcome)) == reply
+
+    def test_an_error_outside_the_trials_is_charged_to_the_node(self):
+        kind, body = _chunk_reply(7, _finished(MemoryError("no room")))
+        assert kind == "failed"
+        assert body["chunk"] == 7
+        assert body["key"] == ("<node>",)
+        assert body["detail"].startswith("MemoryError: no room\n")
+
+
+class TestNodeSend:
+    # `_send` is how the node loop answers: it never raises, so one
+    # coordinator's trouble cannot stop the loop serving the others.
+    def test_a_closed_connection_gets_nothing(self):
+        left, right = socket.socketpair()
+        try:
+            stream, peer = MessageStream(left), MessageStream(right)
+            _send(set(), stream, ("pong", {}))
+            assert peer.recv(timeout=0.05) is None
+        finally:
+            left.close()
+            right.close()
+
+    def test_a_gone_peer_closes_its_stream_alone(self):
+        left, right = socket.socketpair()
+        stream = MessageStream(left)
+        other = object()
+        conns = {stream, other}
+        right.close()
+        try:
+            _send(conns, stream, ("pong", {}))
+            assert conns == {other}
+            assert left.fileno() == -1
+        finally:
+            left.close()
+
+    def test_an_unpicklable_reply_is_answered_failed(self):
+        left, right = socket.socketpair()
+        try:
+            stream, peer = MessageStream(left), MessageStream(right)
+            conns = {stream}
+            reply = ("done", {"chunk": 3, "results": [lambda: 0]})
+            _send(conns, stream, reply)
+            kind, body = peer.recv(timeout=1.0)
+            assert kind == "failed"
+            assert (body["chunk"], body["key"]) == (3, ("<node>",))
+            assert body["detail"].startswith(
+                "chunk reply could not be serialised: "
+            )
+            # Nothing of the reply that would not pickle was sent.
+            assert peer.recv(timeout=0.05) is None
+            assert conns == {stream}
         finally:
             left.close()
             right.close()

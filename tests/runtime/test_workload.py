@@ -9,8 +9,6 @@ persistence across batches.
 
 import multiprocessing
 import pickle
-import sys
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -161,41 +159,6 @@ class TestWireForm:
         assert len(live) == cap
         assert workloads[0].workload_id not in live
         assert workloads[-1].workload_id in live
-
-    def test_concurrent_unpickling_keeps_the_bound(self, monkeypatch):
-        # A cluster node unpickles chunks on one thread per connection;
-        # evictions racing lookups must neither raise nor overfill.
-        monkeypatch.setattr(workload_module, "_LIVE", OrderedDict())
-        blobs = [
-            pickle.dumps(Workload(fn=_tagged, args=((), f"race-{i}")))
-            for i in range(workload_module._LIVE_CAP + 16)
-        ]
-        errors = []
-
-        def unpickle_all(offset):
-            try:
-                for i in range(300):
-                    blob = blobs[(offset + i) % len(blobs)]
-                    assert pickle.loads(blob).args[1].startswith("race-")
-            except Exception as exc:  # reported by the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=unpickle_all, args=(7 * k,))
-                for k in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(workload_module._LIVE) <= workload_module._LIVE_CAP
 
 
 class TestShipping:

@@ -340,6 +340,33 @@ class TestRequestBounds:
         jobs = get_json(service, "/jobs")["jobs"]
         assert not [job for job in jobs if job["seed"] == 431]
 
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("abc", b"400 Bad Request"),
+            ("-5", b"400 Bad Request"),
+            (str(http.MAX_BODY + 1), b"413 "),
+        ],
+        ids=["not-a-number", "negative", "over-the-cap"],
+    )
+    def test_bad_content_length_is_answered_before_the_body(
+        self, service, length, status
+    ):
+        # A length that is not a number or is negative is 400, one past
+        # the cap is 413; either way the body is never read, so the job
+        # it carries is never submitted.
+        body = json.dumps({"experiment": "E17", "scale": "tiny", "seed": 400})
+        reply = _exchange(
+            service,
+            (
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                f"{body}"
+            ).encode(),
+        )
+        assert reply.startswith(b"HTTP/1.1 " + status), reply[:80]
+        jobs = get_json(service, "/jobs")["jobs"]
+        assert not [job for job in jobs if job["seed"] == 400]
+
     def test_whole_request_must_arrive_within_one_timeout(
         self, service, monkeypatch
     ):
