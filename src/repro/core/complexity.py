@@ -29,7 +29,8 @@ sweep point can fan its trials out across worker processes:
   :class:`ComplexityMeasurement`.
 
 :func:`measure_complexity` composes the three for callers that want the
-classic one-call interface; pass ``runner=`` to parallelise it.  The
+classic one-call interface: its trials run on a serial runner in the
+calling process, or on the ``runner=`` passed to parallelise it.  The
 result keeps every per-trial record so experiments can compute CDFs
 (needed to compare against the Lemma 5 bound) as well as summaries.
 """
@@ -52,7 +53,7 @@ from repro.percolation.models import (
     PercolationModel,
     TablePercolation,
 )
-from repro.runtime import TrialRunner, TrialSpec, Workload
+from repro.runtime import SerialRunner, TrialRunner, TrialSpec, Workload
 from repro.util.rng import derive_seed
 from repro.util.stats import Summary, proportion_ci, summarize
 
@@ -386,13 +387,15 @@ def measure_complexity(
         recorded as connected-unknown; used by threshold scans where
         disconnection itself is the signal).
     max_conditioned:
-        Stop early once this many conditioned trials were attempted.
-        Without a runner the trailing trials are never computed; with
-        one, every trial runs (they are scheduled up front) and the
-        record stream is truncated to the identical prefix.
+        Stop early once this many conditioned trials were attempted:
+        every trial runs (they are scheduled up front, as one batch)
+        and the record stream is truncated right after the
+        ``max_conditioned``-th attempt.
     runner:
         A :class:`~repro.runtime.TrialRunner` to execute the trials;
-        ``None`` runs them inline in the calling process.
+        ``None`` runs them on a :class:`~repro.runtime.SerialRunner`
+        in the calling process, through the chunk kernel where the
+        workload has one.
     """
     specs = complexity_specs(
         graph,
@@ -406,16 +409,12 @@ def measure_complexity(
         conditioning=conditioning,
     )
     if runner is None:
-        # Lazy: assemble_measurement stops consuming at the
-        # max_conditioned cut, so trailing trials are never executed.
-        records = (spec.execute().value for spec in specs)
-    else:
-        records = runner.run_values(specs)
+        runner = SerialRunner()
     return assemble_measurement(
         graph,
         p,
         router,
-        records,
+        runner.run_values(specs),
         pair=pair,
         budget=budget,
         max_conditioned=max_conditioned,

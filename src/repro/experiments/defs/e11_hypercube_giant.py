@@ -11,10 +11,11 @@ distinct: a giant component with poly(n) diameter exists for
 ``1/n ≪ p ≪ n^{-1/2}``, yet no local router can find paths efficiently.
 
 The two scans of each ``n`` (giant fraction, full connectivity) are
-independent :class:`TrialSpec` units, so they parallelise across
-dimensions and sections.  Its arguments are plain scalars, so the unit stays self-contained:
-the heavy objects are built inside the worker, and there is no
-shared payload to ship.
+independent :class:`TrialSpec` units, each its own ``run_grouped``
+group in one batch, so they parallelise across dimensions and
+sections.  Their arguments are plain scalars, so each unit stays
+self-contained: the heavy objects are built inside the worker, and
+there is no shared payload to ship.
 """
 
 from __future__ import annotations
@@ -88,20 +89,17 @@ def run(scale: str, seed: int, runner) -> ResultTable:
         ("giant", _giant_scan, "e11-giant"),
         ("conn", _connectivity_scan, "e11-conn"),
     )
-    specs = [
-        TrialSpec(
-            key=("e11", section, n),
-            fn=fn,
-            args=(n, trials, derive_seed(seed, seed_tag, n)),
-        )
-        for n in ns
-        for section, fn, seed_tag in sections
-    ]
-
-    scans = {result.key: result.value for result in runner.run(specs)}
+    groups = []
+    for n in ns:
+        for section, fn, seed_tag in sections:
+            args = (n, trials, derive_seed(seed, seed_tag, n))
+            scan = TrialSpec(key=("e11", section, n), fn=fn, args=args)
+            groups.append(((section, n), [scan]))
+    scans = runner.run_grouped(groups)
     for n in ns:
         for section, _, _ in sections:
-            for row in scans[("e11", section, n)]:
+            [rows] = scans[(section, n)]
+            for row in rows:
                 table.add_row(**row)
         base = hypercube_giant_threshold(n)
         table.add_note(

@@ -12,15 +12,20 @@ sweep of α at fixed n:
 * the conditioned routing cost of a complete local router (finding
   paths is nevertheless expensive past α = 1/2).
 
-Each α of the sweep — structural scan plus both routing measurements —
-is one :class:`TrialSpec`, the heaviest unit in the suite.  Its arguments are plain scalars, so the unit stays self-contained:
-the heavy objects are built inside the worker, and there is no
-shared payload to ship.
+Each α of the sweep hands the runner three groups, in this order, all
+in one ``run_grouped`` batch: the structural scan (giant fraction and
+diameter bound over ``trials`` draws) as one self-contained
+:class:`TrialSpec` built from plain scalars, then the local and the
+oracle routing measurements as workload-referenced
+:func:`~repro.core.complexity.complexity_specs` groups on one shared
+``Hypercube(n)``, which the chunk kernel executes.  Keeping each α's
+heavy scan next to its routing trials spreads the scans over the
+batch's chunks.
 """
 
 from __future__ import annotations
 
-from repro.core.complexity import measure_complexity
+from repro.core.complexity import assemble_measurement, complexity_specs
 from repro.experiments.registry import register
 from repro.experiments.results import ResultTable
 from repro.experiments.spec import ExperimentSpec, pick
@@ -29,7 +34,7 @@ from repro.percolation.cluster import approx_cluster_diameter, largest_component
 from repro.percolation.models import TablePercolation
 from repro.routers.bfs import BidirectionalBFSRouter
 from repro.routers.waypoint import WaypointRouter
-from repro.runtime import SerialRunner, TrialSpec
+from repro.runtime import TrialSpec
 from repro.util.rng import derive_seed
 from repro.util.stats import mean_ci
 
@@ -46,14 +51,12 @@ COLUMNS = [
 
 
 def _alpha_point(n: int, alpha: float, trials: int, master_seed: int):
-    """One full row of the α sweep (structure + local + oracle routing).
+    """The structural scan of one α: giant fraction and diameter bound.
 
-    Receives the *master* seed and derives the same per-measurement
-    keys the pre-runner code used, keeping recorded tables
-    bit-identical across the refactor.
+    Receives the *master* seed and derives the same per-draw keys the
+    pre-runner code used, keeping recorded tables bit-identical.
     """
     graph = Hypercube(n)
-    edges = graph.num_edges()
     p = n**-alpha
     fractions = []
     diameters = []
@@ -66,48 +69,17 @@ def _alpha_point(n: int, alpha: float, trials: int, master_seed: int):
         if len(giant) > 1:
             anchor = next(iter(giant))
             diameters.append(approx_cluster_diameter(model, anchor, sweeps=2))
-    # A serial runner compiles both measurements to the chunk kernel
-    # (replay engines, batched conditioning) inside this one spec.
-    m = measure_complexity(
-        graph,
-        p=p,
-        router=WaypointRouter(),
-        trials=trials,
-        seed=derive_seed(master_seed, "e13-route", alpha),
-        runner=SerialRunner(),
-    )
-    frac_probed = (
-        m.query_summary().median / edges
-        if m.connected_trials and m.successes()
-        else float("nan")
-    )
-    # Section 6, second open question: does *oracle* access help in
-    # the middle regime?  (Conjectured: no.)
-    m_oracle = measure_complexity(
-        graph,
-        p=p,
-        router=BidirectionalBFSRouter(),
-        trials=trials,
-        seed=derive_seed(master_seed, "e13-route", alpha),  # same draws
-        runner=SerialRunner(),
-    )
-    oracle_frac = (
-        m_oracle.query_summary().median / edges
-        if m_oracle.connected_trials and m_oracle.successes()
-        else float("nan")
-    )
     giant_mean, _, _ = mean_ci(fractions)
     diam_mean = mean_ci(diameters)[0] if diameters else float("nan")
-    return {
-        "n": n,
-        "alpha": alpha,
-        "p": p,
-        "giant_fraction": giant_mean,
-        "giant_diameter_lb": diam_mean,
-        "diameter_over_n": diam_mean / n,
-        "median_frac_probed": frac_probed,
-        "oracle_frac_probed": oracle_frac,
-    }
+    return giant_mean, diam_mean
+
+
+def _median_frac_probed(graph, p: float, router, records) -> float:
+    """Median probes of the conditioned successes, over all edges."""
+    m = assemble_measurement(graph, p, router, records)
+    if m.connected_trials and m.successes():
+        return m.query_summary().median / graph.num_edges()
+    return float("nan")
 
 
 def run(scale: str, seed: int, runner) -> ResultTable:
@@ -126,16 +98,45 @@ def run(scale: str, seed: int, runner) -> ResultTable:
         "yet routing turns exhaustive past alpha = 1/2",
         columns=COLUMNS,
     )
-    specs = [
-        TrialSpec(
-            key=("e13", alpha),
-            fn=_alpha_point,
-            args=(n, alpha, trials, seed),
+    graph = Hypercube(n)
+    # Section 6, second open question: does *oracle* access help in
+    # the middle regime?  (Conjectured: no.)  The oracle router routes
+    # the local router's draws.
+    routers = {"local": WaypointRouter(), "oracle": BidirectionalBFSRouter()}
+    groups = []
+    for alpha in alphas:
+        structure = TrialSpec(
+            key=("e13", alpha), fn=_alpha_point, args=(n, alpha, trials, seed)
         )
-        for alpha in alphas
-    ]
-    for row in runner.run_values(specs):
-        table.add_row(**row)
+        groups.append((("structure", alpha), [structure]))
+        for name, router in routers.items():
+            specs = complexity_specs(
+                graph,
+                p=n**-alpha,
+                router=router,
+                trials=trials,
+                seed=derive_seed(seed, "e13-route", alpha),
+                key=("e13", name, alpha),
+            )
+            groups.append(((name, alpha), specs))
+    values = runner.run_grouped(groups)
+    for alpha in alphas:
+        p = n**-alpha
+        [(giant_mean, diam_mean)] = values[("structure", alpha)]
+        frac = {
+            name: _median_frac_probed(graph, p, router, values[(name, alpha)])
+            for name, router in routers.items()
+        }
+        table.add_row(
+            n=n,
+            alpha=alpha,
+            p=p,
+            giant_fraction=giant_mean,
+            giant_diameter_lb=diam_mean,
+            diameter_over_n=diam_mean / n,
+            median_frac_probed=frac["local"],
+            oracle_frac_probed=frac["oracle"],
+        )
     table.add_note(
         "middle regime = rows with 0.5 < alpha < 1: giant_fraction stays "
         "macroscopic, diameter_over_n stays a small polynomial factor, "

@@ -8,12 +8,14 @@ conditioning as chunk-wide union-find labels over implicit topologies
 compiled to index arithmetic, the routing as exact per-row replays of
 each router's probe sequence over those masks — while preserving the
 per-trial seed derivation, so every record is **bit-identical** to what
-``spec.execute()`` produces.  Registration happens on import: pulling
-this package in wires the one chunk compiler into
-:mod:`repro.runtime.chunkexec` for both ``run_trial`` and
-``run_traffic_trial`` (chunkexec imports it lazily on the first chunk
-it sees).  A probe pair is the one-commodity demand: both workloads
-route ``(trial, source, target)`` rows through the same engines.
+``spec.execute()`` produces.  Nothing registers: the runtime seam
+(:func:`repro.runtime.chunkexec.chunk_runner`) imports the one chunk
+compiler, :func:`~repro.kernels.complexity.compile_trial_chunk`, on
+the first workload it compiles and hands it every workload; the
+compiler declines any whose ``fn`` is neither ``run_trial`` nor
+``run_traffic_trial``.  A probe pair is the one-commodity demand: both
+workloads route ``(trial, source, target)`` rows through the same
+engines.
 
 Layout
 ------
@@ -80,16 +82,3 @@ __all__ = [
     "router_kernel_for",
     "table_edge_masks",
 ]
-
-
-def _register_builtin_kernels() -> None:
-    """Wire the shipped compilers into the runtime seam (idempotent)."""
-    from repro.core.complexity import run_trial
-    from repro.core.traffic import run_traffic_trial
-    from repro.runtime.chunkexec import register_chunk_kernel
-
-    register_chunk_kernel(run_trial, compile_trial_chunk)
-    register_chunk_kernel(run_traffic_trial, compile_trial_chunk)
-
-
-_register_builtin_kernels()

@@ -65,9 +65,9 @@ The batch-kernel seam
 The schedulable unit is a trial; the *executable* unit on any worker is
 a chunk of consecutive specs.  :mod:`repro.runtime.chunkexec` lets a
 whole chunk execute through **one vectorized kernel call** when its
-workload supports it: kernels register a compiler per workload ``fn``
-(:func:`register_chunk_kernel`), the compiler turns one workload's
-frozen context into a chunk runner (or declines), and
+workload supports it: the one chunk compiler
+(:func:`repro.kernels.complexity.compile_trial_chunk`) turns one
+workload's frozen context into a chunk runner (or declines), and
 :func:`~repro.runtime.chunkexec.execute_specs` — called by
 ``SerialRunner``, the process pool's workers and the cluster nodes'
 pools alike — batches each maximal run of kernel-eligible
@@ -148,7 +148,7 @@ knob with its resolved value and source.
 """
 
 from repro.runtime.backends import available_backends, make_runner
-from repro.runtime.chunkexec import execute_specs, register_chunk_kernel
+from repro.runtime.chunkexec import execute_specs
 from repro.runtime.runner import ProcessPoolRunner, SerialRunner, TrialRunner
 from repro.runtime.trial import TrialExecutionError, TrialResult, TrialSpec
 from repro.runtime.workload import Workload
@@ -165,7 +165,6 @@ __all__ = [
     "available_backends",
     "execute_specs",
     "make_runner",
-    "register_chunk_kernel",
 ]
 
 

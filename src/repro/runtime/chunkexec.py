@@ -11,17 +11,19 @@ the invariant: a chunk runner must produce records bit-identical to the
 per-trial loop, so which path executed is unobservable in the results
 — only in the wall clock.
 
-Capability is per *workload*: kernels register a compiler per workload
-``fn`` (:func:`register_chunk_kernel`), the compiler inspects one
-workload's frozen context and returns a chunk runner or ``None``, and
-the verdict is kept on that workload object (:func:`chunk_runner`
-returns it), as :func:`~repro.kernels.topology.edge_index_for` keeps
-an index on its graph.  A runner therefore lives exactly as long as
-its workload: a serial run's specs, a serve job, or a worker's live
-copy (:mod:`repro.runtime.workload`).  No process-wide cache outlives
-them, so a finished experiment's graphs are freed with its specs.  The
-built-in compilers live in :mod:`repro.kernels`, imported lazily on
-the first chunk so the serial import path stays light.
+Capability is per *workload*: the one chunk compiler,
+:func:`repro.kernels.complexity.compile_trial_chunk`, inspects one
+workload's frozen context and returns a chunk runner or ``None`` (any
+workload whose ``fn`` is neither ``run_trial`` nor
+``run_traffic_trial`` is declined), and the verdict is kept on that
+workload object (:func:`chunk_runner` returns it), as
+:func:`~repro.kernels.topology.edge_index_for` keeps an index on its
+graph.  A runner therefore lives exactly as long as its workload: a
+serial run's specs, a serve job, or a worker's live copy
+(:mod:`repro.runtime.workload`).  No process-wide cache outlives them,
+so a finished experiment's graphs are freed with its specs.  The
+compiler is imported on the first workload compiled, so the serial
+import path stays numpy-free.
 
 ``$REPRO_KERNEL=off`` (the ``kernel`` row of :mod:`repro.settings`)
 disables the seam entirely (every spec executes per trial) — the
@@ -48,17 +50,11 @@ __all__ = [
     "TALLY",
     "chunk_runner",
     "execute_specs",
-    "register_chunk_kernel",
 ]
-
-#: Workload ``fn`` -> compiler(workload) -> chunk runner | None.
-_COMPILERS: dict[Callable, Callable] = {}
 
 #: Workload instance attribute holding its compiled chunk runner (or
 #: the ``None`` verdict) — process-local, never pickled.
 _RUNNER_ATTR = "_chunk_runner"
-
-_kernels_loaded = False
 
 #: What executed in this process, in specs: ``"kernel"`` and
 #: ``"per-trial"`` as :func:`execute_specs` ran them; then, counted by
@@ -70,32 +66,11 @@ _kernels_loaded = False
 TALLY: Counter[str] = Counter()
 
 
-def register_chunk_kernel(fn: Callable, compiler: Callable) -> None:
-    """Register a chunk compiler for workloads whose ``fn`` is ``fn``.
-
-    ``compiler(workload)`` inspects the frozen context and returns
-    either a chunk runner — ``runner(keys, tails) -> values``, one
-    value per tail, bit-identical to ``workload.call(*tail)`` — or
-    ``None`` to decline (the per-trial loop then runs).  Registration
-    is per process and idempotent; modules defining kernels register at
-    import time, so workers that learn of a workload by unpickling it
-    re-register through the same import.
-    """
-    _COMPILERS[fn] = compiler
-
-
-def _ensure_kernels() -> None:
-    # The built-in compilers register on package import; deferred to
-    # first use so `import repro.runtime` stays numpy-free.
-    global _kernels_loaded
-    if not _kernels_loaded:
-        _kernels_loaded = True
-        import repro.kernels  # noqa: F401  (imported for registration)
-
-
 def chunk_runner(workload: Workload) -> Callable | None:
     """Return the compiled chunk runner for ``workload``, or ``None``.
 
+    A chunk runner is called as ``runner(keys, tails)`` and returns one
+    value per tail, bit-identical to ``workload.call(*tail)``.
     Compilation happens once per workload object, on first use: the
     runner is kept on the workload, so every chunk of a sweep point —
     the shape of every sweep — reuses it, and it is freed with the
@@ -106,9 +81,10 @@ def chunk_runner(workload: Workload) -> Callable | None:
         return None
     state = workload.__dict__
     if _RUNNER_ATTR not in state:
-        _ensure_kernels()
-        compiler = _COMPILERS.get(workload.fn)
-        state[_RUNNER_ATTR] = None if compiler is None else compiler(workload)
+        # Deferred so `import repro.runtime` stays numpy-free.
+        from repro.kernels.complexity import compile_trial_chunk
+
+        state[_RUNNER_ATTR] = compile_trial_chunk(workload)
     return state[_RUNNER_ATTR]
 
 

@@ -30,7 +30,9 @@ trials — so heartbeats are answered promptly however busy the pool
 is.  A pool worker that dies mid-chunk (crash, OOM kill) does not kill
 the node: the pool is rebuilt and the affected chunks are answered
 with ``lost``, which the coordinator requeues through the ordinary
-retry path.  Each pool worker carries a watchdog that exits when its
+retry path.  One that dies while the pool sits idle breaks it with no
+chunk in flight; the next chunk's submit finds the pool broken and
+replaces it.  Each pool worker carries a watchdog that exits when its
 owning node process dies, so a killed or wedged node never leaks
 orphan workers.
 
@@ -101,13 +103,18 @@ may connect to them in turn — and ``close()`` never shuts them down.
 Wire format
 -----------
 
-Frames are ``b"RPRO" + big-endian uint32 length + pickle payload``;
+Frames are ``b"RPRO" + big-endian uint32 length + pickle payload``,
+the payload at most :data:`MAX_FRAME_BYTES` (64 MiB);
 :func:`encode_frame` / :class:`FrameReader` implement framing
 independently of sockets (and are property-tested over torn and
-partial reads).  One thread drives each :class:`MessageStream` at
-either end of a connection, so frames never interleave.  Messages are
-``(kind, body)`` tuples; the handshake is ``("hello", {"version"})``
-→ ``("welcome", {"version", "pid", "workers"})`` (``workers``: the
+partial reads).  Neither end sends or reads past the cap: an
+oversized chunk fails its batch on the coordinator as unshippable, an
+oversized reply is answered ``failed``, and a header announcing more
+is refused before its payload is read.  One thread drives each
+:class:`MessageStream` at either end of a connection, so frames never
+interleave.  Messages are ``(kind, body)`` tuples; the handshake is
+``("hello", {"version"})`` → ``("welcome", {"version", "pid",
+"workers"})`` (``workers``: the
 node's pool width, an ``int`` >= 1), then ``("chunk", {"chunk",
 "specs"})`` answered by one of
 ``("done", {"chunk", "results"})`` (the chunk's pickled
@@ -206,9 +213,11 @@ READY_PREFIX = "REPRO-WORKER LISTENING "
 _MAGIC = b"RPRO"
 _HEADER = struct.Struct(">4sI")
 
-#: Upper bound on a single frame; a length beyond this means a corrupt
-#: or hostile stream, not a real batch.
-MAX_FRAME_BYTES = 1 << 31
+#: Upper bound on a single frame, either way.  The largest frames the
+#: registry sends, each batch as one chunk, are ~99 KB (a ``chunk``)
+#: and ~241 KB (a ``done``) at ``medium``, both E7's: a length beyond
+#: this means a corrupt or hostile stream, not a real batch.
+MAX_FRAME_BYTES = 64 << 20
 
 
 class ProtocolError(RuntimeError):
@@ -221,8 +230,17 @@ class ProtocolError(RuntimeError):
 
 
 def encode_frame(message) -> bytes:
-    """Serialise one message into a self-delimiting frame."""
+    """Serialise one message into a self-delimiting frame.
+
+    Raises :class:`ProtocolError` for a payload over
+    :data:`MAX_FRAME_BYTES`, which no peer would accept.
+    """
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame of {len(payload)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte cap"
+        )
     return _HEADER.pack(_MAGIC, len(payload)) + payload
 
 
@@ -572,6 +590,13 @@ def serve(
         stopping = True
         _nudge(waker)
 
+    def new_pool() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_node_pool_init,
+            initargs=(os.getpid(),),
+        )
+
     def answer(stream: MessageStream, message) -> None:
         nonlocal pool
         kind, body = message
@@ -602,12 +627,17 @@ def serve(
                 return
             try:
                 if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_node_pool_init,
-                        initargs=(os.getpid(),),
-                    )
-                future = pool.submit(execute_specs, body["specs"])
+                    pool = new_pool()
+                try:
+                    future = pool.submit(execute_specs, body["specs"])
+                except BrokenProcessPool:
+                    # A worker died while the pool sat idle (an OOM
+                    # kill, say): no chunk was in flight, so no `lost`
+                    # reply dropped the pool.  Replace it and submit
+                    # once more; only a second failure answers `lost`.
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = new_pool()
+                    future = pool.submit(execute_specs, body["specs"])
             except Exception as exc:
                 lost = {
                     "chunk": chunk_id,

@@ -13,8 +13,9 @@ result dict back in submission order.  A sweep that shares points with
 a cached sweep therefore computes only the delta — the overlap comes
 from cache byte-identically.
 
-Plain :meth:`run` batches cache as a single anonymous point, so direct
-``runner.run(...)`` callers get whole-batch memoisation.
+Plain :meth:`run` is one anonymous group through :meth:`run_grouped`,
+so direct ``runner.run(...)`` callers get whole-batch memoisation from
+the same lookup, store and counters.
 
 The cache stores *values* only; ``TrialResult`` wrappers are rebuilt
 from the specs in hand, and a batch whose values do not pickle is
@@ -119,23 +120,11 @@ class CachedRunner(TrialRunner):
 
     def run(self, specs: Iterable[TrialSpec]) -> list[TrialResult]:
         specs = list(specs)
-        digest, values = self._lookup(specs)
-        self.points_total += 1
-        self.trials_total += len(specs)
-        if values is not _MISS:
-            self.points_cached += 1
-            self._progress()
-            return [
-                TrialResult(key=spec.key, value=value)
-                for spec, value in zip(specs, values)
-            ]
-        self._progress()
-        results = self.inner.run(specs)
-        self.trials_executed += len(specs)
-        if digest is not None:
-            self.cache.put(digest, [result.value for result in results])
-        self._progress()
-        return results
+        values = self.run_grouped([(None, specs)])[None]
+        return [
+            TrialResult(key=spec.key, value=value)
+            for spec, value in zip(specs, values)
+        ]
 
     def run_grouped(
         self, groups: Iterable[tuple[Any, Iterable[TrialSpec]]]

@@ -45,6 +45,7 @@ import signal
 import threading
 from urllib.parse import parse_qs, urlsplit
 
+from repro.experiments.registry import all_experiments
 from repro.runtime.backends import make_runner
 from repro.serve.cache import ResultCache
 from repro.serve.digest import code_version
@@ -122,6 +123,8 @@ class ExperimentService:
         # Scan the store once now, so /healthz and /cache/stats read the
         # running tally instead of scanning on the event loop.
         self.cache.tally()
+        # Import every definition now, not on the first POST's loop pass.
+        all_experiments()
         self.runner = make_runner(workers, chunksize, backend=self.backend)
         self.manager = JobManager(self.runner, self.cache, job_ttl=job_ttl)
         self._server: asyncio.base_events.Server | None = None
@@ -276,14 +279,14 @@ class ExperimentService:
         if "experiment" not in payload:
             raise _HttpError(400, "missing required field 'experiment'")
         try:
-            job, created = await asyncio.get_running_loop().run_in_executor(
-                None,
-                lambda: self.manager.submit(
-                    payload["experiment"],
-                    payload.get("scale", "small"),
-                    payload.get("seed", 0),
-                    payload.get("overrides"),
-                ),
+            # On the loop, like every other JobManager call: validation
+            # reads the registry loaded in __init__, and the manager's
+            # lock is held only for bookkeeping.
+            job, created = self.manager.submit(
+                payload["experiment"],
+                payload.get("scale", "small"),
+                payload.get("seed", 0),
+                payload.get("overrides"),
             )
         except JobRequestError as exc:
             raise _HttpError(400, str(exc)) from None

@@ -10,6 +10,7 @@ from repro.graphs.hypercube import Hypercube
 from repro.percolation.models import PercolationModel
 from repro.routers.bfs import LocalBFSRouter
 from repro.routers.waypoint import WaypointRouter
+from repro.runtime.chunkexec import TALLY
 
 
 class TestExactConditioning:
@@ -105,6 +106,18 @@ class TestExactConditioning:
         )
         assert sum(r.attempted for r in m.records) == 5
         assert m.trials < 1000
+
+
+def test_measure_complexity_without_a_runner_runs_on_the_kernel(monkeypatch):
+    # With no runner the trials run on a serial runner in this process,
+    # so they reach the chunk kernel like any definition's trials.
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    before = TALLY.copy()
+    m = measure_complexity(
+        Hypercube(6), p=0.5, router=WaypointRouter(), trials=12, seed=4
+    )
+    assert m.trials == 12
+    assert TALLY - before == {"kernel": 12}
 
 
 class TestRouterConditioning:

@@ -19,12 +19,10 @@ the parent, so every workload must arrive inside its chunk's pickle —
 fork-masked state bugs fail there.
 """
 
-import importlib
 import multiprocessing
 import os
 import pickle
 from collections import OrderedDict
-from pathlib import Path
 
 import pytest
 
@@ -46,32 +44,7 @@ from repro.util.rng import derive_seed
 ALL_IDS = [spec.experiment_id for spec in all_experiments()]
 
 #: Defs whose tiny-scale batches are plain ``fn`` specs, no workloads.
-PLAIN_SPEC_IDS = {"E11", "E13"}
-
-
-def test_every_def_module_is_registered():
-    # The parity sweep above parametrizes over *registered* defs — a
-    # def module missing from the registry's ``_DEF_MODULES`` list
-    # never imports, never registers, and would silently skip every
-    # gate in this file.  Close the loop: every module under
-    # ``experiments/defs/`` must surface at least one registered
-    # experiment.
-    defs_dir = (
-        Path(importlib.import_module("repro.experiments.defs").__file__)
-        .parent
-    )
-    modules = {
-        f"repro.experiments.defs.{path.stem}"
-        for path in defs_dir.glob("*.py")
-        if path.stem != "__init__"
-    }
-    registered = {spec.run.__module__ for spec in all_experiments()}
-    missing = modules - registered
-    assert not missing, (
-        f"def modules not in the registry sweep (add them to "
-        f"_DEF_MODULES in repro/experiments/registry.py): "
-        f"{sorted(missing)}"
-    )
+PLAIN_SPEC_IDS = {"E11"}
 
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
@@ -174,6 +147,48 @@ def test_chunk_pickle_carries_its_workloads(experiment_id, monkeypatch):
     assert serial.notes == shipped.notes
     if experiment_id not in PLAIN_SPEC_IDS:
         assert runner.workload_chunks > 0
+
+
+class _CallRecorder(TrialRunner):
+    """Record every call a definition makes on its runner; execute each
+    batch through ``execute_specs`` in this process."""
+
+    def __init__(self) -> None:
+        self.calls: list[str] = []
+
+    def run(self, specs):
+        self.calls.append("run")
+        return execute_specs(specs)
+
+    def run_grouped(self, groups):
+        self.calls.append("run_grouped")
+        groups = [(label, list(specs)) for label, specs in groups]
+        flat = [spec for _, specs in groups for spec in specs]
+        values = iter(result.value for result in execute_specs(flat))
+        return {
+            label: [next(values) for _ in specs] for label, specs in groups
+        }
+
+
+@pytest.mark.parametrize("experiment_id", ALL_IDS)
+def test_definition_hands_its_runner_one_batch(experiment_id, monkeypatch):
+    # The one way in: a definition hands every spec to the runner it
+    # was given in one run_grouped batch.  A direct run call, or a
+    # runner of its own (a nested SerialRunner, measure_complexity
+    # without runner=), would split the batch or hide it from a
+    # wrapping runner (the result cache, the tracer).
+    serial_runs = []
+    serial_run = SerialRunner.run
+
+    def counted(self, specs):
+        serial_runs.append(self)
+        return serial_run(self, specs)
+
+    monkeypatch.setattr(SerialRunner, "run", counted)
+    runner = _CallRecorder()
+    get_experiment(experiment_id)(scale="tiny", seed=11, runner=runner)
+    assert runner.calls == ["run_grouped"]
+    assert serial_runs == []
 
 
 def _pid_stamped(spec: TrialSpec):

@@ -16,16 +16,11 @@ from collections import OrderedDict
 
 import pytest
 
-import repro.runtime.chunkexec as chunkexec
+import repro.kernels.complexity as kernel_complexity
 import repro.runtime.workload as workload_module
 from repro.graphs.hypercube import Hypercube
 from repro.runtime import TrialResult, TrialSpec, Workload
-from repro.runtime.chunkexec import (
-    TALLY,
-    chunk_runner,
-    execute_specs,
-    register_chunk_kernel,
-)
+from repro.runtime.chunkexec import TALLY, chunk_runner, execute_specs
 
 
 def _work(tag, trial, seed):
@@ -36,15 +31,17 @@ def _other(x):
     return ("plain", x)
 
 
-@pytest.fixture(autouse=True)
-def _isolated_registry():
-    # Register the built-in compilers first: loading them mid-test
-    # would drop them at restore while the module stays marked loaded.
-    chunkexec._ensure_kernels()
-    compilers = dict(chunkexec._COMPILERS)
-    yield
-    chunkexec._COMPILERS.clear()
-    chunkexec._COMPILERS.update(compilers)
+@pytest.fixture
+def use_compiler(monkeypatch):
+    """Stand a synthetic compiler in for the seam's one chunk compiler,
+    which ``chunk_runner`` looks up when it compiles a workload."""
+
+    def use(compiler):
+        monkeypatch.setattr(
+            kernel_complexity, "compile_trial_chunk", compiler
+        )
+
+    return use
 
 
 class _Recorder:
@@ -72,9 +69,9 @@ def _specs(workload, trials, key="k"):
     ]
 
 
-def test_maximal_runs_batch_through_one_call():
+def test_maximal_runs_batch_through_one_call(use_compiler):
     recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
+    use_compiler(recorder)
     w1 = Workload(fn=_work, args=("a",))
     w2 = Workload(fn=_work, args=("b",))
     plain = TrialSpec(key=("plain",), fn=_other, args=(9,))
@@ -89,9 +86,9 @@ def test_maximal_runs_batch_through_one_call():
     assert results[4].value == ("fast", "b", 0, 100)
 
 
-def test_ineligible_tails_fall_back_per_spec():
+def test_ineligible_tails_fall_back_per_spec(use_compiler):
     recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
+    use_compiler(recorder)
     w = Workload(fn=_work, args=("a",))
     eligible = TrialSpec(key=("e",), args=(0, 100), workload=w)
     kwargs_spec = TrialSpec(
@@ -105,9 +102,9 @@ def test_ineligible_tails_fall_back_per_spec():
     assert results[2].value == ("slow", "a", 2, 102.5)
 
 
-def test_results_match_per_spec_execution():
+def test_results_match_per_spec_execution(use_compiler):
     recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
+    use_compiler(recorder)
     w = Workload(fn=_work, args=("a",))
     specs = _specs(w, 4)
     got = execute_specs(specs)
@@ -117,8 +114,8 @@ def test_results_match_per_spec_execution():
     assert got == expected
 
 
-def test_declining_compiler_falls_back():
-    register_chunk_kernel(_work, lambda workload: None)
+def test_declining_compiler_falls_back(use_compiler):
+    use_compiler(lambda workload: None)
     w = Workload(fn=_work, args=("a",))
     assert chunk_runner(w) is None
     results = execute_specs(_specs(w, 2))
@@ -128,18 +125,19 @@ def test_declining_compiler_falls_back():
 def test_unregistered_fn_falls_back():
     w = Workload(fn=_other, args=())
     spec = TrialSpec(key=("x",), args=(1, 2), workload=w)
-    # _other(1, 2) raises TypeError -> wrapped; proves the kernel path
-    # was never taken for an unregistered fn (it would have crashed
-    # differently) and the normal execute machinery ran.
+    # The shipped compiler declines a workload whose fn is neither
+    # run_trial nor run_traffic_trial.  _other(1, 2) would raise
+    # TypeError -> wrapped; the plain spec proves the normal execute
+    # machinery ran.
     results = execute_specs([TrialSpec(key=("y",), fn=_other, args=(7,))])
     assert results[0].value == ("plain", 7)
     assert chunk_runner(w) is None
     del spec
 
 
-def test_workload_compiles_once_across_chunks():
+def test_workload_compiles_once_across_chunks(use_compiler):
     recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
+    use_compiler(recorder)
     w = Workload(fn=_work, args=("a",))
     for trials in (2, 3, 1, 4):
         execute_specs(_specs(w, trials))
@@ -147,14 +145,14 @@ def test_workload_compiles_once_across_chunks():
     assert len(recorder.calls) == 4
 
 
-def test_dropped_specs_free_workload_runner_and_graph():
+def test_dropped_specs_free_workload_runner_and_graph(use_compiler):
     # The runner lives on its workload and pins the graph; nothing
     # process-wide keeps any of them once the specs go.
     def compiler(workload):
         graph = workload.args[0]
         return lambda keys, tails: [graph.num_vertices() for _ in tails]
 
-    register_chunk_kernel(_work, compiler)
+    use_compiler(compiler)
     graph = Hypercube(3)
     specs = _specs(Workload(fn=_work, args=(graph,)), 3)
     assert [r.value for r in execute_specs(specs)] == [8, 8, 8]
@@ -168,12 +166,12 @@ def test_dropped_specs_free_workload_runner_and_graph():
     assert [ref() for ref in refs] == [None, None, None]
 
 
-def test_unpickled_copies_compile_once(monkeypatch):
+def test_unpickled_copies_compile_once(monkeypatch, use_compiler):
     # Two chunks of one workload, unpickled in one process, resolve to
     # one live copy (`_live_copy`), so its runner compiles once.
     monkeypatch.setattr(workload_module, "_LIVE", OrderedDict())
     recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
+    use_compiler(recorder)
     w = Workload(fn=_work, args=("a",))
     first = pickle.loads(pickle.dumps(_specs(w, 2)))
     second = pickle.loads(pickle.dumps(_specs(w, 3, key="k2")))
@@ -184,11 +182,11 @@ def test_unpickled_copies_compile_once(monkeypatch):
     assert len(recorder.calls) == 2
 
 
-def test_env_switch(monkeypatch):
+def test_env_switch(monkeypatch, use_compiler):
     # The switch's accepted spellings are resolver cases in
     # tests/test_settings.py; here, "off" must bypass the kernel.
     recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
+    use_compiler(recorder)
     w = Workload(fn=_work, args=("a",))
     monkeypatch.setenv("REPRO_KERNEL", "off")
     results = execute_specs(_specs(w, 2))
@@ -214,26 +212,26 @@ def _run_inner(trials):
     return execute_specs(_specs(Workload(fn=_work, args=("inner",)), trials))
 
 
-def test_tally_counts_what_executed():
+def test_tally_counts_what_executed(use_compiler):
     recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
+    use_compiler(recorder)
     w = Workload(fn=_work, args=("a",))
     plain = TrialSpec(key=("p",), fn=_other, args=(1,))
     assert _ran(_specs(w, 3) + [plain]) == {"kernel": 3, "per-trial": 1}
     assert len(recorder.calls) == 1
 
 
-def test_tally_counts_specs_a_nested_runner_executes():
-    # A spec whose body runs its own batch (as E13's points do) counts
-    # as one per-trial spec, and each inner spec where it ran.
-    register_chunk_kernel(_work, _Recorder())
+def test_tally_counts_specs_a_nested_runner_executes(use_compiler):
+    # A spec whose body runs its own batch counts as one per-trial
+    # spec, and each inner spec where it ran.
+    use_compiler(_Recorder())
     nested = TrialSpec(key=("outer",), fn=_run_inner, args=(4,))
     assert _ran([nested]) == {"kernel": 4, "per-trial": 1}
 
 
-def test_tally_all_per_trial_when_disabled(monkeypatch):
+def test_tally_all_per_trial_when_disabled(monkeypatch, use_compiler):
     recorder = _Recorder()
-    register_chunk_kernel(_work, recorder)
+    use_compiler(recorder)
     monkeypatch.setenv("REPRO_KERNEL", "off")
     w = Workload(fn=_work, args=("a",))
     assert _ran(_specs(w, 3)) == {"per-trial": 3}

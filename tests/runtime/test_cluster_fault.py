@@ -38,6 +38,7 @@ from repro.runtime import (
     TrialExecutionError,
     TrialSpec,
 )
+from repro.runtime import cluster
 from repro.runtime import testing as kit
 from repro.runtime.cluster import (
     PROTOCOL_VERSION,
@@ -170,6 +171,22 @@ def test_pool_worker_crash_requeues_without_losing_the_node(tmp_path):
         assert all(node.alive for node in runner._nodes)
 
 
+def test_pool_broken_while_idle_is_rebuilt_for_the_next_chunk():
+    # A pool worker killed between chunks (an OOM kill, say) breaks the
+    # pool with no chunk in flight, so no `lost` reply replaces it: the
+    # next chunk's submit must, or the node refuses every later chunk.
+    with kit.local_nodes(1, node_workers=1) as nodes:
+        with ClusterRunner(nodes=nodes, retries=0) as runner:
+            [worker] = runner.run_values(
+                [TrialSpec(key=("pid",), fn=kit.process_id)]
+            )
+            os.kill(worker, signal.SIGKILL)
+            time.sleep(1.0)  # the pool notices its worker is gone
+            for x in (2, 3, 4):
+                spec = TrialSpec(key=("sq", x), fn=kit.square, args=(x,))
+                assert runner.run_values([spec]) == [x * x]
+
+
 def test_retry_cap_exhaustion_names_the_lost_chunk():
     # A chunk that breaks the pool of every node that tries it burns
     # one retry per `lost` reply; exhaustion names the chunk.  The pool
@@ -196,6 +213,21 @@ def test_unshippable_chunk_fails_instead_of_hanging():
     with ClusterRunner(workers=2, chunksize=1) as runner:
         with pytest.raises(TrialExecutionError, match="could not be shipped"):
             runner.run(kit.square_specs(6) + [bad])
+
+
+def test_oversized_chunk_fails_as_unshippable(monkeypatch):
+    # A chunk over the frame cap would be refused by every node's
+    # reader, so the coordinator refuses to send it: the run fails
+    # fast naming the chunk, and the runner serves the next batch.
+    monkeypatch.setattr(cluster, "MAX_FRAME_BYTES", 4096)
+    big = TrialSpec(key=("big",), fn=kit.process_id, args=(b"x" * 8192,))
+    with ClusterRunner(workers=2, chunksize=1) as runner:
+        with pytest.raises(TrialExecutionError) as err:
+            runner.run(kit.square_specs(6) + [big])
+        message = str(err.value)
+        assert "could not be shipped" in message
+        assert "('big',)" in message and "cap" in message
+        assert runner.run_values(kit.square_specs(4)) == [0, 1, 4, 9]
 
 
 def test_unpicklable_result_surfaces_the_real_cause():

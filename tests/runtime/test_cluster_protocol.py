@@ -26,7 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import cluster
 from repro.runtime.cluster import (
+    MAX_FRAME_BYTES,
     FrameReader,
     MessageStream,
     ProtocolError,
@@ -100,6 +102,22 @@ class TestFraming:
         header = b"RPRO" + (0xFFFFFFFF).to_bytes(4, "big")
         with pytest.raises(ProtocolError, match="cap"):
             FrameReader().feed(header)
+
+    def test_header_one_byte_over_the_cap_is_refused_after_8_bytes(self):
+        # The header alone decides: no payload byte is waited for.
+        at_cap = b"RPRO" + MAX_FRAME_BYTES.to_bytes(4, "big")
+        reader = FrameReader()
+        assert reader.feed(at_cap) == [] and reader.mid_frame
+        over = b"RPRO" + (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        assert len(over) == 8
+        with pytest.raises(ProtocolError, match="cap"):
+            FrameReader().feed(over)
+
+    def test_encode_refuses_a_payload_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(cluster, "MAX_FRAME_BYTES", 64)
+        assert FrameReader().feed(encode_frame(b"x")) == [b"x"]
+        with pytest.raises(ProtocolError, match="64-byte cap"):
+            encode_frame(b"x" * 64)
 
     @pytest.mark.parametrize(
         "payload",
@@ -336,6 +354,29 @@ class TestNodeSend:
                 "chunk reply could not be serialised: "
             )
             # Nothing of the reply that would not pickle was sent.
+            assert peer.recv(timeout=0.05) is None
+            assert conns == {stream}
+        finally:
+            left.close()
+            right.close()
+
+    def test_a_reply_over_the_frame_cap_is_answered_failed(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(cluster, "MAX_FRAME_BYTES", 16384)
+        left, right = socket.socketpair()
+        try:
+            stream, peer = MessageStream(left), MessageStream(right)
+            conns = {stream}
+            reply = ("done", {"chunk": 3, "results": [b"x" * 32768]})
+            _send(conns, stream, reply)
+            kind, body = peer.recv(timeout=1.0)
+            assert kind == "failed"
+            assert (body["chunk"], body["key"]) == (3, ("<node>",))
+            assert body["detail"].startswith(
+                "chunk reply could not be serialised: ProtocolError: "
+            )
+            assert "16384-byte cap" in body["detail"]
             assert peer.recv(timeout=0.05) is None
             assert conns == {stream}
         finally:

@@ -16,6 +16,7 @@ genuine HTTP.  The acceptance claims under test:
 
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -393,3 +394,19 @@ class TestRequestBounds:
             held = time.monotonic() - start
         assert reply == b"", f"the service answered {reply!r:.80}"
         assert held < 2.5
+
+
+def test_submissions_start_no_executor_thread(tmp_path):
+    # A submission is validated on the event loop (the service imports
+    # every definition when it is built), so the loop's default
+    # executor, whose threads are named asyncio_N, never starts.
+    service = start_service(backend="serial", cache_dir=tmp_path)
+    try:
+        for seed in range(3):
+            job = submit_job(service, "E17", seed=seed)
+            assert wait_for_job(service, job["job_id"])["state"] == "done"
+        names = [thread.name for thread in threading.enumerate()]
+        assert "repro-serve" in names
+        assert [name for name in names if name.startswith("asyncio_")] == []
+    finally:
+        service.stop()
